@@ -3,9 +3,9 @@
 The workhorse is a factored stream of C(2k,k): the ratio
 C(2k,k) / C(2k-2,k-1) = 2(2k-1)/k has its p-parts stripped before the
 unit division, so every term is exact even past k = p/2 where the
-binomials pick up positive p-valuation.  Sums accumulate plain residues
-(one ``to_residue`` per term); the running power of the base costs one
-inversion total.
+binomials pick up positive p-valuation.  Each weight gets a cached table
+of the residues weight(k) C(2k,k), and a sum runs Horner's rule over a
+prefix of it; the base costs one inversion total.
 
 Two identities are also provided in exact arbitrary-precision form, as
 independent oracles for the modular machinery.
@@ -48,7 +48,6 @@ class WeightKind(Enum):
     INV_2KM1 = "inv_2km1"
     INV_2KM1_SQ = "inv_2km1_sq"
     H2 = "h2"
-    H2_SIGNED_BASE = "h2_signed_base"
 
 
 @dataclass(frozen=True)
@@ -137,21 +136,28 @@ def _cb_vu(modulus: Modulus, upto: int, cache: dict | None) -> list[tuple[int, i
 
 
 def _residues_from_vu(
-    modulus: Modulus, upto: int, cache: dict | None, key_tag: str, shift: int
+    modulus: Modulus, upto: int, cache: dict | None, weight: WeightKind = WeightKind.NONE
 ) -> list[int]:
-    """Residues of C(2k,k) (shift=0) or C(2k,k)/(k+1) (shift=1)."""
+    """Residues of weight(k) C(2k,k) mod p^e for k = 0..upto."""
     p, e, pe = modulus.p, modulus.e, modulus.m
-    key = (key_tag, p, pe)
+    _check_weight_domain(weight, upto, p)
+    key = (weight, p, pe)
     res = cache.get(key) if cache is not None else None
     if res is None:
         res = []
         if cache is not None:
             cache[key] = res
-    if len(res) <= upto:
+    if len(res) > upto:
+        return res
+    start = len(res)
+    if weight is WeightKind.NONE or weight is WeightKind.CATALAN:
+        # Catalan terms divide the factored binomial by k + 1, which may
+        # carry p-parts, so both are reduced from the (v_p, unit) stream.
+        shift = weight is WeightKind.CATALAN
         vu = _cb_vu(modulus, upto, cache)
         invf = _unit_inverter(p, pe, upto + shift, cache)
         ppow = [p**j for j in range(e)]
-        for k in range(len(res), upto + 1):
+        for k in range(start, upto + 1):
             v, u = vu[k]
             if shift:
                 den = k + 1
@@ -163,15 +169,21 @@ def _residues_from_vu(
                 if den > 1:
                     u = u * invf(den) % pe
             res.append(u * ppow[v] % pe if v < e else 0)
+        return res
+    # The remaining weights are units (or k) inside their domains, so
+    # they multiply the plain residues directly.
+    cb = _residues_from_vu(modulus, upto, cache)
+    if weight is WeightKind.LINEAR_K:
+        w = range(upto + 1)
+    elif weight is WeightKind.H2:
+        w = _h2_prefix(modulus, upto, cache)
+    else:
+        tab = _inv_table(p, pe, max(2 * upto - 1, 1), cache)
+        w = [pe - 1] + [tab[2 * k - 1] for k in range(1, upto + 1)]  # 1/(2*0 - 1) = -1
+        if weight is WeightKind.INV_2KM1_SQ:
+            w = [x * x % pe for x in w]
+    res.extend(cb[k] * w[k] % pe for k in range(start, upto + 1))
     return res
-
-
-def _cb_residues(modulus: Modulus, upto: int, cache: dict | None) -> list[int]:
-    return _residues_from_vu(modulus, upto, cache, "cbres", 0)
-
-
-def _catalan_residues(modulus: Modulus, upto: int, cache: dict | None) -> list[int]:
-    return _residues_from_vu(modulus, upto, cache, "catres", 1)
 
 
 def _h2_prefix(modulus: Modulus, upto: int, cache: dict | None) -> list[int]:
@@ -198,7 +210,7 @@ def _check_weight_domain(weight: WeightKind, upper: int, p: int) -> None:
             raise WeightDomain(
                 f"1/(2k-1) weights need upper <= (p-1)/2, got {upper} at p = {p}"
             )
-    elif weight in (WeightKind.H2, WeightKind.H2_SIGNED_BASE):
+    elif weight is WeightKind.H2:
         if upper > p - 1:
             raise WeightDomain(f"H2 weight needs upper <= p-1, got {upper} at p = {p}")
 
@@ -206,43 +218,12 @@ def _check_weight_domain(weight: WeightKind, upper: int, p: int) -> None:
 def _sum_with_power(
     x: int, upper: int, modulus: Modulus, weight: WeightKind, cache: dict | None
 ) -> int:
-    """sum_{k=0}^{upper} weight(k) C(2k,k) x^k mod p^e, x already reduced."""
-    p, pe = modulus.p, modulus.m
-    _check_weight_domain(weight, upper, p)
+    """sum_{k=0}^{upper} weight(k) C(2k,k) x^k mod p^e by Horner's rule, x reduced."""
+    pe = modulus.m
     acc = 0
-    xk = 1
     # Cached tables may extend past ``upper``; always slice to the range.
-    if weight is WeightKind.NONE:
-        for r in _cb_residues(modulus, upper, cache)[: upper + 1]:
-            acc = (acc + r * xk) % pe
-            xk = xk * x % pe
-    elif weight is WeightKind.CATALAN:
-        for r in _catalan_residues(modulus, upper, cache)[: upper + 1]:
-            acc = (acc + r * xk) % pe
-            xk = xk * x % pe
-    elif weight is WeightKind.LINEAR_K:
-        for k, r in enumerate(_cb_residues(modulus, upper, cache)[: upper + 1]):
-            acc = (acc + k * r * xk) % pe
-            xk = xk * x % pe
-    elif weight in (WeightKind.INV_2KM1, WeightKind.INV_2KM1_SQ):
-        res = _cb_residues(modulus, upper, cache)
-        tab = _inv_table(p, pe, max(2 * upper - 1, 1), cache)
-        square = weight is WeightKind.INV_2KM1_SQ
-        for k in range(upper + 1):
-            if k == 0:
-                w = 1 if square else pe - 1  # 1/(2*0 - 1) = -1
-            else:
-                w = tab[2 * k - 1]
-                if square:
-                    w = w * w % pe
-            acc = (acc + res[k] * w % pe * xk) % pe
-            xk = xk * x % pe
-    else:  # H2 and its signed-base twin
-        res = _cb_residues(modulus, upper, cache)
-        h2 = _h2_prefix(modulus, upper, cache)
-        for k in range(upper + 1):
-            acc = (acc + res[k] * h2[k] % pe * xk) % pe
-            xk = xk * x % pe
+    for t in reversed(_residues_from_vu(modulus, upper, cache, weight)[: upper + 1]):
+        acc = (acc * x + t) % pe
     return acc
 
 
@@ -261,8 +242,8 @@ def central_binomial_stream(modulus: Modulus, max_k: int) -> Iterator[PadicFacto
 def evaluate_sum(spec: SumSpec, cache: dict | None = None) -> ResidueClass:
     """Evaluate  sum_{k=0}^{upper} weight(k) C(2k,k) inv(base)^k  mod p^e.
 
-    The base is inverted once and maintained as a running power.  A sum
-    of length zero never inverts, so the base may then be anything.
+    The base is inverted once and applied by Horner's rule.  A sum of
+    length zero never inverts, so the base may then be anything.
     """
     md = spec.modulus
     if spec.upper == 0:

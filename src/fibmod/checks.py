@@ -22,8 +22,8 @@ from .binomsums import (
     SumSpec,
     WeightDomain,
     WeightKind,
-    _cb_residues,
     _cb_vu,
+    _residues_from_vu,
     _unit_inverter,
     alternating_harmonic,
     evaluate_sum,
@@ -147,6 +147,22 @@ def _full(pr: CheckParams) -> int:
     return pr.p**pr.a - 1
 
 
+def _p_half(pr: CheckParams) -> int:
+    return (pr.p - 1) // 2
+
+
+def _p_full(pr: CheckParams) -> int:
+    return pr.p - 1
+
+
+def _floor_of(num: int, den: int) -> Callable[[CheckParams], int]:
+    return lambda pr: floor_multiple(num, den, pr.p**pr.a)
+
+
+def _m(pr: CheckParams) -> int:
+    return pr.m
+
+
 def _ab(pr: CheckParams) -> LucasParams:
     return LucasParams(pr.A if pr.A is not None else 1, pr.B if pr.B is not None else -1)
 
@@ -199,12 +215,42 @@ def _conj11n_valuation(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _plain_sum(base: int, upper: int, md: Modulus, cache: dict) -> int:
-    return evaluate_sum(SumSpec(base, upper, WeightKind.NONE, md), cache).value
+def _sum_side(
+    base: int | Callable[[CheckParams], int],
+    upper: Callable[[CheckParams], int],
+    weight: WeightKind = WeightKind.NONE,
+    signed: bool = False,
+) -> Side:
+    """The side  sum_{k<=upper} weight(k) C(2k,k) / base^k,  or with
+    base^k when ``signed`` (then p may divide the base).
+
+    ``base`` is a constant or read from the params.  The side keeps its
+    bound as ``.upper``, which ``_spec`` takes as the check's length.
+    """
+
+    def side(pr, md, cache):
+        b = base(pr) if callable(base) else base
+        if signed:
+            return signed_central_sum(b, upper(pr), md, weight, cache).value
+        return evaluate_sum(SumSpec(b, upper(pr), weight, md), cache).value
+
+    side.upper = upper
+    return side
 
 
-def _t1_1_lhs(pr, md, cache):
-    return _plain_sum(-16, _half(pr), md, cache)
+# Sums over the free parameter m, shared by several checks and closed forms.
+_m_half_sum = _sum_side(_m, _half)
+_m_half_cat_sum = _sum_side(_m, _half, WeightKind.CATALAN)
+_m_half_k_sum = _sum_side(_m, _half, WeightKind.LINEAR_K)
+_m_full_sum = _sum_side(_m, _full)
+_m_full_k_sum = _sum_side(_m, _full, WeightKind.LINEAR_K)
+
+# sum (-1)^k C(2k,k) H_k^(2) and sum (-2)^k C(2k,k) H_k^(2) over k < p.
+_h2_alt_sum = _sum_side(-1, _p_full, WeightKind.H2, signed=True)
+_h2_neg2_sum = _sum_side(-2, _p_full, WeightKind.H2, signed=True)
+
+_c1_2_sum = _sum_side(16, _p_half, WeightKind.INV_2KM1_SQ)
+_adamchuk_sum = _sum_side(1, lambda pr: 2 * pr.p // 3, signed=True)
 
 
 def _t1_1_rhs(pr, md, cache):
@@ -213,19 +259,11 @@ def _t1_1_rhs(pr, md, cache):
     return sign * (1 + f * pow(2, -1, md.m)) % md.m
 
 
-def _t1_2_lhs(pr, md, cache):
-    return _plain_sum(-32, _half(pr), md, cache)
-
-
 def _t1_2_rhs(pr, md, cache):
     pe = md.m
     t = (pow(2, pr.p**pr.a - 1, pe) - 1) % pe
     s2 = jacobi(2, pr.p) ** pr.a
     return s2 * (1 + t * pow(6, -1, pe) - t * t % pe * pow(8, -1, pe)) % pe
-
-
-def _t2_main_lhs(pr, md, cache):
-    return _plain_sum(pr.m, _half(pr), md, cache)
 
 
 def _t2_main_rhs(pr, md, cache):
@@ -236,38 +274,20 @@ def _t2_main_rhs(pr, md, cache):
     return (j**pr.a + jacobi(-m, p) * j ** (pr.a - 1) * mb % md.m * u) % md.m
 
 
-def _t2_cat_lhs(pr, md, cache):
-    return evaluate_sum(SumSpec(pr.m, _half(pr), WeightKind.CATALAN, md), cache).value
-
-
 def _t2_cat_rhs(pr, md, cache):
     m, pe = pr.m, md.m
-    s = _plain_sum(m, _half(pr), md, cache)
+    s = _m_half_sum(pr, md, cache)
     inv2 = pow(2, -1, pe)
     delta = 2 * pr.p * jacobi(-m, pr.p) if pr.a == 1 else 0
     return ((4 - m) * inv2 % pe * s + m * inv2 - delta) % pe
-
-
-def _c1_1_8_lhs(pr, md, cache):
-    return _plain_sum(8, _half(pr), md, cache)
 
 
 def _c1_1_8_rhs(pr, md, cache):
     return jacobi(2, pr.p) ** pr.a % md.m
 
 
-def _c1_1_16_lhs(pr, md, cache):
-    return _plain_sum(16, _half(pr), md, cache)
-
-
-def _c1_1_16_rhs(pr, md, cache):
-    return jacobi(3, pr.p) ** pr.a % md.m
-
-
 def _c1_2_lhs(pr, md, cache):
-    s = evaluate_sum(
-        SumSpec(16, (pr.p - 1) // 2, WeightKind.INV_2KM1_SQ, md), cache
-    ).value
+    s = _c1_2_sum(pr, md, cache)
     return [s, s]
 
 
@@ -277,10 +297,6 @@ def _c1_2_rhs(pr, md, cache):
     inv2 = pow(2, -1, pe)
     table = {1: 1 % pe, 5: -inv2 % pe, 7: pe - 1, 11: inv2}
     return [closed, table[p % 12]]
-
-
-def _basic_p_lhs(pr, md, cache):
-    return _plain_sum(pr.m, _half(pr), md, cache)
 
 
 def _basic_p_rhs(pr, md, cache):
@@ -297,10 +313,6 @@ def _williams_rhs(pr, md, cache):
     return 2 * pow(5, -1, pe) * h % pe
 
 
-def _pansun_lhs(pr, md, cache):
-    return signed_central_sum(-1, _full(pr), md, WeightKind.NONE, cache).value
-
-
 def _pansun_rhs(pr, md, cache):
     sign = _fib_sign(pr)
     f = fibonacci_mod(pr.p**pr.a - sign, md.m)
@@ -309,7 +321,7 @@ def _pansun_rhs(pr, md, cache):
 
 def _adamchuk_lhs(pr, md, cache):
     # The conjectured sum starts at k = 1; drop the k = 0 term.
-    return (signed_central_sum(1, 2 * pr.p // 3, md, WeightKind.NONE, cache).value - 1) % md.m
+    return (_adamchuk_sum(pr, md, cache) - 1) % md.m
 
 
 def _adamchuk_rhs(pr, md, cache):
@@ -320,7 +332,7 @@ def _l2_1_lhs(pr, md, cache):
     """binom((p^a-1)/2 + k, 2k) - C(2k,k)/(-16)^k for every k, as a list."""
     p, e, pe = pr.p, md.e, md.m
     n = _half(pr)
-    cb = _cb_residues(md, n, cache)
+    cb = _residues_from_vu(md, n, cache)
     x = pow(-16 % pe, -1, pe)
     invf = _unit_inverter(p, pe, 2 * n + 1, cache)
     out = [0] * (n + 1)  # both binomials are 1 at k = 0
@@ -353,7 +365,7 @@ def _l2_1_rhs(pr, md, cache):
     p, e, pe = pr.p, md.e, md.m
     a = pr.a
     n = _half(pr)
-    cb = _cb_residues(md, n, cache)
+    cb = _residues_from_vu(md, n, cache)
     sgn = jacobi(-1, p) ** a
     out = [0] * (n + 1)
     t_acc = 0
@@ -414,18 +426,10 @@ def _l2_2b_rhs(pr, md, cache):
     return -f * f % pe * pow(2, -1, pe) % pe
 
 
-def _l2_3a_lhs(pr, md, cache):
-    return signed_central_sum(-1, pr.p - 1, md, WeightKind.H2, cache).value
-
-
 def _l2_3a_rhs(pr, md, cache):
     pe = md.m
     q = fibonacci_quotient(pr.p, md.e).value
     return jacobi(pr.p, 5) * 5 % pe * pow(2, -1, pe) % pe * q % pe * q % pe
-
-
-def _l2_3b_lhs(pr, md, cache):
-    return signed_central_sum(-2, pr.p - 1, md, WeightKind.H2, cache).value
 
 
 def _l2_3b_rhs(pr, md, cache):
@@ -522,14 +526,12 @@ def _l3_2_rhs(pr, md, cache):
 
 def _l3_3_lhs(pr, md, cache):
     # C(2k, k+1) = C(2k,k) - C_k termwise.
-    plain = _plain_sum(pr.m, _half(pr), md, cache)
-    cat = evaluate_sum(SumSpec(pr.m, _half(pr), WeightKind.CATALAN, md), cache).value
-    return (plain - cat) % md.m
+    return (_m_half_sum(pr, md, cache) - _m_half_cat_sum(pr, md, cache)) % md.m
 
 
 def _l3_3_rhs(pr, md, cache):
     m, pe = pr.m, md.m
-    s = _plain_sum(m, _half(pr), md, cache)
+    s = _m_half_sum(pr, md, cache)
     inv2 = pow(2, -1, pe)
     delta = 2 * pr.p * jacobi(-m, pr.p) if pr.a == 1 else 0
     return ((m - 2) * inv2 % pe * s - m * inv2 + delta) % pe
@@ -537,33 +539,25 @@ def _l3_3_rhs(pr, md, cache):
 
 def _p4_1a_lhs(pr, md, cache):
     pe = md.m
-    s = evaluate_sum(SumSpec(pr.m, _half(pr), WeightKind.LINEAR_K, md), cache).value
+    s = _m_half_k_sum(pr, md, cache)
     return (pr.m - 4) * pow(2, -1, pe) % pe * s % pe
 
 
 def _p4_1a_rhs(pr, md, cache):
     return (
-        _plain_sum(pr.m, _half(pr), md, cache)
+        _m_half_sum(pr, md, cache)
         - pr.p**pr.a * jacobi(-pr.m, pr.p) ** pr.a
     ) % md.m
 
 
 def _p4_1b_lhs(pr, md, cache):
     pe = md.m
-    s = evaluate_sum(SumSpec(pr.m, _full(pr), WeightKind.LINEAR_K, md), cache).value
+    s = _m_full_k_sum(pr, md, cache)
     return (pr.m - 4) * pow(2, -1, pe) % pe * s % pe
 
 
 def _p4_1b_rhs(pr, md, cache):
-    return (_plain_sum(pr.m, _full(pr), md, cache) - pr.p**pr.a) % md.m
-
-
-def _weighted_k_lhs(base: int, half_range: bool) -> Side:
-    def lhs(pr, md, cache):
-        upper = (pr.p - 1) // 2 if half_range else pr.p - 1
-        return evaluate_sum(SumSpec(base, upper, WeightKind.LINEAR_K, md), cache).value
-
-    return lhs
+    return (_m_full_sum(pr, md, cache) - pr.p**pr.a) % md.m
 
 
 def _e4_4_rhs(pr, md, cache):
@@ -585,16 +579,12 @@ def _e4_7_rhs(pr, md, cache):
 
 
 def _morley_lhs(pr, md, cache):
-    half = (pr.p - 1) // 2
-    return _cb_residues(md, half, cache)[half]
+    half = _p_half(pr)
+    return _residues_from_vu(md, half, cache)[half]
 
 
 def _morley_rhs(pr, md, cache):
     return jacobi(-1, pr.p) * pow(4, pr.p - 1, md.m) % md.m
-
-
-def _conj11n_lhs(pr, md, cache):
-    return _plain_sum(16, pr.n, md, cache)
 
 
 def _conj11n_rhs(pr, md, cache):
@@ -604,22 +594,8 @@ def _conj11n_rhs(pr, md, cache):
     return (2 * n + 1) ** 2 * comb(2 * n, n) % md.m * target % md.m
 
 
-def _conj11a_lhs(pr, md, cache):
-    return _plain_sum(16, (3**pr.a - 1) // 2, md, cache)
-
-
 def _conj11a_rhs(pr, md, cache):
     return 9**pr.a * ((-1) ** pr.a * 10) % md.m
-
-
-def _conj_floor_lhs(base: int, num: int, den: int, signed: bool) -> Side:
-    def lhs(pr, md, cache):
-        upper = floor_multiple(num, den, pr.p**pr.a)
-        if signed:
-            return signed_central_sum(base, upper, md, WeightKind.NONE, cache).value
-        return _plain_sum(base, upper, md, cache)
-
-    return lhs
 
 
 def _jac5_rhs(pr, md, cache):
@@ -665,20 +641,25 @@ def _spec(
         domain_label=domain_label,
         lhs=lhs,
         rhs=rhs,
-        length=length or _half,
+        length=length or getattr(lhs, "upper", _half),
         uses_m=uses_m,
         uses_n=uses_n,
         uses_ab=uses_ab,
     )
 
 
-def _needs_m(extra: Callable[[CheckParams], bool] | None = None):
-    def dom(pr: CheckParams) -> bool:
-        if pr.m is None or pr.m % pr.p == 0:
-            return False
-        return extra(pr) if extra else True
-
-    return dom
+# Domains shared by several checks, each with its label; splat into _spec.
+_COPRIME_M = {
+    "domain": lambda pr: pr.m is not None and pr.m % pr.p != 0,
+    "domain_label": "gcd(m, p) = 1",
+    "uses_m": True,
+}
+_P_GT_3_A1 = {"domain": lambda pr: pr.p > 3 and pr.a == 1, "domain_label": "p > 3, a = 1"}
+_P_GT_5_A1 = {"domain": lambda pr: pr.p > 5 and pr.a == 1, "domain_label": "p > 5, a = 1"}
+_P_NOT_5_A1 = {
+    "domain": lambda pr: pr.p != 5 and pr.a == 1,
+    "domain_label": "p not in {2, 5}, a = 1",
+}
 
 
 _REGISTRY: tuple[CheckSpec, ...] = (
@@ -686,7 +667,7 @@ _REGISTRY: tuple[CheckSpec, ...] = (
         "T1_1",
         CheckKind.THEOREM,
         "half-range sum of C(2k,k)/(-16)^k determines the Fibonacci entry term mod p^3",
-        _t1_1_lhs,
+        _sum_side(-16, _half),
         _t1_1_rhs,
         e=3,
         domain=lambda pr: pr.p != 5,
@@ -696,7 +677,7 @@ _REGISTRY: tuple[CheckSpec, ...] = (
         "T1_2",
         CheckKind.THEOREM,
         "half-range sum of C(2k,k)/(-32)^k against a Fermat-quotient polynomial mod p^3",
-        _t1_2_lhs,
+        _sum_side(-32, _half),
         _t1_2_rhs,
         e=3,
         domain=lambda pr: pr.p != 3,
@@ -706,29 +687,25 @@ _REGISTRY: tuple[CheckSpec, ...] = (
         "T2_MAIN",
         CheckKind.THEOREM,
         "half-range sum of C(2k,k)/m^k via the Lucas sequence u(4,m) mod p^2",
-        _t2_main_lhs,
+        _m_half_sum,
         _t2_main_rhs,
         e=2,
-        domain=_needs_m(),
-        domain_label="gcd(m, p) = 1",
-        uses_m=True,
+        **_COPRIME_M,
     ),
     _spec(
         "T2_CAT",
         CheckKind.THEOREM,
         "half-range Catalan sum C_k/m^k reduced to the plain sum mod p^2",
-        _t2_cat_lhs,
+        _m_half_cat_sum,
         _t2_cat_rhs,
         e=2,
-        domain=_needs_m(),
-        domain_label="gcd(m, p) = 1",
-        uses_m=True,
+        **_COPRIME_M,
     ),
     _spec(
         "C1_1_8",
         CheckKind.THEOREM,
         "half-range sum of C(2k,k)/8^k equals the Jacobi symbol (2/p^a) mod p^2",
-        _c1_1_8_lhs,
+        _sum_side(8, _half),
         _c1_1_8_rhs,
         e=2,
     ),
@@ -736,8 +713,8 @@ _REGISTRY: tuple[CheckSpec, ...] = (
         "C1_1_16",
         CheckKind.THEOREM,
         "half-range sum of C(2k,k)/16^k equals the Jacobi symbol (3/p^a) mod p^2",
-        _c1_1_16_lhs,
-        _c1_1_16_rhs,
+        _sum_side(16, _half),
+        _jac3_rhs,
         e=2,
     ),
     _spec(
@@ -748,20 +725,17 @@ _REGISTRY: tuple[CheckSpec, ...] = (
         _c1_2_lhs,
         _c1_2_rhs,
         e=2,
-        domain=lambda pr: pr.p > 3 and pr.a == 1,
-        domain_label="p > 3, a = 1",
-        length=lambda pr: (pr.p - 1) // 2,
+        **_P_GT_3_A1,
+        length=_c1_2_sum.upper,
     ),
     _spec(
         "BASIC_P",
         CheckKind.AUXILIARY,
         "half-range sum of C(2k,k)/m^k reduces to the Jacobi symbol (m(m-4)/p^a) mod p",
-        _basic_p_lhs,
+        _m_half_sum,
         _basic_p_rhs,
         e=1,
-        domain=_needs_m(),
-        domain_label="gcd(m, p) = 1",
-        uses_m=True,
+        **_COPRIME_M,
     ),
     _spec(
         "WILLIAMS",
@@ -770,20 +744,18 @@ _REGISTRY: tuple[CheckSpec, ...] = (
         _williams_lhs,
         _williams_rhs,
         e=1,
-        domain=lambda pr: pr.p != 5 and pr.a == 1,
-        domain_label="p not in {2, 5}, a = 1",
+        **_P_NOT_5_A1,
         length=lambda pr: 4 * pr.p // 5,
     ),
     _spec(
         "PANSUN",
         CheckKind.AUXILIARY,
         "full-range alternating sum of C(2k,k) determines the Fibonacci entry term mod p^3",
-        _pansun_lhs,
+        _sum_side(-1, _full, signed=True),
         _pansun_rhs,
         e=3,
         domain=lambda pr: pr.p != 5,
         domain_label="p not in {2, 5}",
-        length=_full,
     ),
     _spec(
         "ADAMCHUK",
@@ -794,7 +766,7 @@ _REGISTRY: tuple[CheckSpec, ...] = (
         e=2,
         domain=lambda pr: pr.p % 3 == 1 and pr.a == 1,
         domain_label="p = 1 (mod 3), a = 1",
-        length=lambda pr: 2 * pr.p // 3,
+        length=_adamchuk_sum.upper,
     ),
     _spec(
         "L2_1",
@@ -832,47 +804,39 @@ _REGISTRY: tuple[CheckSpec, ...] = (
         "L2_3A",
         CheckKind.LEMMA,
         "alternating C(2k,k) H_k^(2) sum equals (p/5)(5/2)q^2 mod p, q the Fibonacci quotient",
-        _l2_3a_lhs,
+        _h2_alt_sum,
         _l2_3a_rhs,
         e=1,
         # The suite runs p > 5 only: direct evaluation at p = 3 gives
         # lhs = 1, rhs = 2 (mod 3), a pinned anomaly reachable via force.
-        domain=lambda pr: pr.p > 5 and pr.a == 1,
-        domain_label="p > 5, a = 1",
-        length=lambda pr: pr.p - 1,
+        **_P_GT_5_A1,
     ),
     _spec(
         "L2_3B",
         CheckKind.LEMMA,
         "(-2)^k C(2k,k) H_k^(2) sum equals (2/3) q_p(2)^2 mod p",
-        _l2_3b_lhs,
+        _h2_neg2_sum,
         _l2_3b_rhs,
         e=1,
-        domain=lambda pr: pr.p > 3 and pr.a == 1,
-        domain_label="p > 3, a = 1",
-        length=lambda pr: pr.p - 1,
+        **_P_GT_3_A1,
     ),
     _spec(
         "MT_26",
         CheckKind.AUXILIARY,
         "alternating C(2k,k) H_k^(2) sum equals -2 sum F_{2k}/k^2 mod p",
-        _l2_3a_lhs,
+        _h2_alt_sum,
         _mt_26_rhs,
         e=1,
-        domain=lambda pr: pr.p > 5 and pr.a == 1,
-        domain_label="p > 5, a = 1",
-        length=lambda pr: pr.p - 1,
+        **_P_GT_5_A1,
     ),
     _spec(
         "MT_27",
         CheckKind.AUXILIARY,
         "(-2)^k C(2k,k) H_k^(2) sum equals -2 sum of (2(2^k - 2^-k)/3)/k^2 mod p",
-        _l2_3b_lhs,
+        _h2_neg2_sum,
         _mt_27_rhs,
         e=1,
-        domain=lambda pr: pr.p > 3 and pr.a == 1,
-        domain_label="p > 3, a = 1",
-        length=lambda pr: pr.p - 1,
+        **_P_GT_3_A1,
     ),
     _spec(
         "AUX_GRANVILLE",
@@ -881,9 +845,8 @@ _REGISTRY: tuple[CheckSpec, ...] = (
         _aux_granville_lhs,
         _aux_granville_rhs,
         e=1,
-        domain=lambda pr: pr.p > 3 and pr.a == 1,
-        domain_label="p > 3, a = 1",
-        length=lambda pr: pr.p - 1,
+        **_P_GT_3_A1,
+        length=_p_full,
     ),
     _spec(
         "AUX_S08",
@@ -892,9 +855,8 @@ _REGISTRY: tuple[CheckSpec, ...] = (
         _aux_s08_lhs,
         _aux_s08_rhs,
         e=1,
-        domain=lambda pr: pr.p > 3 and pr.a == 1,
-        domain_label="p > 3, a = 1",
-        length=lambda pr: pr.p - 1,
+        **_P_GT_3_A1,
+        length=_p_full,
     ),
     _spec(
         "AUX_ST",
@@ -903,8 +865,7 @@ _REGISTRY: tuple[CheckSpec, ...] = (
         _aux_st_lhs,
         _aux_st_rhs,
         e=2,
-        domain=lambda pr: pr.p != 5 and pr.a == 1,
-        domain_label="p not in {2, 5}, a = 1",
+        **_P_NOT_5_A1,
         length=lambda pr: 0,
     ),
     _spec(
@@ -914,8 +875,7 @@ _REGISTRY: tuple[CheckSpec, ...] = (
         _aux_ss_lhs,
         _aux_ss_rhs,
         e=2,
-        domain=lambda pr: pr.p != 5 and pr.a == 1,
-        domain_label="p not in {2, 5}, a = 1",
+        **_P_NOT_5_A1,
         length=lambda pr: 0,
     ),
     _spec(
@@ -950,9 +910,7 @@ _REGISTRY: tuple[CheckSpec, ...] = (
         _l3_3_lhs,
         _l3_3_rhs,
         e=2,
-        domain=_needs_m(),
-        domain_label="gcd(m, p) = 1",
-        uses_m=True,
+        **_COPRIME_M,
     ),
     _spec(
         "P4_1A",
@@ -962,9 +920,7 @@ _REGISTRY: tuple[CheckSpec, ...] = (
         _p4_1a_rhs,
         exponent=lambda pr: pr.a + 1,
         exponent_label="a+1",
-        domain=_needs_m(),
-        domain_label="gcd(m, p) = 1",
-        uses_m=True,
+        **_COPRIME_M,
     ),
     _spec(
         "P4_1B",
@@ -974,54 +930,44 @@ _REGISTRY: tuple[CheckSpec, ...] = (
         _p4_1b_rhs,
         exponent=lambda pr: pr.a + 1,
         exponent_label="a+1",
-        domain=_needs_m(),
-        domain_label="gcd(m, p) = 1",
+        **_COPRIME_M,
         length=_full,
-        uses_m=True,
     ),
     _spec(
         "E4_4",
         CheckKind.THEOREM,
         "full-range sum k C(2k,k)/2^k equals p - (-1/p) mod p^2",
-        _weighted_k_lhs(2, half_range=False),
+        _sum_side(2, _p_full, WeightKind.LINEAR_K),
         _e4_4_rhs,
         e=2,
-        domain=lambda pr: pr.p > 3 and pr.a == 1,
-        domain_label="p > 3, a = 1",
-        length=lambda pr: pr.p - 1,
+        **_P_GT_3_A1,
     ),
     _spec(
         "E4_5",
         CheckKind.THEOREM,
         "full-range sum k C(2k,k)/3^k equals 2p - 2(p/3) mod p^2",
-        _weighted_k_lhs(3, half_range=False),
+        _sum_side(3, _p_full, WeightKind.LINEAR_K),
         _e4_5_rhs,
         e=2,
-        domain=lambda pr: pr.p > 3 and pr.a == 1,
-        domain_label="p > 3, a = 1",
-        length=lambda pr: pr.p - 1,
+        **_P_GT_3_A1,
     ),
     _spec(
         "E4_6",
         CheckKind.THEOREM,
         "half-range sum k C(2k,k)/8^k equals (2/p)(1 - (-1/p) p)/2 mod p^2",
-        _weighted_k_lhs(8, half_range=True),
+        _sum_side(8, _p_half, WeightKind.LINEAR_K),
         _e4_6_rhs,
         e=2,
-        domain=lambda pr: pr.p > 3 and pr.a == 1,
-        domain_label="p > 3, a = 1",
-        length=lambda pr: (pr.p - 1) // 2,
+        **_P_GT_3_A1,
     ),
     _spec(
         "E4_7",
         CheckKind.THEOREM,
         "half-range sum k C(2k,k)/16^k equals ((3/p) - (-1/p) p)/6 mod p^2",
-        _weighted_k_lhs(16, half_range=True),
+        _sum_side(16, _p_half, WeightKind.LINEAR_K),
         _e4_7_rhs,
         e=2,
-        domain=lambda pr: pr.p > 3 and pr.a == 1,
-        domain_label="p > 3, a = 1",
-        length=lambda pr: (pr.p - 1) // 2,
+        **_P_GT_3_A1,
     ),
     _spec(
         "MORLEY",
@@ -1030,52 +976,48 @@ _REGISTRY: tuple[CheckSpec, ...] = (
         _morley_lhs,
         _morley_rhs,
         e=3,
-        domain=lambda pr: pr.p > 3 and pr.a == 1,
-        domain_label="p > 3, a = 1",
-        length=lambda pr: (pr.p - 1) // 2,
+        **_P_GT_3_A1,
+        length=_p_half,
     ),
     _spec(
         "CONJ1_1N",
         CheckKind.CONJECTURE,
         "sum_{k<=n} C(2k,k)/16^k equals (2n+1)^2 C(2n,n) times (1 or 4 per 3|n), "
         "compared 3-adically at exponent v+2",
-        _conj11n_lhs,
+        _sum_side(16, lambda pr: pr.n),
         _conj11n_rhs,
         exponent=lambda pr: _conj11n_valuation(pr.n) + 2,
         exponent_label="v+2",
         domain=lambda pr: pr.p == 3 and pr.n is not None,
         domain_label="p = 3, indexed by n",
-        length=lambda pr: pr.n if pr.n is not None else 0,
         uses_n=True,
     ),
     _spec(
         "CONJ1_1A",
         CheckKind.CONJECTURE,
         "sum to (3^a-1)/2 of C(2k,k)/16^k equals 9^a (-1)^a 10 mod 3^(2a+3)",
-        _conj11a_lhs,
+        _sum_side(16, lambda pr: (3**pr.a - 1) // 2),
         _conj11a_rhs,
         exponent=lambda pr: 2 * pr.a + 3,
         exponent_label="2a+3",
         domain=lambda pr: pr.p == 3,
         domain_label="p = 3, indexed by a",
-        length=lambda pr: (3**pr.a - 1) // 2,
     ),
     _spec(
         "CONJ1_2_I",
         CheckKind.CONJECTURE,
         "sum to floor(5 p^a/6) of C(2k,k)/16^k equals (3/p^a) mod p^2",
-        _conj_floor_lhs(16, 5, 6, signed=False),
+        _sum_side(16, _floor_of(5, 6)),
         _jac3_rhs,
         e=2,
         domain=lambda pr: pr.p % 3 == 1 or pr.a > 1,
         domain_label="p = 1 (mod 3) or a > 1",
-        length=lambda pr: floor_multiple(5, 6, pr.p**pr.a),
     ),
     _spec(
         "CONJ1_2_II_45",
         CheckKind.CONJECTURE,
         "alternating C(2k,k) sum to floor(4 p^a/5) equals (5/p^a) mod p^2",
-        _conj_floor_lhs(-1, 4, 5, signed=True),
+        _sum_side(-1, _floor_of(4, 5), signed=True),
         _jac5_rhs,
         e=2,
         # p = 5 is excluded: there the Jacobi symbol vanishes and the sum
@@ -1084,41 +1026,37 @@ _REGISTRY: tuple[CheckSpec, ...] = (
         domain=lambda pr: pr.p != 5
         and (pr.p**pr.a % 5 in (1, 2) or (pr.a > 1 and pr.p % 5 != 3)),
         domain_label="p^a = 1,2 (mod 5), or a > 1 and p != 3 (mod 5); p != 5",
-        length=lambda pr: floor_multiple(4, 5, pr.p**pr.a),
     ),
     _spec(
         "CONJ1_2_II_35",
         CheckKind.CONJECTURE,
         "alternating C(2k,k) sum to floor(3 p^a/5) equals (5/p^a) mod p^2",
-        _conj_floor_lhs(-1, 3, 5, signed=True),
+        _sum_side(-1, _floor_of(3, 5), signed=True),
         _jac5_rhs,
         e=2,
         domain=lambda pr: pr.p != 5
         and (pr.p**pr.a % 5 in (1, 3) or (pr.a > 1 and pr.p % 5 != 2)),
         domain_label="p^a = 1,3 (mod 5), or a > 1 and p != 2 (mod 5); p != 5",
-        length=lambda pr: floor_multiple(3, 5, pr.p**pr.a),
     ),
     _spec(
         "CONJ1_2_III_710",
         CheckKind.CONJECTURE,
         "sum to floor(7 p^a/10) of C(2k,k)/(-16)^k equals (5/p^a) mod p^2",
-        _conj_floor_lhs(-16, 7, 10, signed=False),
+        _sum_side(-16, _floor_of(7, 10)),
         _jac5_rhs,
         e=2,
         domain=lambda pr: pr.p % 10 in (1, 7) or pr.a > 2,
         domain_label="p = 1,7 (mod 10) or a > 2",
-        length=lambda pr: floor_multiple(7, 10, pr.p**pr.a),
     ),
     _spec(
         "CONJ1_2_III_910",
         CheckKind.CONJECTURE,
         "sum to floor(9 p^a/10) of C(2k,k)/(-16)^k equals (5/p^a) mod p^2",
-        _conj_floor_lhs(-16, 9, 10, signed=False),
+        _sum_side(-16, _floor_of(9, 10)),
         _jac5_rhs,
         e=2,
         domain=lambda pr: pr.p % 10 in (1, 3) or pr.a > 2,
         domain_label="p = 1,3 (mod 10) or a > 2",
-        length=lambda pr: floor_multiple(9, 10, pr.p**pr.a),
     ),
 )
 
@@ -1190,8 +1128,8 @@ def run_check(
         raise DomainError(f"a must be >= 1, got {params.a}")
     if spec.uses_m and params.m is None:
         raise DomainError(f"check {check_id} requires parameter m")
-    if spec.uses_n and params.n is None:
-        raise DomainError(f"check {check_id} requires parameter n")
+    if spec.uses_n and (params.n is None or params.n < 0):
+        raise DomainError(f"check {check_id} requires a parameter n >= 0")
     if not spec.domain(params) and not params.force:
         raise DomainError(
             f"params (p={p}, a={params.a}, m={params.m}, n={params.n}) are outside "

@@ -24,6 +24,7 @@ from .checks import (
     list_checks,
     run_check,
 )
+from .modarith import is_prime
 from .scanner import (
     CSV_COLUMNS,
     AllSmall,
@@ -33,6 +34,8 @@ from .scanner import (
     Row,
     Sample,
     ScanRequest,
+    _policy_text,
+    csv_row,
     render_csv,
     render_jsonl,
     render_wss_csv,
@@ -87,14 +90,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_m_policy(text: str) -> tuple[MPolicy, ...]:
+    """Policies joined by ``+``, the form ``_policy_text`` renders."""
+    return tuple(_parse_one_policy(part) for part in text.split("+"))
+
+
+def _parse_one_policy(text: str) -> MPolicy:
     if text == "all":
-        return (AllSmall(),)
+        return AllSmall()
     if text.startswith("sample:"):
         parts = text.split(":")
         if len(parts) != 3:
             raise UsageError(f"bad m-policy {text!r}: expected sample:<count>:<seed>")
         try:
-            return (Sample(int(parts[1]), int(parts[2])),)
+            return Sample(int(parts[1]), int(parts[2]))
         except ValueError:
             raise UsageError(f"bad m-policy {text!r}: count and seed must be integers")
     if text.startswith("list:"):
@@ -104,17 +112,8 @@ def _parse_m_policy(text: str) -> tuple[MPolicy, ...]:
             raise UsageError(f"bad m-policy {text!r}: values must be integers")
         if not values:
             raise UsageError("m-policy list must not be empty")
-        return (MList(values),)
+        return MList(values)
     raise UsageError(f"bad m-policy {text!r}: expected all, sample:<n>:<seed> or list:<v,...>")
-
-
-def _policy_flag_text(policies: tuple[MPolicy, ...]) -> str:
-    pol = policies[0]
-    if isinstance(pol, AllSmall):
-        return "all"
-    if isinstance(pol, Sample):
-        return f"sample:{pol.count}:{pol.seed}"
-    return "list:" + ",".join(str(v) for v in pol.values)
 
 
 def _build_parser() -> _Parser:
@@ -140,7 +139,7 @@ def _build_parser() -> _Parser:
     p_scan.add_argument(
         "--m-policy",
         default="all",
-        help="all | sample:<count>:<seed> | list:<v1,v2,...>",
+        help="all | sample:<count>:<seed> | list:<v1,v2,...>, several joined by +",
     )
     p_scan.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     p_scan.add_argument("--budget", type=int, default=DEFAULT_TERM_BUDGET)
@@ -166,10 +165,12 @@ def parse_args(argv: list[str]) -> Command:
             get_check(ns.id)
         except UnknownCheckId as exc:
             raise UsageError(str(exc)) from exc
-        if ns.p < 3 or ns.p % 2 == 0:
-            raise UsageError(f"--p must be an odd integer >= 3, got {ns.p}")
+        if ns.p < 3 or not is_prime(ns.p):
+            raise UsageError(f"--p must be an odd prime, got {ns.p}")
         if ns.a < 1:
             raise UsageError(f"--a must be >= 1, got {ns.a}")
+        if ns.n is not None and ns.n < 0:
+            raise UsageError(f"--n must be >= 0, got {ns.n}")
         return CheckCommand(ns.id, ns.p, ns.a, ns.m, ns.n, ns.A, ns.B, ns.force)
     if ns.command == "scan":
         ids = tuple(s for s in ns.ids.split(",") if s)
@@ -226,7 +227,7 @@ def render_args(cmd: Command) -> list[str]:
             "--pmin", str(r.p_min),
             "--pmax", str(r.p_max),
             "--amax", str(r.a_max),
-            "--m-policy", _policy_flag_text(r.m_policy),
+            "--m-policy", _policy_text(r.m_policy),
             "--jobs", str(r.jobs),
             "--budget", str(r.budget),
         ]
@@ -248,21 +249,6 @@ def render_args(cmd: Command) -> list[str]:
     return ["list-checks"]
 
 
-def _row_text(row: Row) -> str:
-    cells = (
-        row.check_id,
-        str(row.p),
-        str(row.a),
-        "" if row.m is None else str(row.m),
-        "" if row.exponent is None else str(row.exponent),
-        "" if row.lhs is None else str(row.lhs),
-        "" if row.rhs is None else str(row.rhs),
-        "" if row.defect_valuation is None else str(row.defect_valuation),
-        row.status,
-    )
-    return ",".join(cells)
-
-
 def _execute_check(cmd: CheckCommand) -> int:
     spec = get_check(cmd.id)
     params = CheckParams(
@@ -275,12 +261,12 @@ def _execute_check(cmd: CheckCommand) -> int:
     try:
         v = run_check(cmd.id, params)
     except (DomainError, BudgetExceeded) as exc:
-        print(_row_text(Row(cmd.id, cmd.p, cmd.a, m_col, None, None, None, None, "SKIP")))
+        print(csv_row(Row(cmd.id, cmd.p, cmd.a, m_col, None, None, None, None, "SKIP")))
         print(f"skipped: {exc}", file=sys.stderr)
         return 0
     status = "PASS" if v.passed else "FAIL"
     print(
-        _row_text(
+        csv_row(
             Row(
                 cmd.id,
                 cmd.p,
@@ -371,13 +357,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cmd = parse_args(args)
         return execute(cmd)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CheckError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (UsageError, CheckError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

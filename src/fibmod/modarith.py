@@ -289,11 +289,3 @@ def padic_normalize(n: int, modulus: Modulus) -> PadicFactored:
         n //= p
         v += 1
     return PadicFactored(modulus, v, n % modulus.m)
-
-
-def padic_mul(a: PadicFactored, b: PadicFactored) -> PadicFactored:
-    return a * b
-
-
-def padic_div(a: PadicFactored, b: PadicFactored) -> PadicFactored:
-    return a / b

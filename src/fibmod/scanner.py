@@ -20,14 +20,13 @@ from .checks import (
     DEFAULT_TERM_BUDGET,
     BudgetExceeded,
     CheckError,
-    CheckKind,
     CheckParams,
     UnknownCheckId,
     get_check,
     run_check,
 )
 from .modarith import jacobi
-from .sequences import DomainError, _fib_pair_mod
+from .sequences import DomainError, NotDivisible, _fib_pair_mod
 
 
 class CheckpointCorrupt(Exception):
@@ -199,11 +198,17 @@ def scan(request: ScanRequest) -> Report:
     """Run every requested check over every odd prime in range.
 
     Out-of-domain and over-budget combinations become SKIP rows, never
-    errors; rows are ordered by (p, check_id, a, m).
+    errors; rows are ordered by (p, check_id, a, m).  An n-indexed check
+    is refused with ``ValueError``: a scan never sets n, so every one of
+    its rows would be a SKIP.
     """
     ids = tuple(sorted(set(request.check_ids)))
     for cid in ids:
-        get_check(cid)  # raises UnknownCheckId eagerly
+        if get_check(cid).uses_n:  # get_check raises UnknownCheckId eagerly
+            raise ValueError(
+                f"{cid} is indexed by n, which a scan does not set; "
+                "use check --n or run_conj11n_range"
+            )
     primes = [p for p in sieve_primes(request.p_min, request.p_max) if p > 2]
     tasks = [
         (p, ids, request.a_max, request.m_policy, request.budget, request.force)
@@ -223,15 +228,6 @@ def scan(request: ScanRequest) -> Report:
     for row in rows:
         summary[row.check_id][row.status.lower()] += 1
     return Report(request=request, rows=rows, summary=summary)
-
-
-def worst_failures(report: Report) -> dict[str, int]:
-    """Count of FAIL rows per kind, for exit-code policy."""
-    counts = {kind: 0 for kind in CheckKind}
-    for row in report.rows:
-        if row.status == "FAIL":
-            counts[get_check(row.check_id).kind] += 1
-    return {kind.value: n for kind, n in counts.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -283,25 +279,27 @@ def _cell(value) -> str:
     return "" if value is None else str(value)
 
 
+def csv_row(row: Row) -> str:
+    """One report row in ``CSV_COLUMNS`` order; absent values are empty."""
+    return ",".join(
+        (
+            row.check_id,
+            str(row.p),
+            str(row.a),
+            _cell(row.m),
+            _cell(row.exponent),
+            _cell(row.lhs),
+            _cell(row.rhs),
+            _cell(row.defect_valuation),
+            row.status,
+        )
+    )
+
+
 def render_csv(report: Report) -> str:
     lines = _header_lines(report)
     lines.append(CSV_COLUMNS)
-    for row in report.rows:
-        lines.append(
-            ",".join(
-                (
-                    row.check_id,
-                    str(row.p),
-                    str(row.a),
-                    _cell(row.m),
-                    _cell(row.exponent),
-                    _cell(row.lhs),
-                    _cell(row.rhs),
-                    _cell(row.defect_valuation),
-                    row.status,
-                )
-            )
-        )
+    lines.extend(csv_row(row) for row in report.rows)
     for cid in sorted(report.summary):
         s = report.summary[cid]
         lines.append(f"# summary: {cid} pass={s['pass']} fail={s['fail']} skip={s['skip']}")
@@ -430,8 +428,9 @@ def wss_search(
         if p < 7:
             continue
         idx = p - jacobi(p, 5)
-        f = _fib_pair_mod(idx, p * p)[0]
-        q = f // p  # exact: p | F_{p-(p/5)}
+        q, r = divmod(_fib_pair_mod(idx, p * p)[0], p)
+        if r:
+            raise NotDivisible(f"F_{idx} is not divisible by {p}")
         signed = q - p if q > p // 2 else q
         if near_threshold is None or abs(signed) <= near_threshold:
             records.append(WssRecord(p, signed))

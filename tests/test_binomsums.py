@@ -128,13 +128,6 @@ def test_signed_sum_accepts_base_divisible_by_p():
     assert got.value == exact % 25
 
 
-def test_h2_signed_base_alias():
-    md = Modulus(7, 1)
-    a = signed_central_sum(-2, 6, md, WeightKind.H2)
-    b = signed_central_sum(-2, 6, md, WeightKind.H2_SIGNED_BASE)
-    assert a.value == b.value
-
-
 def test_alternating_harmonic():
     assert alternating_harmonic(2, Modulus(3, 1)).value == 1  # -1 + inv(2)
     assert alternating_harmonic(5, Modulus(7, 1)).value == 4

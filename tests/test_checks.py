@@ -104,6 +104,8 @@ def test_domain_errors():
     with pytest.raises(DomainError):
         run_check("CONJ1_1N", CheckParams(p=3))  # n missing
     with pytest.raises(DomainError):
+        run_check("CONJ1_1N", CheckParams(p=3, n=-1, force=True))
+    with pytest.raises(DomainError):
         run_check("T1_1", CheckParams(p=9))  # not prime
     with pytest.raises(DomainError):
         run_check("T1_1", CheckParams(p=7, a=0))

@@ -72,6 +72,8 @@ def test_parse_wss_and_list():
         ["wss", "--limit", "5"],
         ["frobnicate"],
         [],
+        ["check", "--id", "T1_1", "--p", "9"],
+        ["check", "--id", "CONJ1_1N", "--n", "-1"],
     ],
 )
 def test_usage_errors(argv):
@@ -100,6 +102,7 @@ def test_round_trip_identity():
             out="r.csv",
             format="json",
         ),
+        ScanCommand(ScanRequest(("T2_MAIN",), 3, 300, m_policy=(AllSmall(), Sample(50, 42)))),
         WssCommand(100, 3, "c.txt", "w.csv"),
         ListChecksCommand(),
     ]
@@ -120,6 +123,14 @@ def test_check_out_of_domain_is_skip(capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert captured.out.splitlines()[1].endswith("SKIP")
+
+
+def test_scan_of_n_indexed_check_is_usage_error(capsys):
+    code = main(["scan", "--ids", "CONJ1_1N", "--pmin", "3", "--pmax", "7"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "indexed by n" in captured.err
 
 
 def test_check_forced_anomaly_exit_one(capsys):

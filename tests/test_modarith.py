@@ -15,8 +15,6 @@ from fibmod.modarith import (
     inv_mod,
     is_prime,
     jacobi,
-    padic_div,
-    padic_mul,
     padic_normalize,
     pow_mod,
 )
@@ -170,19 +168,19 @@ def test_padic_normalize_is_multiplicative():
             a = rng.randrange(1, 10**7)
             b = rng.randrange(1, 10**7)
             lhs = padic_normalize(a * b, md)
-            rhs = padic_mul(padic_normalize(a, md), padic_normalize(b, md))
+            rhs = padic_normalize(a, md) * padic_normalize(b, md)
             assert lhs == rhs
 
 
 def test_padic_mul_div_examples():
     md = Modulus(7, 2)
-    prod = padic_mul(PadicFactored(md, 1, 3), PadicFactored(md, 1, 3))
+    prod = PadicFactored(md, 1, 3) * PadicFactored(md, 1, 3)
     assert (prod.valuation, prod.unit) == (2, 9)
     md = Modulus(3, 3)
-    quot = padic_div(PadicFactored(md, 2, 1), PadicFactored(md, 1, 5))
+    quot = PadicFactored(md, 2, 1) / PadicFactored(md, 1, 5)
     assert (quot.valuation, quot.unit) == (1, 11)  # 5 * 11 = 55 = 1 (mod 27)
     with pytest.raises(NegativeValuation):
-        padic_div(PadicFactored(md, 0, 2), PadicFactored(md, 1, 1))
+        PadicFactored(md, 0, 2) / PadicFactored(md, 1, 1)
 
 
 def test_padic_unit_must_be_coprime():

@@ -16,7 +16,8 @@ from fibmod.scanner import (
     sieve_primes,
     wss_search,
 )
-from fibmod.sequences import fibonacci_quotient
+from fibmod import scanner
+from fibmod.sequences import NotDivisible, fibonacci_quotient
 
 
 def test_sieve_examples():
@@ -217,6 +218,17 @@ def test_wss_threshold_filters():
 def test_wss_limit_validation():
     with pytest.raises(ValueError):
         wss_search(5)
+
+
+def test_wss_refuses_a_quotient_p_does_not_divide(monkeypatch):
+    monkeypatch.setattr(scanner, "_fib_pair_mod", lambda n, m: (1, 1))
+    with pytest.raises(NotDivisible):
+        wss_search(100)
+
+
+def test_scan_refuses_n_indexed_checks():
+    with pytest.raises(ValueError, match="CONJ1_1N"):
+        scan(ScanRequest(("T1_1", "CONJ1_1N"), 3, 7))
 
 
 def test_wss_checkpoint_resume_identical(tmp_path):

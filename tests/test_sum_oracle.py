@@ -1,0 +1,111 @@
+"""Every weighted sum against an exact oracle that shares no tables.
+
+The oracle sums weight(k) C(2k,k) x^k as a ``Fraction`` with
+``math.comb`` and reduces the result mod p^e only at the end.  Inside
+each weight's domain every denominator is a unit mod p: Catalan numbers
+are integers, 2k - 1 <= p - 2 for the 1/(2k-1) weights, and j <= p - 1
+for H_k^(2).
+"""
+
+from fractions import Fraction
+from math import comb
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fibmod.binomsums import (
+    SumSpec,
+    WeightKind,
+    evaluate_sum,
+    signed_central_sum,
+)
+from fibmod.modarith import Modulus, NotInvertible
+
+PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+
+
+def _weight(kind: WeightKind, k: int) -> Fraction:
+    if kind is WeightKind.NONE:
+        return Fraction(1)
+    if kind is WeightKind.CATALAN:
+        return Fraction(1, k + 1)
+    if kind is WeightKind.LINEAR_K:
+        return Fraction(k)
+    if kind is WeightKind.INV_2KM1:
+        return Fraction(1, 2 * k - 1)
+    if kind is WeightKind.INV_2KM1_SQ:
+        return Fraction(1, (2 * k - 1) ** 2)
+    return sum((Fraction(1, j * j) for j in range(1, k + 1)), Fraction(0))
+
+
+def _max_upper(kind: WeightKind, p: int) -> int:
+    """The largest upper bound in the weight's domain; 3p where it has none."""
+    if kind in (WeightKind.NONE, WeightKind.CATALAN, WeightKind.LINEAR_K):
+        return 3 * p
+    if kind in (WeightKind.INV_2KM1, WeightKind.INV_2KM1_SQ):
+        return (p - 1) // 2
+    return p - 1
+
+
+def oracle(kind: WeightKind, x: Fraction, upper: int, md: Modulus) -> int:
+    total = sum(
+        (_weight(kind, k) * comb(2 * k, k) * x**k for k in range(upper + 1)),
+        Fraction(0),
+    )
+    assert total.denominator % md.p, "oracle denominator must be a unit"
+    return total.numerator * pow(total.denominator, -1, md.m) % md.m
+
+
+@st.composite
+def sum_cases(draw):
+    p = draw(st.sampled_from(PRIMES))
+    e = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(list(WeightKind)))
+    upper = draw(st.integers(0, _max_upper(kind, p)))
+    return Modulus(p, e), kind, upper
+
+
+@settings(max_examples=300, deadline=None)
+@given(sum_cases(), st.integers(-60, 60))
+def test_evaluate_sum_matches_oracle(case, base):
+    md, kind, upper = case
+    spec = SumSpec(base, upper, kind, md)
+    if upper > 0 and base % md.p == 0:
+        with pytest.raises(NotInvertible):
+            evaluate_sum(spec)
+        return
+    x = Fraction(1, base) if upper > 0 else Fraction(1)
+    assert evaluate_sum(spec).value == oracle(kind, x, upper, md)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sum_cases(), st.integers(-60, 60), st.booleans())
+def test_signed_sum_matches_oracle(case, s, multiple_of_p):
+    md, kind, upper = case
+    if multiple_of_p:
+        s *= md.p  # s = 0 (mod p): no inversion is ever needed
+    got = signed_central_sum(s, upper, md, kind)
+    assert got.value == oracle(kind, Fraction(s), upper, md)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    sum_cases(),
+    st.integers(-60, 60).filter(lambda b: b != 0),
+    st.lists(st.integers(0, 1 << 16), min_size=1, max_size=6),
+)
+def test_shared_cache_matches_fresh_cache(case, base, fractions):
+    # A cached table built for a long sum must be sliced, not reused
+    # whole, by a shorter sum; so feed bounds long-to-short, then back.
+    md, kind, top = case
+    if base % md.p == 0:
+        base += 1
+    uppers = sorted({top * f >> 16 for f in fractions} | {top}, reverse=True)
+    cache: dict = {}
+    for upper in uppers + uppers[::-1]:
+        spec = SumSpec(base, upper, kind, md)
+        assert evaluate_sum(spec, cache) == evaluate_sum(spec, {})
+        shared = signed_central_sum(base, upper, md, kind, cache)
+        assert shared == signed_central_sum(base, upper, md, kind, {})
+
