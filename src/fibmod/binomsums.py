@@ -1,11 +1,13 @@
 """Finite sums of central binomial and Catalan terms modulo prime powers.
 
-The workhorse is a factored stream of C(2k,k): the ratio
-C(2k,k) / C(2k-2,k-1) = 2(2k-1)/k has its p-parts stripped before the
-unit division, so every term is exact even past k = p/2 where the
-binomials pick up positive p-valuation.  Each weight gets a cached table
-of the residues weight(k) C(2k,k), and a sum runs Horner's rule over a
-prefix of it; the base costs one inversion total.
+The workhorse is a segment walk over C(2k,k) = p^v * unit: the ratio
+C(2k,k) / C(2k-2,k-1) = 2(2k-1)/k is a p-adic unit except where p
+divides k or 2k-1, so between those indices the valuation is fixed and
+a run of units is one comprehension; only the special indices strip
+p-parts.  Every term is exact even past k = p/2, where the binomials
+pick up positive p-valuation.  Each weight gets a cached table of the
+residues weight(k) C(2k,k), and a sum runs Horner's rule over a prefix
+of it; the base costs one inversion total.
 
 Two identities are also provided in exact arbitrary-precision form, as
 independent oracles for the modular machinery.
@@ -38,8 +40,6 @@ class WeightKind(Enum):
 
     NONE -> 1; CATALAN -> 1/(k+1); LINEAR_K -> k; INV_2KM1 -> 1/(2k-1);
     INV_2KM1_SQ -> 1/(2k-1)^2; H2 -> H_k^(2) = sum_{0<j<=k} 1/j^2.
-    H2_SIGNED_BASE carries the same weight as H2; the tag marks sums
-    written over a signed integer base instead of an inverse power base.
     """
 
     NONE = "none"
@@ -103,35 +103,58 @@ def _unit_inverter(p: int, pe: int, limit: int, cache: dict | None):
     return invf
 
 
+def _walk(
+    modulus: Modulus, shift: int, k_lo: int, k_hi: int, v: int, u: int, cache: dict | None
+) -> Iterator[tuple[int, list[int]]]:
+    """Runs (v, units) of C(2k,k)/(k+1)^shift = p^v * unit for k_lo..k_hi.
+
+    Each term is the previous one, ``(v, u)`` at k_lo - 1, times
+    2(2k-1)/(k+shift).  That ratio is a p-adic unit except where p
+    divides 2k-1 or k+shift, so between those special indices the
+    valuation is fixed and a run of units is one comprehension.  Only a
+    special index strips p-parts and moves v.  Units stay exact for
+    every k, also past p and while v >= e, so the walk can resume
+    anywhere.
+    """
+    p, pe = modulus.p, modulus.m
+    inv = _inv_table(p, pe, min(k_hi + shift, p - 1), cache)
+    half = (p + 1) // 2  # p | 2k-1  iff  k = half (mod p)
+    special = sorted(
+        set(range(k_lo + (half - k_lo) % p, k_hi + 1, p))
+        | set(range(k_lo + (-shift - k_lo) % p, k_hi + 1, p))
+    )
+    k = k_lo
+    for s in special + [k_hi + 1]:
+        if s > k:
+            # The run k..s-1 holds no special index, so its denominators
+            # k+shift..s-1+shift lie all below p or all above it.
+            if s + shift <= p:
+                invs = inv[k + shift : s + shift]
+            else:
+                invs = [pow(d, -1, pe) for d in range(k + shift, s + shift)]
+            nums = range(4 * k - 2, 4 * s - 2, 4)
+            yield v, [(u := u * num * i % pe) for num, i in zip(nums, invs)]
+        if s > k_hi:
+            return
+        num, den = 4 * s - 2, s + shift
+        while num % p == 0:
+            num //= p
+            v += 1
+        while den % p == 0:
+            den //= p
+            v -= 1
+        if v < 0:
+            raise NegativeValuation(f"walk term {s} went p-adically negative")
+        u = u * num * (inv[den] if den < p else pow(den, -1, pe)) % pe
+        yield v, [u]
+        k = s + 1
+
+
 def _cb_vu(modulus: Modulus, upto: int, cache: dict | None) -> list[tuple[int, int]]:
     """Factored central binomials: (v_p, unit) of C(2k,k) for k = 0..upto."""
-    p, pe = modulus.p, modulus.m
-    key = ("cbvu", p, pe)
-    vu = cache.get(key) if cache is not None else None
-    if vu is None:
-        vu = [(0, 1)]
-        if cache is not None:
-            cache[key] = vu
-    if len(vu) <= upto:
-        invf = _unit_inverter(p, pe, upto, cache)
-        v, u = vu[-1]
-        for k in range(len(vu), upto + 1):
-            num = 4 * k - 2
-            den = k
-            if num % p == 0:
-                while num % p == 0:
-                    num //= p
-                    v += 1
-            if den % p == 0:
-                while den % p == 0:
-                    den //= p
-                    v -= 1
-            if v < 0:
-                raise NegativeValuation(f"C({2 * k},{k}) went p-adically negative")
-            u = u * num % pe
-            if den > 1:
-                u = u * invf(den) % pe
-            vu.append((v, u))
+    vu = [(0, 1)]
+    for v, us in _walk(modulus, 0, 1, upto, 0, 1, cache):
+        vu.extend([(v, x) for x in us])
     return vu
 
 
@@ -151,38 +174,41 @@ def _residues_from_vu(
         return res
     start = len(res)
     if weight is WeightKind.NONE or weight is WeightKind.CATALAN:
-        # Catalan terms divide the factored binomial by k + 1, which may
-        # carry p-parts, so both are reduced from the (v_p, unit) stream.
-        shift = weight is WeightKind.CATALAN
-        vu = _cb_vu(modulus, upto, cache)
-        invf = _unit_inverter(p, pe, upto + shift, cache)
-        ppow = [p**j for j in range(e)]
-        for k in range(start, upto + 1):
-            v, u = vu[k]
-            if shift:
-                den = k + 1
-                while den % p == 0:
-                    den //= p
-                    v -= 1
-                if v < 0:
-                    raise NegativeValuation(f"Catalan number {k} went p-adically negative")
-                if den > 1:
-                    u = u * invf(den) % pe
-            res.append(u * ppow[v] % pe if v < e else 0)
+        # Both come from one walk; Catalan terms divide C(2k,k) by k + 1.
+        # The walk's (v, unit) at the table's end is cached beside it, so
+        # a longer request resumes the walk there.
+        state_key = ("walk", weight, p, pe)
+        state = cache.get(state_key, (0, 1)) if cache is not None else (0, 1)
+        if not res:
+            res.append(1)
+            start = 1
+        shift = 1 if weight is WeightKind.CATALAN else 0
+        for v, us in _walk(modulus, shift, start, upto, *state, cache):
+            if v == 0:
+                res.extend(us)
+            elif v < e:
+                pv = p**v
+                res.extend([x * pv % pe for x in us])
+            else:
+                res.extend([0] * len(us))
+            if cache is not None:
+                cache[state_key] = (v, us[-1])
         return res
     # The remaining weights are units (or k) inside their domains, so
     # they multiply the plain residues directly.
-    cb = _residues_from_vu(modulus, upto, cache)
+    cb = _residues_from_vu(modulus, upto, cache)[start : upto + 1]
     if weight is WeightKind.LINEAR_K:
-        w = range(upto + 1)
-    elif weight is WeightKind.H2:
-        w = _h2_prefix(modulus, upto, cache)
+        res.extend([c * k % pe for k, c in enumerate(cb, start)])
+        return res
+    if weight is WeightKind.H2:
+        w = _h2_prefix(modulus, upto, cache)[start : upto + 1]
     else:
+        # 1/(2k-1) for k = start..upto; at k = 0 it is -1.
         tab = _inv_table(p, pe, max(2 * upto - 1, 1), cache)
-        w = [pe - 1] + [tab[2 * k - 1] for k in range(1, upto + 1)]  # 1/(2*0 - 1) = -1
+        w = tab[2 * start - 1 : 2 * upto : 2] if start else [pe - 1] + tab[1 : 2 * upto : 2]
         if weight is WeightKind.INV_2KM1_SQ:
             w = [x * x % pe for x in w]
-    res.extend(cb[k] * w[k] % pe for k in range(start, upto + 1))
+    res.extend([c * x % pe for c, x in zip(cb, w)])
     return res
 
 
@@ -198,9 +224,7 @@ def _h2_prefix(modulus: Modulus, upto: int, cache: dict | None) -> list[int]:
     if len(h2) <= upto:
         tab = _inv_table(p, pe, upto, cache)
         h = h2[-1]
-        for k in range(len(h2), upto + 1):
-            h = (h + tab[k] * tab[k]) % pe
-            h2.append(h)
+        h2.extend([(h := (h + x * x) % pe) for x in tab[len(h2) : upto + 1]])
     return h2
 
 
@@ -234,8 +258,7 @@ def _sum_with_power(
 
 def central_binomial_stream(modulus: Modulus, max_k: int) -> Iterator[PadicFactored]:
     """Yield C(2k,k) in factored form for k = 0..max_k."""
-    cache: dict = {}
-    for v, u in _cb_vu(modulus, max_k, cache):
+    for v, u in _cb_vu(modulus, max_k, None):
         yield PadicFactored(modulus, v, u)
 
 
@@ -278,10 +301,7 @@ def alternating_harmonic(bound: int, modulus: Modulus) -> ResidueClass:
     if bound >= p:
         raise NotInvertible(f"bound {bound} reaches a multiple of p = {p}")
     tab = _inv_table(p, pe, bound, None)
-    acc = 0
-    for k in range(1, bound + 1):
-        acc = (acc - tab[k]) % pe if k % 2 else (acc + tab[k]) % pe
-    return ResidueClass(modulus, acc)
+    return ResidueClass(modulus, (sum(tab[2 : bound + 1 : 2]) - sum(tab[1 : bound + 1 : 2])) % pe)
 
 
 def power_over_square_sum(

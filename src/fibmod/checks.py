@@ -7,7 +7,7 @@ defect valuation.  Check ids are a stable public contract; renaming one
 is a breaking change.
 
 A ``cache`` dict may be threaded through ``run_check`` when many checks
-run at one prime; it shares the factored central-binomial stream and the
+run at one prime; it shares the central-binomial residue tables and the
 inverse tables between them.
 """
 

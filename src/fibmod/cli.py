@@ -1,8 +1,9 @@
 """Command-line front end: check, scan, wss, list-checks.
 
 Exit codes: 0 when everything passes (conjecture counterexample
-candidates only warn), 1 when a theorem/lemma/auxiliary check fails,
-2 on usage errors.
+candidates only warn), 1 when a theorem/lemma/auxiliary check fails or
+its arithmetic breaks (a forced evaluation dividing by p), 2 on usage
+errors.
 """
 
 from __future__ import annotations
@@ -162,7 +163,7 @@ def parse_args(argv: list[str]) -> Command:
     ns = _build_parser().parse_args(argv)
     if ns.command == "check":
         try:
-            get_check(ns.id)
+            spec = get_check(ns.id)
         except UnknownCheckId as exc:
             raise UsageError(str(exc)) from exc
         if ns.p < 3 or not is_prime(ns.p):
@@ -171,6 +172,10 @@ def parse_args(argv: list[str]) -> Command:
             raise UsageError(f"--a must be >= 1, got {ns.a}")
         if ns.n is not None and ns.n < 0:
             raise UsageError(f"--n must be >= 0, got {ns.n}")
+        if spec.uses_m and ns.m is None:
+            raise UsageError(f"check {ns.id} requires --m")
+        if spec.uses_n and ns.n is None:
+            raise UsageError(f"check {ns.id} requires --n")
         return CheckCommand(ns.id, ns.p, ns.a, ns.m, ns.n, ns.A, ns.B, ns.force)
     if ns.command == "scan":
         ids = tuple(s for s in ns.ids.split(",") if s)
@@ -257,14 +262,16 @@ def _execute_check(cmd: CheckCommand) -> int:
     # The m column renders the check's free parameter: m, or n for the
     # n-indexed conjecture.
     m_col = cmd.m if spec.uses_m else (cmd.n if spec.uses_n else None)
-    print(CSV_COLUMNS)
+    # The header goes out only with its row: a CheckError prints neither.
     try:
         v = run_check(cmd.id, params)
     except (DomainError, BudgetExceeded) as exc:
+        print(CSV_COLUMNS)
         print(csv_row(Row(cmd.id, cmd.p, cmd.a, m_col, None, None, None, None, "SKIP")))
         print(f"skipped: {exc}", file=sys.stderr)
         return 0
     status = "PASS" if v.passed else "FAIL"
+    print(CSV_COLUMNS)
     print(
         csv_row(
             Row(
@@ -357,7 +364,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cmd = parse_args(args)
         return execute(cmd)
-    except (UsageError, CheckError, ValueError) as exc:
+    except CheckError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

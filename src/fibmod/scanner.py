@@ -421,6 +421,9 @@ def wss_search(
     records: list[WssRecord] = []
     if checkpoint_path and os.path.exists(checkpoint_path):
         last_prime, records = _read_checkpoint(checkpoint_path)
+        # A checkpoint written under a larger limit may hold records past
+        # this one; the file keeps them, the result does not.
+        records = [rec for rec in records if rec.p <= limit]
         start = last_prime + 1
     processed = 0
     last = None

@@ -74,6 +74,8 @@ def test_parse_wss_and_list():
         [],
         ["check", "--id", "T1_1", "--p", "9"],
         ["check", "--id", "CONJ1_1N", "--n", "-1"],
+        ["check", "--id", "T2_MAIN", "--p", "7"],  # no --m
+        ["check", "--id", "CONJ1_1N"],  # no --n
     ],
 )
 def test_usage_errors(argv):
@@ -131,6 +133,27 @@ def test_scan_of_n_indexed_check_is_usage_error(capsys):
     assert code == 2
     assert captured.out == ""
     assert "indexed by n" in captured.err
+
+
+def test_check_arithmetic_failure_exits_one_without_output(capsys):
+    # Forced past its domain, T2_MAIN must invert m = 14 mod 7^2.
+    code = main(["check", "--id", "T2_MAIN", "--p", "7", "--m", "14", "--force"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: T2_MAIN at p=7")
+
+
+def test_check_header_comes_with_its_row(capsys):
+    for argv in (
+        ["check", "--id", "T1_1", "--p", "7"],  # PASS
+        ["check", "--id", "T1_1", "--p", "5"],  # SKIP
+        ["check", "--id", "L2_3A", "--p", "3", "--force"],  # FAIL
+    ):
+        main(argv)
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 2
+        assert out[0] == "check_id,p,a,m,exponent,lhs,rhs,defect_valuation,status"
 
 
 def test_check_forced_anomaly_exit_one(capsys):

@@ -244,6 +244,16 @@ def test_wss_checkpoint_resume_identical(tmp_path):
     assert again == fresh
 
 
+def test_wss_resume_clips_to_the_limit(tmp_path):
+    ckpt = tmp_path / "wss.ckpt"
+    wss_search(1000, checkpoint_path=str(ckpt))
+    before = ckpt.read_text()
+    resumed = wss_search(100, checkpoint_path=str(ckpt))
+    assert resumed == wss_search(100)
+    assert max(rec.p for rec in resumed) == 97
+    assert ckpt.read_text() == before  # the longer run's file is kept
+
+
 def test_checkpoint_format(tmp_path):
     ckpt = tmp_path / "wss.ckpt"
     wss_search(1000, checkpoint_path=str(ckpt), checkpoint_every=10)
