@@ -5,9 +5,10 @@ C(2k,k) / C(2k-2,k-1) = 2(2k-1)/k is a p-adic unit except where p
 divides k or 2k-1, so between those indices the valuation is fixed and
 a run of units is one comprehension; only the special indices strip
 p-parts.  Every term is exact even past k = p/2, where the binomials
-pick up positive p-valuation.  Each weight gets a cached table of the
-residues weight(k) C(2k,k), and a sum runs Horner's rule over a prefix
-of it; the base costs one inversion total.
+pick up positive p-valuation.  Each weight gets a table of the residues
+weight(k) C(2k,k) in a ``PrimeTables`` store, which every sum at that
+prime shares, and a sum runs Horner's rule over a prefix of it; the base
+costs one inversion total.
 
 Two identities are also provided in exact arbitrary-precision form, as
 independent oracles for the modular machinery.
@@ -65,12 +66,31 @@ class SumSpec:
 
 
 # ---------------------------------------------------------------------------
-# Internal tables.  A cache dict may be threaded through by callers that
-# evaluate many sums at one prime (the scanner does); keys are private.
+# Internal tables.
 # ---------------------------------------------------------------------------
 
 
-def _inv_table(p: int, pe: int, n: int, cache: dict | None) -> list[int]:
+class PrimeTables(dict):
+    """Every residue table shared by the sums at one prime.
+
+    Each item maps ``(kind, p^e)`` to a list that only grows: ``kind`` is
+    a ``WeightKind`` for the tables of weight(k) C(2k,k), ``"inv"`` for
+    the inverses of 1..n and ``"h2"`` for the H_k^(2) prefix.  A prime
+    power fixes its prime, so one store may also serve several primes.
+    ``walk_ends`` keeps the walk's (v, unit) at the end of the plain and
+    Catalan tables, so a longer request resumes the walk there.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.walk_ends: dict[tuple[WeightKind, int], tuple[int, int]] = {}
+
+    def table(self, kind, pe: int, head: tuple[int, ...] = ()) -> list[int]:
+        """The table of ``kind`` mod ``pe``, started with ``head`` when new."""
+        return self.setdefault((kind, pe), list(head))
+
+
+def _inv_table(p: int, pe: int, n: int, tables: PrimeTables) -> list[int]:
     """Inverses of 1..n mod pe, n < p.
 
     Uses inv[i] = -(pe // i) * inv[pe mod i]: for 1 < i < p the remainder
@@ -79,32 +99,14 @@ def _inv_table(p: int, pe: int, n: int, cache: dict | None) -> list[int]:
     """
     if n >= p:
         raise ValueError("inverse table only covers arguments below p")
-    key = ("inv", p, pe)
-    tab = cache.get(key) if cache is not None else None
-    if tab is None:
-        tab = [0, 1 % pe]
-        if cache is not None:
-            cache[key] = tab
+    tab = tables.table("inv", pe, (0, 1 % pe))
     for i in range(len(tab), n + 1):
         tab.append(-(pe // i) * tab[pe % i] % pe)
     return tab
 
 
-def _unit_inverter(p: int, pe: int, limit: int, cache: dict | None):
-    """Inverter for units up to ``limit``: table below p, pow above."""
-    tab = _inv_table(p, pe, min(limit, p - 1), cache)
-
-    if limit < p:
-        return tab.__getitem__
-
-    def invf(x: int) -> int:
-        return tab[x] if x < p else pow(x, -1, pe)
-
-    return invf
-
-
 def _walk(
-    modulus: Modulus, shift: int, k_lo: int, k_hi: int, v: int, u: int, cache: dict | None
+    modulus: Modulus, shift: int, k_lo: int, k_hi: int, v: int, u: int, tables: PrimeTables
 ) -> Iterator[tuple[int, list[int]]]:
     """Runs (v, units) of C(2k,k)/(k+1)^shift = p^v * unit for k_lo..k_hi.
 
@@ -117,7 +119,7 @@ def _walk(
     anywhere.
     """
     p, pe = modulus.p, modulus.m
-    inv = _inv_table(p, pe, min(k_hi + shift, p - 1), cache)
+    inv = _inv_table(p, pe, min(k_hi + shift, p - 1), tables)
     half = (p + 1) // 2  # p | 2k-1  iff  k = half (mod p)
     special = sorted(
         set(range(k_lo + (half - k_lo) % p, k_hi + 1, p))
@@ -150,40 +152,32 @@ def _walk(
         k = s + 1
 
 
-def _cb_vu(modulus: Modulus, upto: int, cache: dict | None) -> list[tuple[int, int]]:
+def _cb_vu(modulus: Modulus, upto: int, tables: PrimeTables) -> list[tuple[int, int]]:
     """Factored central binomials: (v_p, unit) of C(2k,k) for k = 0..upto."""
     vu = [(0, 1)]
-    for v, us in _walk(modulus, 0, 1, upto, 0, 1, cache):
+    for v, us in _walk(modulus, 0, 1, upto, 0, 1, tables):
         vu.extend([(v, x) for x in us])
     return vu
 
 
 def _residues_from_vu(
-    modulus: Modulus, upto: int, cache: dict | None, weight: WeightKind = WeightKind.NONE
+    modulus: Modulus, upto: int, tables: PrimeTables, weight: WeightKind = WeightKind.NONE
 ) -> list[int]:
     """Residues of weight(k) C(2k,k) mod p^e for k = 0..upto."""
     p, e, pe = modulus.p, modulus.e, modulus.m
     _check_weight_domain(weight, upto, p)
-    key = (weight, p, pe)
-    res = cache.get(key) if cache is not None else None
-    if res is None:
-        res = []
-        if cache is not None:
-            cache[key] = res
+    res = tables.table(weight, pe)
     if len(res) > upto:
         return res
     start = len(res)
     if weight is WeightKind.NONE or weight is WeightKind.CATALAN:
         # Both come from one walk; Catalan terms divide C(2k,k) by k + 1.
-        # The walk's (v, unit) at the table's end is cached beside it, so
-        # a longer request resumes the walk there.
-        state_key = ("walk", weight, p, pe)
-        state = cache.get(state_key, (0, 1)) if cache is not None else (0, 1)
         if not res:
             res.append(1)
             start = 1
         shift = 1 if weight is WeightKind.CATALAN else 0
-        for v, us in _walk(modulus, shift, start, upto, *state, cache):
+        ends = tables.walk_ends
+        for v, us in _walk(modulus, shift, start, upto, *ends.get((weight, pe), (0, 1)), tables):
             if v == 0:
                 res.extend(us)
             elif v < e:
@@ -191,20 +185,19 @@ def _residues_from_vu(
                 res.extend([x * pv % pe for x in us])
             else:
                 res.extend([0] * len(us))
-            if cache is not None:
-                cache[state_key] = (v, us[-1])
+            ends[weight, pe] = (v, us[-1])
         return res
     # The remaining weights are units (or k) inside their domains, so
     # they multiply the plain residues directly.
-    cb = _residues_from_vu(modulus, upto, cache)[start : upto + 1]
+    cb = _residues_from_vu(modulus, upto, tables)[start : upto + 1]
     if weight is WeightKind.LINEAR_K:
         res.extend([c * k % pe for k, c in enumerate(cb, start)])
         return res
     if weight is WeightKind.H2:
-        w = _h2_prefix(modulus, upto, cache)[start : upto + 1]
+        w = _h2_prefix(modulus, upto, tables)[start : upto + 1]
     else:
         # 1/(2k-1) for k = start..upto; at k = 0 it is -1.
-        tab = _inv_table(p, pe, max(2 * upto - 1, 1), cache)
+        tab = _inv_table(p, pe, max(2 * upto - 1, 1), tables)
         w = tab[2 * start - 1 : 2 * upto : 2] if start else [pe - 1] + tab[1 : 2 * upto : 2]
         if weight is WeightKind.INV_2KM1_SQ:
             w = [x * x % pe for x in w]
@@ -212,17 +205,12 @@ def _residues_from_vu(
     return res
 
 
-def _h2_prefix(modulus: Modulus, upto: int, cache: dict | None) -> list[int]:
+def _h2_prefix(modulus: Modulus, upto: int, tables: PrimeTables) -> list[int]:
     """H_k^(2) mod p^e for k = 0..upto (upto <= p-1, so no 1/p^2 term)."""
     p, pe = modulus.p, modulus.m
-    key = ("h2", p, pe)
-    h2 = cache.get(key) if cache is not None else None
-    if h2 is None:
-        h2 = [0]
-        if cache is not None:
-            cache[key] = h2
+    h2 = tables.table("h2", pe, (0,))
     if len(h2) <= upto:
-        tab = _inv_table(p, pe, upto, cache)
+        tab = _inv_table(p, pe, upto, tables)
         h = h2[-1]
         h2.extend([(h := (h + x * x) % pe) for x in tab[len(h2) : upto + 1]])
     return h2
@@ -240,13 +228,13 @@ def _check_weight_domain(weight: WeightKind, upper: int, p: int) -> None:
 
 
 def _sum_with_power(
-    x: int, upper: int, modulus: Modulus, weight: WeightKind, cache: dict | None
+    x: int, upper: int, modulus: Modulus, weight: WeightKind, tables: PrimeTables
 ) -> int:
     """sum_{k=0}^{upper} weight(k) C(2k,k) x^k mod p^e by Horner's rule, x reduced."""
     pe = modulus.m
     acc = 0
     # Cached tables may extend past ``upper``; always slice to the range.
-    for t in reversed(_residues_from_vu(modulus, upper, cache, weight)[: upper + 1]):
+    for t in reversed(_residues_from_vu(modulus, upper, tables, weight)[: upper + 1]):
         acc = (acc * x + t) % pe
     return acc
 
@@ -258,24 +246,26 @@ def _sum_with_power(
 
 def central_binomial_stream(modulus: Modulus, max_k: int) -> Iterator[PadicFactored]:
     """Yield C(2k,k) in factored form for k = 0..max_k."""
-    for v, u in _cb_vu(modulus, max_k, None):
+    for v, u in _cb_vu(modulus, max_k, PrimeTables()):
         yield PadicFactored(modulus, v, u)
 
 
-def evaluate_sum(spec: SumSpec, cache: dict | None = None) -> ResidueClass:
+def evaluate_sum(spec: SumSpec, tables: PrimeTables | None = None) -> ResidueClass:
     """Evaluate  sum_{k=0}^{upper} weight(k) C(2k,k) inv(base)^k  mod p^e.
 
     The base is inverted once and applied by Horner's rule.  A sum of
-    length zero never inverts, so the base may then be anything.
+    length zero never inverts, so the base may then be anything.  Sums
+    that share ``tables`` share their residue tables.
     """
     md = spec.modulus
+    tables = PrimeTables() if tables is None else tables
     if spec.upper == 0:
         # Single term: weight(0) * C(0,0); the base is never inverted.
-        return ResidueClass(md, _sum_with_power(1, 0, md, spec.weight, cache))
+        return ResidueClass(md, _sum_with_power(1, 0, md, spec.weight, tables))
     if spec.base % md.p == 0:
         raise NotInvertible(f"base {spec.base} is divisible by p = {md.p}")
     x = pow(spec.base % md.m, -1, md.m)
-    return ResidueClass(md, _sum_with_power(x, spec.upper, md, spec.weight, cache))
+    return ResidueClass(md, _sum_with_power(x, spec.upper, md, spec.weight, tables))
 
 
 def signed_central_sum(
@@ -283,36 +273,39 @@ def signed_central_sum(
     upper: int,
     modulus: Modulus,
     weight: WeightKind = WeightKind.NONE,
-    cache: dict | None = None,
+    tables: PrimeTables | None = None,
 ) -> ResidueClass:
     """sum_{k=0}^{upper} s^k weight(k) C(2k,k) mod p^e.
 
     The positive-power twin of ``evaluate_sum``: s^k needs no inversion,
     so s may be divisible by p.
     """
+    tables = PrimeTables() if tables is None else tables
     return ResidueClass(
-        modulus, _sum_with_power(s % modulus.m, upper, modulus, weight, cache)
+        modulus, _sum_with_power(s % modulus.m, upper, modulus, weight, tables)
     )
 
 
-def alternating_harmonic(bound: int, modulus: Modulus) -> ResidueClass:
+def alternating_harmonic(
+    bound: int, modulus: Modulus, tables: PrimeTables | None = None
+) -> ResidueClass:
     """sum_{k=1}^{bound} (-1)^k / k mod p^e, for bound < p."""
     p, pe = modulus.p, modulus.m
     if bound >= p:
         raise NotInvertible(f"bound {bound} reaches a multiple of p = {p}")
-    tab = _inv_table(p, pe, bound, None)
+    tab = _inv_table(p, pe, bound, PrimeTables() if tables is None else tables)
     return ResidueClass(modulus, (sum(tab[2 : bound + 1 : 2]) - sum(tab[1 : bound + 1 : 2])) % pe)
 
 
 def power_over_square_sum(
-    base_num: int, base_den: int, modulus: Modulus
+    base_num: int, base_den: int, modulus: Modulus, tables: PrimeTables | None = None
 ) -> ResidueClass:
     """sum_{k=1}^{p-1} (base_num/base_den)^k / k^2 mod p^e."""
     p, pe = modulus.p, modulus.m
     if base_den % p == 0:
         raise NotInvertible(f"denominator {base_den} is divisible by p = {p}")
     x = base_num * pow(base_den % pe, -1, pe) % pe
-    tab = _inv_table(p, pe, p - 1, None)
+    tab = _inv_table(p, pe, p - 1, PrimeTables() if tables is None else tables)
     acc = 0
     xk = 1
     for k in range(1, p):

@@ -6,7 +6,7 @@ a declared modulus exponent, and reports a ``Verdict`` with an exact
 defect valuation.  Check ids are a stable public contract; renaming one
 is a breaking change.
 
-A ``cache`` dict may be threaded through ``run_check`` when many checks
+A ``PrimeTables`` store may be passed to ``run_check`` when many checks
 run at one prime; it shares the central-binomial residue tables and the
 inverse tables between them.
 """
@@ -19,12 +19,13 @@ from math import comb
 from typing import Callable
 
 from .binomsums import (
+    PrimeTables,
     SumSpec,
     WeightDomain,
     WeightKind,
     _cb_vu,
+    _inv_table,
     _residues_from_vu,
-    _unit_inverter,
     alternating_harmonic,
     evaluate_sum,
     floor_multiple,
@@ -112,7 +113,7 @@ class Verdict:
     passed: bool
 
 
-Side = Callable[[CheckParams, Modulus, dict], "int | list[int]"]
+Side = Callable[[CheckParams, Modulus, PrimeTables], "int | list[int]"]
 
 
 @dataclass(frozen=True)
@@ -228,11 +229,11 @@ def _sum_side(
     bound as ``.upper``, which ``_spec`` takes as the check's length.
     """
 
-    def side(pr, md, cache):
+    def side(pr, md, tables):
         b = base(pr) if callable(base) else base
         if signed:
-            return signed_central_sum(b, upper(pr), md, weight, cache).value
-        return evaluate_sum(SumSpec(b, upper(pr), weight, md), cache).value
+            return signed_central_sum(b, upper(pr), md, weight, tables).value
+        return evaluate_sum(SumSpec(b, upper(pr), weight, md), tables).value
 
     side.upper = upper
     return side
@@ -253,20 +254,20 @@ _c1_2_sum = _sum_side(16, _p_half, WeightKind.INV_2KM1_SQ)
 _adamchuk_sum = _sum_side(1, lambda pr: 2 * pr.p // 3, signed=True)
 
 
-def _t1_1_rhs(pr, md, cache):
+def _t1_1_rhs(pr, md, tables):
     sign = _fib_sign(pr)
     f = fibonacci_mod(pr.p**pr.a - sign, md.m)
     return sign * (1 + f * pow(2, -1, md.m)) % md.m
 
 
-def _t1_2_rhs(pr, md, cache):
+def _t1_2_rhs(pr, md, tables):
     pe = md.m
     t = (pow(2, pr.p**pr.a - 1, pe) - 1) % pe
     s2 = jacobi(2, pr.p) ** pr.a
     return s2 * (1 + t * pow(6, -1, pe) - t * t % pe * pow(8, -1, pe)) % pe
 
 
-def _t2_main_rhs(pr, md, cache):
+def _t2_main_rhs(pr, md, tables):
     m, p = pr.m, pr.p
     j = jacobi(m * (m - 4), p)
     u = lucas_uv_mod(LucasParams(4, m), entry_index(LucasParams(4, m), p), md).u.value
@@ -274,24 +275,24 @@ def _t2_main_rhs(pr, md, cache):
     return (j**pr.a + jacobi(-m, p) * j ** (pr.a - 1) * mb % md.m * u) % md.m
 
 
-def _t2_cat_rhs(pr, md, cache):
+def _t2_cat_rhs(pr, md, tables):
     m, pe = pr.m, md.m
-    s = _m_half_sum(pr, md, cache)
+    s = _m_half_sum(pr, md, tables)
     inv2 = pow(2, -1, pe)
     delta = 2 * pr.p * jacobi(-m, pr.p) if pr.a == 1 else 0
     return ((4 - m) * inv2 % pe * s + m * inv2 - delta) % pe
 
 
-def _c1_1_8_rhs(pr, md, cache):
+def _c1_1_8_rhs(pr, md, tables):
     return jacobi(2, pr.p) ** pr.a % md.m
 
 
-def _c1_2_lhs(pr, md, cache):
-    s = _c1_2_sum(pr, md, cache)
+def _c1_2_lhs(pr, md, tables):
+    s = _c1_2_sum(pr, md, tables)
     return [s, s]
 
 
-def _c1_2_rhs(pr, md, cache):
+def _c1_2_rhs(pr, md, tables):
     p, pe = pr.p, md.m
     closed = jacobi(-1, p) * (3 * jacobi(p, 3) + 1) % pe * pow(4, -1, pe) % pe
     inv2 = pow(2, -1, pe)
@@ -299,42 +300,42 @@ def _c1_2_rhs(pr, md, cache):
     return [closed, table[p % 12]]
 
 
-def _basic_p_rhs(pr, md, cache):
+def _basic_p_rhs(pr, md, tables):
     return jacobi(pr.m * (pr.m - 4), pr.p) ** pr.a % md.m
 
 
-def _williams_lhs(pr, md, cache):
+def _williams_lhs(pr, md, tables):
     return fibonacci_quotient(pr.p, md.e).value
 
 
-def _williams_rhs(pr, md, cache):
+def _williams_rhs(pr, md, tables):
     pe = md.m
-    h = alternating_harmonic(4 * pr.p // 5, md).value
+    h = alternating_harmonic(4 * pr.p // 5, md, tables).value
     return 2 * pow(5, -1, pe) * h % pe
 
 
-def _pansun_rhs(pr, md, cache):
+def _pansun_rhs(pr, md, tables):
     sign = _fib_sign(pr)
     f = fibonacci_mod(pr.p**pr.a - sign, md.m)
     return sign * (1 - 2 * f) % md.m
 
 
-def _adamchuk_lhs(pr, md, cache):
+def _adamchuk_lhs(pr, md, tables):
     # The conjectured sum starts at k = 1; drop the k = 0 term.
-    return (_adamchuk_sum(pr, md, cache) - 1) % md.m
+    return (_adamchuk_sum(pr, md, tables) - 1) % md.m
 
 
-def _adamchuk_rhs(pr, md, cache):
+def _adamchuk_rhs(pr, md, tables):
     return 0
 
 
-def _l2_1_lhs(pr, md, cache):
+def _l2_1_lhs(pr, md, tables):
     """binom((p^a-1)/2 + k, 2k) - C(2k,k)/(-16)^k for every k, as a list."""
     p, e, pe = pr.p, md.e, md.m
     n = _half(pr)
-    cb = _residues_from_vu(md, n, cache)
+    cb = _residues_from_vu(md, n, tables)
     x = pow(-16 % pe, -1, pe)
-    invf = _unit_inverter(p, pe, 2 * n + 1, cache)
+    inv = _inv_table(p, pe, min(2 * n, p - 1), tables)
     out = [0] * (n + 1)  # both binomials are 1 at k = 0
     v, u = 0, 1
     xk = 1
@@ -350,22 +351,21 @@ def _l2_1_lhs(pr, md, cache):
             while den % p == 0:
                 den //= p
                 v -= 1
-            if den > 1:
-                u = u * invf(den) % pe
+            u = u * (inv[den] if den < p else pow(den, -1, pe)) % pe
         xk = xk * x % pe
         lb = u * p**v % pe if v < e else 0
         out[k] = (lb - cb[k] * xk) % pe
     return out
 
 
-def _l2_1_rhs(pr, md, cache):
+def _l2_1_rhs(pr, md, tables):
     """(-1)^(k-1) (-1/p^a) binom(p^a-1-2k, (p^a-1)/2-k) T_k with
     T_k = sum_{0<j<=k} p^(2a)/(2j-1)^2; the second binomial is the
     central binomial at index (p^a-1)/2 - k."""
     p, e, pe = pr.p, md.e, md.m
     a = pr.a
     n = _half(pr)
-    cb = _residues_from_vu(md, n, cache)
+    cb = _residues_from_vu(md, n, tables)
     sgn = jacobi(-1, p) ** a
     out = [0] * (n + 1)
     t_acc = 0
@@ -386,13 +386,13 @@ def _l2_1_rhs(pr, md, cache):
     return out
 
 
-def _l2_2a_lhs(pr, md, cache):
+def _l2_2a_lhs(pr, md, tables):
     pe = md.m
     t = (pow(2, pr.p**pr.a - 1, pe) - 1) % pe
     return (1 + t * pow(6, -1, pe) + t * t % pe * pow(24, -1, pe)) % pe
 
 
-def _l2_2a_rhs(pr, md, cache):
+def _l2_2a_rhs(pr, md, tables):
     pa, pe = pr.p**pr.a, md.m
     s2 = jacobi(2, pr.p) ** pr.a
     denom = 3 * pow(2, (pa - 1) // 2, pe) % pe
@@ -413,108 +413,99 @@ def l2_2a_displayed_rhs(p: int, a: int = 1, e: int = 3) -> ResidueClass:
     return ResidueClass(md, s2 * pow(2, pa + 1, pe) * pow(denom, -1, pe))
 
 
-def _l2_2b_lhs(pr, md, cache):
+def _l2_2b_lhs(pr, md, tables):
     pe = md.m
     pair = lucas_uv_mod(FIB, pr.p**pr.a, md)
     f, lu = pair.u.value, pair.v.value
     return ((lu - 1) * pow(5, -1, pe) - _fib_sign(pr) * f + 1) % pe
 
 
-def _l2_2b_rhs(pr, md, cache):
+def _l2_2b_rhs(pr, md, tables):
     pe = md.m
     f = fibonacci_mod(pr.p**pr.a - _fib_sign(pr), pe)
     return -f * f % pe * pow(2, -1, pe) % pe
 
 
-def _l2_3a_rhs(pr, md, cache):
+def _l2_3a_rhs(pr, md, tables):
     pe = md.m
     q = fibonacci_quotient(pr.p, md.e).value
     return jacobi(pr.p, 5) * 5 % pe * pow(2, -1, pe) % pe * q % pe * q % pe
 
 
-def _l2_3b_rhs(pr, md, cache):
+def _l2_3b_rhs(pr, md, tables):
     pe = md.m
     q = fermat_quotient(2, pr.p, md.e).value
     return 2 * pow(3, -1, pe) % pe * q % pe * q % pe
 
 
-def _mt_26_rhs(pr, md, cache):
+def _mt_26_rhs(pr, md, tables):
     p, pe = pr.p, md.m
-    invf = _unit_inverter(p, pe, p - 1, cache)
+    inv = _inv_table(p, pe, p - 1, tables)
     acc = 0
     f, g = 0, 1  # (F_{2k}, F_{2k+1})
     for k in range(1, p):
         f, g = g, f + g
         f, g = g % pe, (f + g) % pe
-        ik = invf(k)
-        acc = (acc + f * ik % pe * ik) % pe
+        acc = (acc + f * inv[k] % pe * inv[k]) % pe
     return -2 * acc % pe
 
 
-def _mt_27_rhs(pr, md, cache):
-    p, pe = pr.p, md.m
-    invf = _unit_inverter(p, pe, p - 1, cache)
-    inv2 = pow(2, -1, pe)
-    inv3 = pow(3, -1, pe)
-    acc = 0
-    pw, pwi = 1, 1
-    for k in range(1, p):
-        pw = pw * 2 % pe
-        pwi = pwi * inv2 % pe
-        u = 2 * (pw - pwi) % pe * inv3 % pe
-        ik = invf(k)
-        acc = (acc + u * ik % pe * ik) % pe
-    return -2 * acc % pe
+def _mt_27_rhs(pr, md, tables):
+    # -2 sum u_k/k^2 with u_k = 2(2^k - 2^-k)/3, split into two power sums.
+    pe = md.m
+    s2 = power_over_square_sum(2, 1, md, tables).value
+    s_half = power_over_square_sum(1, 2, md, tables).value
+    return -4 * pow(3, -1, pe) * (s2 - s_half) % pe
 
 
-def _aux_granville_lhs(pr, md, cache):
-    return power_over_square_sum(2, 1, md).value
+def _aux_granville_lhs(pr, md, tables):
+    return power_over_square_sum(2, 1, md, tables).value
 
 
-def _aux_granville_rhs(pr, md, cache):
+def _aux_granville_rhs(pr, md, tables):
     q = fermat_quotient(2, pr.p, md.e).value
     return -q * q % md.m
 
 
-def _aux_s08_lhs(pr, md, cache):
-    return power_over_square_sum(1, 2, md).value
+def _aux_s08_lhs(pr, md, tables):
+    return power_over_square_sum(1, 2, md, tables).value
 
 
-def _aux_s08_rhs(pr, md, cache):
+def _aux_s08_rhs(pr, md, tables):
     pe = md.m
     q = fermat_quotient(2, pr.p, md.e).value
     return -q * q % pe * pow(2, -1, pe) % pe
 
 
-def _aux_st_lhs(pr, md, cache):
+def _aux_st_lhs(pr, md, tables):
     return 2 * (lucas_uv_mod(FIB, pr.p, md).v.value - 1) % md.m
 
 
-def _aux_st_rhs(pr, md, cache):
+def _aux_st_rhs(pr, md, tables):
     return 5 * fibonacci_mod(pr.p - jacobi(pr.p, 5), md.m) % md.m
 
 
-def _aux_ss_lhs(pr, md, cache):
+def _aux_ss_lhs(pr, md, tables):
     return lucas_uv_mod(FIB, pr.p - jacobi(5, pr.p), md).v.value
 
 
-def _aux_ss_rhs(pr, md, cache):
+def _aux_ss_rhs(pr, md, tables):
     return 2 * jacobi(pr.p, 5) % md.m
 
 
-def _v_cong_a_lhs(pr, md, cache):
+def _v_cong_a_lhs(pr, md, tables):
     return lucas_uv_mod(_ab(pr), pr.p, md).v.value
 
 
-def _v_cong_a_rhs(pr, md, cache):
+def _v_cong_a_rhs(pr, md, tables):
     return _ab(pr).A % md.m
 
 
-def _l3_2_lhs(pr, md, cache):
+def _l3_2_lhs(pr, md, tables):
     return lucas_uv_mod(_ab(pr), pr.p, md).u.value
 
 
-def _l3_2_rhs(pr, md, cache):
+def _l3_2_rhs(pr, md, tables):
     ab = _ab(pr)
     p, pe = pr.p, md.m
     jd = jacobi(ab.delta, p)
@@ -524,85 +515,85 @@ def _l3_2_rhs(pr, md, cache):
     return (ab.A * inv2 % pe * bpow % pe * un + jd * (pow(ab.B % pe, p - 1, pe) + 1) * inv2) % pe
 
 
-def _l3_3_lhs(pr, md, cache):
+def _l3_3_lhs(pr, md, tables):
     # C(2k, k+1) = C(2k,k) - C_k termwise.
-    return (_m_half_sum(pr, md, cache) - _m_half_cat_sum(pr, md, cache)) % md.m
+    return (_m_half_sum(pr, md, tables) - _m_half_cat_sum(pr, md, tables)) % md.m
 
 
-def _l3_3_rhs(pr, md, cache):
+def _l3_3_rhs(pr, md, tables):
     m, pe = pr.m, md.m
-    s = _m_half_sum(pr, md, cache)
+    s = _m_half_sum(pr, md, tables)
     inv2 = pow(2, -1, pe)
     delta = 2 * pr.p * jacobi(-m, pr.p) if pr.a == 1 else 0
     return ((m - 2) * inv2 % pe * s - m * inv2 + delta) % pe
 
 
-def _p4_1a_lhs(pr, md, cache):
+def _p4_1a_lhs(pr, md, tables):
     pe = md.m
-    s = _m_half_k_sum(pr, md, cache)
+    s = _m_half_k_sum(pr, md, tables)
     return (pr.m - 4) * pow(2, -1, pe) % pe * s % pe
 
 
-def _p4_1a_rhs(pr, md, cache):
+def _p4_1a_rhs(pr, md, tables):
     return (
-        _m_half_sum(pr, md, cache)
+        _m_half_sum(pr, md, tables)
         - pr.p**pr.a * jacobi(-pr.m, pr.p) ** pr.a
     ) % md.m
 
 
-def _p4_1b_lhs(pr, md, cache):
+def _p4_1b_lhs(pr, md, tables):
     pe = md.m
-    s = _m_full_k_sum(pr, md, cache)
+    s = _m_full_k_sum(pr, md, tables)
     return (pr.m - 4) * pow(2, -1, pe) % pe * s % pe
 
 
-def _p4_1b_rhs(pr, md, cache):
-    return (_m_full_sum(pr, md, cache) - pr.p**pr.a) % md.m
+def _p4_1b_rhs(pr, md, tables):
+    return (_m_full_sum(pr, md, tables) - pr.p**pr.a) % md.m
 
 
-def _e4_4_rhs(pr, md, cache):
+def _e4_4_rhs(pr, md, tables):
     return (pr.p - jacobi(-1, pr.p)) % md.m
 
 
-def _e4_5_rhs(pr, md, cache):
+def _e4_5_rhs(pr, md, tables):
     return (2 * pr.p - 2 * jacobi(pr.p, 3)) % md.m
 
 
-def _e4_6_rhs(pr, md, cache):
+def _e4_6_rhs(pr, md, tables):
     pe = md.m
     return jacobi(2, pr.p) * (1 - jacobi(-1, pr.p) * pr.p) % pe * pow(2, -1, pe) % pe
 
 
-def _e4_7_rhs(pr, md, cache):
+def _e4_7_rhs(pr, md, tables):
     pe = md.m
     return (jacobi(3, pr.p) - jacobi(-1, pr.p) * pr.p) % pe * pow(6, -1, pe) % pe
 
 
-def _morley_lhs(pr, md, cache):
+def _morley_lhs(pr, md, tables):
     half = _p_half(pr)
-    return _residues_from_vu(md, half, cache)[half]
+    return _residues_from_vu(md, half, tables)[half]
 
 
-def _morley_rhs(pr, md, cache):
+def _morley_rhs(pr, md, tables):
     return jacobi(-1, pr.p) * pow(4, pr.p - 1, md.m) % md.m
 
 
-def _conj11n_rhs(pr, md, cache):
+def _conj11n_rhs(pr, md, tables):
     # Independent arbitrary-precision route for the closed side.
     n = pr.n
     target = 1 if n % 3 == 0 else 4
     return (2 * n + 1) ** 2 * comb(2 * n, n) % md.m * target % md.m
 
 
-def _conj11a_rhs(pr, md, cache):
+def _conj11a_rhs(pr, md, tables):
     return 9**pr.a * ((-1) ** pr.a * 10) % md.m
 
 
-def _jac5_rhs(pr, md, cache):
+def _jac5_rhs(pr, md, tables):
     return jacobi(5, pr.p) ** pr.a % md.m
 
 
-def _jac3_rhs(pr, md, cache):
+def _jac3_rhs(pr, md, tables):
     return jacobi(3, pr.p) ** pr.a % md.m
 
 
@@ -1108,8 +1099,7 @@ def _compare(lhs, rhs, md: Modulus) -> tuple[int, int, int]:
 def run_check(
     check_id: str,
     params: CheckParams,
-    cache: dict | None = None,
-    exponent_override: int | None = None,
+    tables: PrimeTables | None = None,
 ) -> Verdict:
     """Evaluate both sides of a registered check and compare them.
 
@@ -1117,8 +1107,8 @@ def run_check(
     declared domain (unless ``force`` is set), ``BudgetExceeded`` when the
     sum is longer than the term budget, and ``CheckError`` when the
     arithmetic itself cannot proceed (for example a forced evaluation
-    that divides by p).  ``exponent_override`` re-runs the check at a
-    lower exponent; it exists for consistency diagnostics.
+    that divides by p).  Checks run with one ``tables`` store share
+    their residue tables; without one, the check gets a fresh store.
     """
     spec = get_check(check_id)
     p = params.p
@@ -1140,12 +1130,11 @@ def run_check(
             f"{check_id} at p={p}, a={params.a} needs {spec.length(params)} terms, "
             f"budget is {params.budget}"
         )
-    e = exponent_override if exponent_override is not None else spec.exponent(params)
-    md = Modulus(p, e)
-    work = cache if cache is not None else {}
+    md = Modulus(p, spec.exponent(params))
+    tables = PrimeTables() if tables is None else tables
     try:
-        lhs = spec.lhs(params, md, work)
-        rhs = spec.rhs(params, md, work)
+        lhs = spec.lhs(params, md, tables)
+        rhs = spec.rhs(params, md, tables)
     except (
         NotInvertible,
         NegativeValuation,
@@ -1179,8 +1168,7 @@ def run_conj11n_range(n_max: int, budget: int = DEFAULT_TERM_BUDGET) -> list[Ver
     e_top = max(_conj11n_valuation(n) + 2 for n in range(n_max + 1))
     top = Modulus(3, e_top)
     pe_top = top.m
-    work: dict = {}
-    vu = _cb_vu(top, n_max, work)
+    vu = _cb_vu(top, n_max, PrimeTables())
     inv16 = pow(16, -1, pe_top)
     verdicts = []
     s = 0

@@ -3,7 +3,7 @@
 Exit codes: 0 when everything passes (conjecture counterexample
 candidates only warn), 1 when a theorem/lemma/auxiliary check fails or
 its arithmetic breaks (a forced evaluation dividing by p), 2 on usage
-errors.
+errors and on a WSS checkpoint that cannot be resumed.
 """
 
 from __future__ import annotations
@@ -29,10 +29,10 @@ from .modarith import is_prime
 from .scanner import (
     CSV_COLUMNS,
     AllSmall,
+    CheckpointCorrupt,
     MList,
     MPolicy,
     Report,
-    Row,
     Sample,
     ScanRequest,
     _policy_text,
@@ -41,6 +41,7 @@ from .scanner import (
     render_jsonl,
     render_wss_csv,
     scan,
+    verdict_row,
     wss_search,
 )
 from .sequences import DomainError
@@ -266,28 +267,11 @@ def _execute_check(cmd: CheckCommand) -> int:
     try:
         v = run_check(cmd.id, params)
     except (DomainError, BudgetExceeded) as exc:
-        print(CSV_COLUMNS)
-        print(csv_row(Row(cmd.id, cmd.p, cmd.a, m_col, None, None, None, None, "SKIP")))
+        v = None
         print(f"skipped: {exc}", file=sys.stderr)
-        return 0
-    status = "PASS" if v.passed else "FAIL"
     print(CSV_COLUMNS)
-    print(
-        csv_row(
-            Row(
-                cmd.id,
-                cmd.p,
-                cmd.a,
-                m_col,
-                v.modulus.e,
-                v.lhs.value,
-                v.rhs.value,
-                v.defect_valuation,
-                status,
-            )
-        )
-    )
-    if v.passed:
+    print(csv_row(verdict_row(cmd.id, cmd.p, cmd.a, m_col, v)))
+    if v is None or v.passed:
         return 0
     if spec.kind is CheckKind.CONJECTURE:
         print("warning: conjecture counterexample candidate", file=sys.stderr)
@@ -367,7 +351,7 @@ def main(argv: list[str] | None = None) -> int:
     except CheckError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (UsageError, ValueError) as exc:
+    except (UsageError, ValueError, CheckpointCorrupt) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

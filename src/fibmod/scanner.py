@@ -1,7 +1,8 @@
 """Batch execution of checks over prime ranges, and the Wall-Sun-Sun search.
 
-Work is partitioned by prime: all checks at one prime share a cache (the
-factored central-binomial stream and inverse tables), and per-prime row
+Work is partitioned by prime: all checks at one prime share one
+``PrimeTables`` store (the central-binomial residue tables and inverse
+tables at each exponent), and per-prime row
 lists are merged in ascending prime order, so reports are byte-identical
 regardless of the worker count.
 """
@@ -12,16 +13,18 @@ import json
 import multiprocessing
 import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from math import isqrt
 
 from ._version import __version__
+from .binomsums import PrimeTables
 from .checks import (
     DEFAULT_TERM_BUDGET,
     BudgetExceeded,
     CheckError,
     CheckParams,
     UnknownCheckId,
+    Verdict,
     get_check,
     run_check,
 )
@@ -164,9 +167,26 @@ def _m_values(p: int, policies: tuple[MPolicy, ...]) -> list[int]:
     return sorted(values)
 
 
+def verdict_row(check_id: str, p: int, a: int, m: int | None, verdict: Verdict | None) -> Row:
+    """The report row of one check run; no verdict makes a SKIP row."""
+    if verdict is None:
+        return Row(check_id, p, a, m, None, None, None, None, "SKIP")
+    return Row(
+        check_id,
+        p,
+        a,
+        m,
+        verdict.modulus.e,
+        verdict.lhs.value,
+        verdict.rhs.value,
+        verdict.defect_valuation,
+        "PASS" if verdict.passed else "FAIL",
+    )
+
+
 def _prime_worker(task) -> list[Row]:
     p, ids, a_max, policies, budget, force = task
-    cache: dict = {}
+    tables = PrimeTables()
     rows: list[Row] = []
     for cid in ids:
         spec = get_check(cid)
@@ -175,22 +195,15 @@ def _prime_worker(task) -> list[Row]:
             for m in m_list:
                 params = CheckParams(p=p, a=a, m=m, force=force, budget=budget)
                 try:
-                    v = run_check(cid, params, cache)
-                    rows.append(
-                        Row(
-                            cid,
-                            p,
-                            a,
-                            m,
-                            v.modulus.e,
-                            v.lhs.value,
-                            v.rhs.value,
-                            v.defect_valuation,
-                            "PASS" if v.passed else "FAIL",
-                        )
-                    )
-                except (DomainError, BudgetExceeded, CheckError):
-                    rows.append(Row(cid, p, a, m, None, None, None, None, "SKIP"))
+                    v = run_check(cid, params, tables)
+                except (DomainError, BudgetExceeded):
+                    v = None
+                except CheckError:
+                    # Broken arithmetic is only expected where forced.
+                    if not force:
+                        raise
+                    v = None
+                rows.append(verdict_row(cid, p, a, m, v))
     return rows
 
 
@@ -198,7 +211,9 @@ def scan(request: ScanRequest) -> Report:
     """Run every requested check over every odd prime in range.
 
     Out-of-domain and over-budget combinations become SKIP rows, never
-    errors; rows are ordered by (p, check_id, a, m).  An n-indexed check
+    errors; rows are ordered by (p, check_id, a, m).  A ``CheckError``
+    (arithmetic that breaks) propagates, unless the request is forced,
+    where it becomes a SKIP row too.  An n-indexed check
     is refused with ``ValueError``: a scan never sets n, so every one of
     its rows would be a SKIP.
     """
@@ -236,6 +251,7 @@ def scan(request: ScanRequest) -> Report:
 # ---------------------------------------------------------------------------
 
 CSV_COLUMNS = "check_id,p,a,m,exponent,lhs,rhs,defect_valuation,status"
+_ROW_FIELDS = tuple(f.name for f in fields(Row))
 
 
 def _policy_text(policies: tuple[MPolicy, ...]) -> str:
@@ -255,23 +271,34 @@ def _sample_seed(request: ScanRequest) -> str:
     return ",".join(seeds) if seeds else "none"
 
 
-def _header_lines(report: Report) -> list[str]:
+def _request_fields(r: ScanRequest) -> dict:
     # jobs is deliberately omitted: it cannot affect the rows, and the
     # report must be byte-identical across worker counts.
-    r = report.request
+    return {
+        "ids": sorted(set(r.check_ids)),
+        "pmin": r.p_min,
+        "pmax": r.p_max,
+        "amax": r.a_max,
+        "m_policy": _policy_text(r.m_policy),
+        "budget": r.budget,
+        "force": r.force,
+    }
+
+
+def _field_text(value) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, list):
+        return ",".join(value)
+    return str(value)
+
+
+def _header_lines(report: Report) -> list[str]:
+    fields = _request_fields(report.request)
     return [
         f"# fibmod {__version__} scan report",
-        "# request: ids=%s pmin=%d pmax=%d amax=%d m_policy=%s budget=%d force=%s"
-        % (
-            ",".join(sorted(set(r.check_ids))),
-            r.p_min,
-            r.p_max,
-            r.a_max,
-            _policy_text(r.m_policy),
-            r.budget,
-            str(r.force).lower(),
-        ),
-        f"# sample_seed: {_sample_seed(r)}",
+        "# request: " + " ".join(f"{k}={_field_text(v)}" for k, v in fields.items()),
+        f"# sample_seed: {_sample_seed(report.request)}",
     ]
 
 
@@ -307,38 +334,16 @@ def render_csv(report: Report) -> str:
 
 
 def render_jsonl(report: Report) -> str:
-    r = report.request
     head = {
         "tool": "fibmod",
         "version": __version__,
-        "request": {
-            "ids": sorted(set(r.check_ids)),
-            "pmin": r.p_min,
-            "pmax": r.p_max,
-            "amax": r.a_max,
-            "m_policy": _policy_text(r.m_policy),
-            "budget": r.budget,
-            "force": r.force,
-        },
-        "sample_seed": _sample_seed(r),
+        "request": _request_fields(report.request),
+        "sample_seed": _sample_seed(report.request),
     }
     lines = [json.dumps(head)]
-    for row in report.rows:
-        lines.append(
-            json.dumps(
-                {
-                    "check_id": row.check_id,
-                    "p": row.p,
-                    "a": row.a,
-                    "m": row.m,
-                    "exponent": row.exponent,
-                    "lhs": row.lhs,
-                    "rhs": row.rhs,
-                    "defect_valuation": row.defect_valuation,
-                    "status": row.status,
-                }
-            )
-        )
+    # Not asdict(), whose deep copy triples the cost per row, nor vars(),
+    # which gives every row a lasting __dict__ (1.1 MB more at 22k rows).
+    lines.extend(json.dumps({k: getattr(row, k) for k in _ROW_FIELDS}) for row in report.rows)
     lines.append(json.dumps({"summary": {cid: report.summary[cid] for cid in sorted(report.summary)}}))
     return "\n".join(lines) + "\n"
 
@@ -360,27 +365,34 @@ class WssRecord:
     quotient: int
 
 
-CHECKPOINT_MAGIC = "wss-checkpoint v1"
+CHECKPOINT_MAGIC = "wss-checkpoint v2"
+CHECKPOINT_V1 = "wss-checkpoint v1"  # still resumable; it has no near line
 CHECKPOINT_EVERY = 10_000
 
 
-def _write_checkpoint(path: str, last_prime: int, records: list[WssRecord]) -> None:
+def _near_text(near_threshold: int | None) -> str:
+    return "all" if near_threshold is None else str(near_threshold)
+
+
+def _write_checkpoint(path: str, last_prime: int, near: str, records: list[WssRecord]) -> None:
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="ascii") as fh:
         fh.write(f"{CHECKPOINT_MAGIC}\n")
         fh.write(f"last_prime={last_prime}\n")
+        fh.write(f"near={near}\n")
         for rec in records:
             fh.write(f"{rec.p},{rec.quotient}\n")
     os.replace(tmp, path)
 
 
-def _read_checkpoint(path: str) -> tuple[int, list[WssRecord]]:
+def _read_checkpoint(path: str) -> tuple[int, str | None, list[WssRecord]]:
+    """(last_prime, near, records) of a checkpoint; near is None for v1."""
     try:
         with open(path, encoding="ascii") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CheckpointCorrupt(f"cannot read checkpoint {path}: {exc}") from exc
-    if not lines or lines[0] != CHECKPOINT_MAGIC:
+    if not lines or lines[0] not in (CHECKPOINT_MAGIC, CHECKPOINT_V1):
         raise CheckpointCorrupt(f"{path}: missing '{CHECKPOINT_MAGIC}' header")
     if len(lines) < 2 or not lines[1].startswith("last_prime="):
         raise CheckpointCorrupt(f"{path}: missing last_prime line")
@@ -388,8 +400,15 @@ def _read_checkpoint(path: str) -> tuple[int, list[WssRecord]]:
         last_prime = int(lines[1].removeprefix("last_prime="))
     except ValueError as exc:
         raise CheckpointCorrupt(f"{path}: bad last_prime value") from exc
+    near = None
+    body = 2
+    if lines[0] == CHECKPOINT_MAGIC:
+        near = lines[2][5:] if len(lines) > 2 and lines[2].startswith("near=") else ""
+        if not (near == "all" or near.isdigit()):
+            raise CheckpointCorrupt(f"{path}: missing or bad near line")
+        body = 3
     records = []
-    for lineno, line in enumerate(lines[2:], start=3):
+    for lineno, line in enumerate(lines[body:], start=body + 1):
         parts = line.split(",")
         try:
             p, q = int(parts[0]), int(parts[1])
@@ -398,7 +417,7 @@ def _read_checkpoint(path: str) -> tuple[int, list[WssRecord]]:
         if len(parts) != 2 or p > last_prime:
             raise CheckpointCorrupt(f"{path}:{lineno}: bad record {line!r}")
         records.append(WssRecord(p, q))
-    return last_prime, records
+    return last_prime, near, records
 
 
 def wss_search(
@@ -413,14 +432,20 @@ def wss_search(
     |quotient| <= near_threshold (all records when the threshold is
     None).  When ``checkpoint_path`` is given, progress is persisted
     every ``checkpoint_every`` primes and the search resumes from the
-    file if it already exists.
+    file if it already exists.  A file written under another threshold
+    raises ``CheckpointCorrupt``: its records would mix two selections.
     """
     if limit < 7:
         raise ValueError("limit must be at least 7")
     start = 7
+    near = _near_text(near_threshold)
     records: list[WssRecord] = []
     if checkpoint_path and os.path.exists(checkpoint_path):
-        last_prime, records = _read_checkpoint(checkpoint_path)
+        last_prime, recorded, records = _read_checkpoint(checkpoint_path)
+        if recorded is not None and recorded != near:
+            raise CheckpointCorrupt(
+                f"{checkpoint_path}: written with near={recorded}, resumed with near={near}"
+            )
         # A checkpoint written under a larger limit may hold records past
         # this one; the file keeps them, the result does not.
         records = [rec for rec in records if rec.p <= limit]
@@ -440,9 +465,9 @@ def wss_search(
         processed += 1
         last = p
         if checkpoint_path and processed % checkpoint_every == 0:
-            _write_checkpoint(checkpoint_path, p, records)
+            _write_checkpoint(checkpoint_path, p, near, records)
     if checkpoint_path and last is not None:
-        _write_checkpoint(checkpoint_path, last, records)
+        _write_checkpoint(checkpoint_path, last, near, records)
     return records
 
 

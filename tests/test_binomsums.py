@@ -4,6 +4,7 @@ from math import comb
 import pytest
 
 from fibmod.binomsums import (
+    PrimeTables,
     SumSpec,
     WeightDomain,
     WeightKind,
@@ -151,7 +152,7 @@ def test_h2_prefix_vanishes_at_p_minus_1():
 
     for p in sieve_primes(5, 500):
         md = Modulus(p, 1)
-        table = _h2_prefix(md, p - 1, None)
+        table = _h2_prefix(md, p - 1, PrimeTables())
         assert table[p - 1] == 0, p
 
 

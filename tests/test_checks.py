@@ -3,6 +3,7 @@ from dataclasses import replace
 import pytest
 
 import fibmod.checks as checks
+from fibmod.binomsums import PrimeTables
 from fibmod.checks import (
     BudgetExceeded,
     CheckError,
@@ -140,12 +141,15 @@ def test_downward_consistency():
         ("MORLEY", CheckParams(p=11)),
         ("L2_1", CheckParams(p=11)),
     ]
+    # One store serves every case and every exponent, as in a scan.
+    tables = PrimeTables()
     for cid, params in cases:
-        top = get_check(cid).exponent(params)
-        assert run_check(cid, params).passed
-        for e in range(1, top):
-            v = run_check(cid, params, exponent_override=e)
-            assert v.passed, (cid, e)
+        spec = get_check(cid)
+        assert run_check(cid, params, tables).passed
+        for e in range(1, spec.exponent(params)):
+            md = Modulus(params.p, e)
+            lhs = spec.lhs(params, md, tables)
+            assert lhs == spec.rhs(params, md, tables), (cid, e)
 
 
 def test_mutation_of_rhs_fails(monkeypatch):
@@ -235,7 +239,7 @@ def test_conj11n_range_agrees_with_run_check():
 
 
 def test_shared_cache_is_consistent():
-    cache: dict = {}
+    cache = PrimeTables()
     ids = [s.id for s in list_checks()]
     for p in (7, 13):
         for cid in ids:

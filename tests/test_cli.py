@@ -248,3 +248,18 @@ def test_wss_cli(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert captured.out == "p,quotient\n"
+
+
+def test_wss_bad_checkpoint_is_a_usage_error(tmp_path, capsys):
+    ckpt = tmp_path / "garbage.ckpt"
+    ckpt.write_bytes(b"\x00\xffnot a checkpoint\n")
+    out = tmp_path / "w.csv"
+    code = main(["wss", "--limit", "100", "--checkpoint", str(ckpt), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+    ckpt.write_text("wss-checkpoint v2\nlast_prime=97\nnear=0\n")
+    code = main(["wss", "--limit", "200", "--checkpoint", str(ckpt), "--out", str(out)])
+    assert code == 2
+    assert "near=0" in capsys.readouterr().err
+    assert not out.exists()

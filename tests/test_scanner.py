@@ -1,6 +1,9 @@
 import pytest
 
-from fibmod.checks import UnknownCheckId
+from dataclasses import replace
+
+import fibmod.checks as checks
+from fibmod.checks import CheckError, UnknownCheckId, get_check
 from fibmod.scanner import (
     AllSmall,
     CheckpointCorrupt,
@@ -258,9 +261,10 @@ def test_checkpoint_format(tmp_path):
     ckpt = tmp_path / "wss.ckpt"
     wss_search(1000, checkpoint_path=str(ckpt), checkpoint_every=10)
     lines = ckpt.read_text().splitlines()
-    assert lines[0] == "wss-checkpoint v1"
+    assert lines[0] == "wss-checkpoint v2"
     assert lines[1].startswith("last_prime=")
-    for line in lines[2:]:
+    assert lines[2] == "near=all"
+    for line in lines[3:]:
         p, q = line.split(",")
         int(p), int(q)
 
@@ -275,6 +279,10 @@ def test_checkpoint_format(tmp_path):
         "wss-checkpoint v1\nlast_prime=11\n7,3\n11,\n",
         "wss-checkpoint v1\nlast_prime=11\n7,3,9\n",
         "wss-checkpoint v1\nlast_prime=11\n13,4\n",  # record past last_prime
+        "wss-checkpoint v2\nlast_prime=11\n7,3\n",  # no near line
+        "wss-checkpoint v2\nlast_prime=11\nnear=-1\n7,3\n",
+        "wss-checkpoint v2\nlast_prime=11\nnear=\n",
+        "wss-checkpoint v3\nlast_prime=11\nnear=all\n",
     ],
 )
 def test_checkpoint_corrupt(tmp_path, content):
@@ -284,3 +292,48 @@ def test_checkpoint_corrupt(tmp_path, content):
         _read_checkpoint(str(ckpt))
     with pytest.raises(CheckpointCorrupt):
         wss_search(100, checkpoint_path=str(ckpt))
+
+
+def test_checkpoint_records_its_threshold(tmp_path):
+    ckpt = tmp_path / "wss.ckpt"
+    wss_search(2000, near_threshold=0, checkpoint_path=str(ckpt))
+    assert ckpt.read_text().splitlines()[2] == "near=0"
+    before = ckpt.read_text()
+    # Resuming with another threshold would mix two record selections.
+    for near in (None, 1):
+        with pytest.raises(CheckpointCorrupt, match="near"):
+            wss_search(3000, near_threshold=near, checkpoint_path=str(ckpt))
+    assert ckpt.read_text() == before
+    resumed = wss_search(3000, near_threshold=0, checkpoint_path=str(ckpt))
+    assert resumed == wss_search(3000, near_threshold=0)
+
+
+def test_checkpoint_v1_still_resumes(tmp_path):
+    ckpt = tmp_path / "wss.ckpt"
+    wss_search(2000, checkpoint_path=str(ckpt))
+    lines = ckpt.read_text().splitlines()
+    assert lines[2] == "near=all"
+    ckpt.write_text("\n".join(["wss-checkpoint v1", lines[1]] + lines[3:]) + "\n")
+    assert _read_checkpoint(str(ckpt))[1] is None
+    assert wss_search(3000, checkpoint_path=str(ckpt)) == wss_search(3000)
+    assert ckpt.read_text().splitlines()[:3] == ["wss-checkpoint v2", "last_prime=2999", "near=all"]
+
+
+def test_unforced_check_error_is_not_a_skip(monkeypatch, capsys):
+    from fibmod.cli import main
+
+    def broken(pr, md, tables):
+        raise NotDivisible("injected")
+
+    spec = get_check("MORLEY")
+    monkeypatch.setitem(checks._REGISTRY_BY_ID, "MORLEY", replace(spec, rhs=broken))
+    request = ScanRequest(("MORLEY",), 5, 13)
+    with pytest.raises(CheckError, match="injected"):
+        scan(request)
+    assert main(["scan", "--ids", "MORLEY", "--pmin", "5", "--pmax", "13", "--jobs", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: MORLEY at p=5: injected")
+    # Under force, broken arithmetic is expected and stays a SKIP.
+    forced = scan(replace(request, force=True))
+    assert [row.status for row in forced.rows] == ["SKIP"] * 4

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibmod.binomsums import (
+    PrimeTables,
     SumSpec,
     WeightKind,
     evaluate_sum,
@@ -102,10 +103,10 @@ def test_shared_cache_matches_fresh_cache(case, base, fractions):
     if base % md.p == 0:
         base += 1
     uppers = sorted({top * f >> 16 for f in fractions} | {top}, reverse=True)
-    cache: dict = {}
+    cache = PrimeTables()
     for upper in uppers + uppers[::-1]:
         spec = SumSpec(base, upper, kind, md)
-        assert evaluate_sum(spec, cache) == evaluate_sum(spec, {})
+        assert evaluate_sum(spec, cache) == evaluate_sum(spec, PrimeTables())
         shared = signed_central_sum(base, upper, md, kind, cache)
-        assert shared == signed_central_sum(base, upper, md, kind, {})
+        assert shared == signed_central_sum(base, upper, md, kind, PrimeTables())
 

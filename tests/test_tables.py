@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibmod.binomsums import (
+    PrimeTables,
     WeightKind,
     _cb_vu,
     _residues_from_vu,
@@ -70,10 +71,10 @@ def test_tables_in_one_call(case):
     p, e, upper = case
     md = Modulus(p, e)
     for weight in WALKED:
-        got = _residues_from_vu(md, upper, None, weight)
+        got = _residues_from_vu(md, upper, PrimeTables(), weight)
         assert got == _residues(p, md.m, upper, weight), (p, e, upper, weight)
     want = _factored(p, md.m, upper)
-    assert _cb_vu(md, upper, None) == want
+    assert _cb_vu(md, upper, PrimeTables()) == want
     assert [(t.valuation, t.unit) for t in central_binomial_stream(md, upper)] == want
 
 
@@ -95,7 +96,7 @@ def prime_and_pieces(draw):
 @given(prime_and_pieces())
 def test_tables_extended_through_one_cache(case):
     p, pieces = case
-    shared: dict = {}
+    shared = PrimeTables()
     for e, upper in pieces:
         md = Modulus(p, e)
         for weight in WALKED:
@@ -107,7 +108,7 @@ def test_tables_extended_through_one_cache(case):
         md = Modulus(p, e)
         for weight in WALKED:
             table = _residues_from_vu(md, upper, shared, weight)
-            assert table == _residues_from_vu(md, len(table) - 1, None, weight)
+            assert table == _residues_from_vu(md, len(table) - 1, PrimeTables(), weight)
 
 
 @st.composite
