@@ -130,9 +130,7 @@ class CheckSpec:
     lhs: Side
     rhs: Side
     length: Callable[[CheckParams], int]
-    uses_m: bool = False
-    uses_n: bool = False
-    uses_ab: bool = False
+    index: str | None = None  # "m" or "n": the parameter the check is indexed by
 
 
 # ---------------------------------------------------------------------------
@@ -615,9 +613,7 @@ def _spec(
     domain: Callable[[CheckParams], bool] | None = None,
     domain_label: str = "odd p",
     length: Callable[[CheckParams], int] | None = None,
-    uses_m: bool = False,
-    uses_n: bool = False,
-    uses_ab: bool = False,
+    index: str | None = None,
 ) -> CheckSpec:
     if exponent is None:
         exponent = lambda pr, _e=e: _e
@@ -633,9 +629,7 @@ def _spec(
         lhs=lhs,
         rhs=rhs,
         length=length or getattr(lhs, "upper", _half),
-        uses_m=uses_m,
-        uses_n=uses_n,
-        uses_ab=uses_ab,
+        index=index,
     )
 
 
@@ -643,7 +637,7 @@ def _spec(
 _COPRIME_M = {
     "domain": lambda pr: pr.m is not None and pr.m % pr.p != 0,
     "domain_label": "gcd(m, p) = 1",
-    "uses_m": True,
+    "index": "m",
 }
 _P_GT_3_A1 = {"domain": lambda pr: pr.p > 3 and pr.a == 1, "domain_label": "p > 3, a = 1"}
 _P_GT_5_A1 = {"domain": lambda pr: pr.p > 5 and pr.a == 1, "domain_label": "p > 5, a = 1"}
@@ -879,7 +873,6 @@ _REGISTRY: tuple[CheckSpec, ...] = (
         domain=lambda pr: pr.a == 1,
         domain_label="odd p, a = 1; any (A, B)",
         length=lambda pr: 0,
-        uses_ab=True,
     ),
     _spec(
         "L3_2",
@@ -892,7 +885,6 @@ _REGISTRY: tuple[CheckSpec, ...] = (
         and (2 * _ab(pr).B * _ab(pr).delta) % pr.p != 0,
         domain_label="p does not divide 2 B delta, a = 1",
         length=lambda pr: 0,
-        uses_ab=True,
     ),
     _spec(
         "L3_3",
@@ -981,7 +973,7 @@ _REGISTRY: tuple[CheckSpec, ...] = (
         exponent_label="v+2",
         domain=lambda pr: pr.p == 3 and pr.n is not None,
         domain_label="p = 3, indexed by n",
-        uses_n=True,
+        index="n",
     ),
     _spec(
         "CONJ1_1A",
@@ -1096,19 +1088,13 @@ def _compare(lhs, rhs, md: Modulus) -> tuple[int, int, int]:
     return worst, worst_pair[0], worst_pair[1]
 
 
-def run_check(
-    check_id: str,
-    params: CheckParams,
-    tables: PrimeTables | None = None,
-) -> Verdict:
-    """Evaluate both sides of a registered check and compare them.
+def check_request(check_id: str, params: CheckParams) -> CheckSpec:
+    """The spec of ``check_id`` once the request is well formed.
 
-    Raises ``DomainError`` when the parameters fall outside the check's
-    declared domain (unless ``force`` is set), ``BudgetExceeded`` when the
-    sum is longer than the term budget, and ``CheckError`` when the
-    arithmetic itself cannot proceed (for example a forced evaluation
-    that divides by p).  Checks run with one ``tables`` store share
-    their residue tables; without one, the check gets a fresh store.
+    Raises ``UnknownCheckId`` for an id not in the registry, and
+    ``DomainError`` when p is not an odd prime, a < 1, n < 0, or the
+    parameter the check is indexed by is missing: no check runs there,
+    forced or not.
     """
     spec = get_check(check_id)
     p = params.p
@@ -1116,10 +1102,30 @@ def run_check(
         raise DomainError(f"p must be an odd prime, got {p}")
     if params.a < 1:
         raise DomainError(f"a must be >= 1, got {params.a}")
-    if spec.uses_m and params.m is None:
-        raise DomainError(f"check {check_id} requires parameter m")
-    if spec.uses_n and (params.n is None or params.n < 0):
-        raise DomainError(f"check {check_id} requires a parameter n >= 0")
+    if params.n is not None and params.n < 0:
+        raise DomainError(f"n must be >= 0, got {params.n}")
+    if spec.index is not None and getattr(params, spec.index) is None:
+        raise DomainError(f"check {check_id} requires parameter {spec.index}")
+    return spec
+
+
+def run_check(
+    check_id: str,
+    params: CheckParams,
+    tables: PrimeTables | None = None,
+) -> Verdict:
+    """Evaluate both sides of a registered check and compare them.
+
+    Raises what ``check_request`` raises for a malformed request, then
+    ``DomainError`` when the parameters fall outside the check's
+    declared domain (unless ``force`` is set), ``BudgetExceeded`` when the
+    sum is longer than the term budget, and ``CheckError`` when the
+    arithmetic itself cannot proceed (for example a forced evaluation
+    that divides by p).  Checks run with one ``tables`` store share
+    their residue tables; without one, the check gets a fresh store.
+    """
+    spec = check_request(check_id, params)
+    p = params.p
     if not spec.domain(params) and not params.force:
         raise DomainError(
             f"params (p={p}, a={params.a}, m={params.m}, n={params.n}) are outside "

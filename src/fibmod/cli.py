@@ -21,20 +21,16 @@ from .checks import (
     CheckKind,
     CheckParams,
     UnknownCheckId,
+    check_request,
     get_check,
     list_checks,
     run_check,
 )
-from .modarith import is_prime
 from .scanner import (
     CSV_COLUMNS,
-    AllSmall,
     CheckpointCorrupt,
-    MList,
-    MPolicy,
-    Report,
-    Sample,
     ScanRequest,
+    _policy_from_text,
     _policy_text,
     csv_row,
     render_csv,
@@ -54,13 +50,7 @@ class UsageError(Exception):
 @dataclass(frozen=True)
 class CheckCommand:
     id: str
-    p: int
-    a: int = 1
-    m: int | None = None
-    n: int | None = None
-    A: int | None = None
-    B: int | None = None
-    force: bool = False
+    params: CheckParams
 
 
 @dataclass(frozen=True)
@@ -89,33 +79,6 @@ Command = CheckCommand | ScanCommand | WssCommand | ListChecksCommand
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # strict: no partial parses, no exits here
         raise UsageError(message)
-
-
-def _parse_m_policy(text: str) -> tuple[MPolicy, ...]:
-    """Policies joined by ``+``, the form ``_policy_text`` renders."""
-    return tuple(_parse_one_policy(part) for part in text.split("+"))
-
-
-def _parse_one_policy(text: str) -> MPolicy:
-    if text == "all":
-        return AllSmall()
-    if text.startswith("sample:"):
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise UsageError(f"bad m-policy {text!r}: expected sample:<count>:<seed>")
-        try:
-            return Sample(int(parts[1]), int(parts[2]))
-        except ValueError:
-            raise UsageError(f"bad m-policy {text!r}: count and seed must be integers")
-    if text.startswith("list:"):
-        try:
-            values = tuple(int(v) for v in text.removeprefix("list:").split(","))
-        except ValueError:
-            raise UsageError(f"bad m-policy {text!r}: values must be integers")
-        if not values:
-            raise UsageError("m-policy list must not be empty")
-        return MList(values)
-    raise UsageError(f"bad m-policy {text!r}: expected all, sample:<n>:<seed> or list:<v,...>")
 
 
 def _build_parser() -> _Parser:
@@ -160,52 +123,31 @@ def _build_parser() -> _Parser:
 
 
 def parse_args(argv: list[str]) -> Command:
-    """Strict parse of an argv list into a Command."""
+    """Strict parse of an argv list into a Command.
+
+    ``check`` and ``scan`` map their flags onto ``CheckParams`` and
+    ``ScanRequest``, whose own refusals become usage errors.
+    """
     ns = _build_parser().parse_args(argv)
-    if ns.command == "check":
-        try:
-            spec = get_check(ns.id)
-        except UnknownCheckId as exc:
-            raise UsageError(str(exc)) from exc
-        if ns.p < 3 or not is_prime(ns.p):
-            raise UsageError(f"--p must be an odd prime, got {ns.p}")
-        if ns.a < 1:
-            raise UsageError(f"--a must be >= 1, got {ns.a}")
-        if ns.n is not None and ns.n < 0:
-            raise UsageError(f"--n must be >= 0, got {ns.n}")
-        if spec.uses_m and ns.m is None:
-            raise UsageError(f"check {ns.id} requires --m")
-        if spec.uses_n and ns.n is None:
-            raise UsageError(f"check {ns.id} requires --n")
-        return CheckCommand(ns.id, ns.p, ns.a, ns.m, ns.n, ns.A, ns.B, ns.force)
-    if ns.command == "scan":
-        ids = tuple(s for s in ns.ids.split(",") if s)
-        if not ids:
-            raise UsageError("--ids must name at least one check")
-        for cid in ids:
-            try:
-                get_check(cid)
-            except UnknownCheckId as exc:
-                raise UsageError(str(exc)) from exc
-        if ns.pmin > ns.pmax:
-            raise UsageError(f"--pmin {ns.pmin} exceeds --pmax {ns.pmax}")
-        if ns.amax < 1:
-            raise UsageError(f"--amax must be >= 1, got {ns.amax}")
-        if ns.jobs < 1:
-            raise UsageError(f"--jobs must be >= 1, got {ns.jobs}")
-        if ns.budget < 1:
-            raise UsageError(f"--budget must be >= 1, got {ns.budget}")
-        request = ScanRequest(
-            check_ids=ids,
-            p_min=ns.pmin,
-            p_max=ns.pmax,
-            a_max=ns.amax,
-            m_policy=_parse_m_policy(getattr(ns, "m_policy")),
-            jobs=ns.jobs,
-            budget=ns.budget,
-            force=ns.force,
-        )
-        return ScanCommand(request, ns.out, ns.format)
+    try:
+        if ns.command == "check":
+            params = CheckParams(p=ns.p, a=ns.a, m=ns.m, n=ns.n, A=ns.A, B=ns.B, force=ns.force)
+            check_request(ns.id, params)
+            return CheckCommand(ns.id, params)
+        if ns.command == "scan":
+            request = ScanRequest(
+                check_ids=tuple(s for s in ns.ids.split(",") if s),
+                p_min=ns.pmin,
+                p_max=ns.pmax,
+                a_max=ns.amax,
+                m_policy=_policy_from_text(ns.m_policy),
+                jobs=ns.jobs,
+                budget=ns.budget,
+                force=ns.force,
+            )
+            return ScanCommand(request, ns.out, ns.format)
+    except (UnknownCheckId, DomainError, ValueError) as exc:
+        raise UsageError(str(exc)) from exc
     if ns.command == "wss":
         if ns.limit < 7:
             raise UsageError(f"--limit must be >= 7, got {ns.limit}")
@@ -218,11 +160,12 @@ def parse_args(argv: list[str]) -> Command:
 def render_args(cmd: Command) -> list[str]:
     """The argv list that parses back to this command (round-trip identity)."""
     if isinstance(cmd, CheckCommand):
-        argv = ["check", "--id", cmd.id, "--p", str(cmd.p), "--a", str(cmd.a)]
-        for flag, value in (("--m", cmd.m), ("--n", cmd.n), ("--A", cmd.A), ("--B", cmd.B)):
+        pr = cmd.params
+        argv = ["check", "--id", cmd.id, "--p", str(pr.p), "--a", str(pr.a)]
+        for flag, value in (("--m", pr.m), ("--n", pr.n), ("--A", pr.A), ("--B", pr.B)):
             if value is not None:
                 argv += [flag, str(value)]
-        if cmd.force:
+        if pr.force:
             argv.append("--force")
         return argv
     if isinstance(cmd, ScanCommand):
@@ -255,14 +198,21 @@ def render_args(cmd: Command) -> list[str]:
     return ["list-checks"]
 
 
+def _exit_code(failed_ids: set[str]) -> int:
+    """1 if a check other than a conjecture failed; failed conjectures only warn."""
+    if any(get_check(cid).kind is not CheckKind.CONJECTURE for cid in failed_ids):
+        return 1
+    if failed_ids:
+        print("warning: conjecture counterexample candidate found (exit stays 0)", file=sys.stderr)
+    return 0
+
+
 def _execute_check(cmd: CheckCommand) -> int:
     spec = get_check(cmd.id)
-    params = CheckParams(
-        p=cmd.p, a=cmd.a, m=cmd.m, n=cmd.n, A=cmd.A, B=cmd.B, force=cmd.force
-    )
-    # The m column renders the check's free parameter: m, or n for the
-    # n-indexed conjecture.
-    m_col = cmd.m if spec.uses_m else (cmd.n if spec.uses_n else None)
+    params = cmd.params
+    # The m column renders the parameter the check is indexed by: m, or n
+    # for the n-indexed conjecture.
+    m_col = getattr(params, spec.index) if spec.index else None
     # The header goes out only with its row: a CheckError prints neither.
     try:
         v = run_check(cmd.id, params)
@@ -270,33 +220,8 @@ def _execute_check(cmd: CheckCommand) -> int:
         v = None
         print(f"skipped: {exc}", file=sys.stderr)
     print(CSV_COLUMNS)
-    print(csv_row(verdict_row(cmd.id, cmd.p, cmd.a, m_col, v)))
-    if v is None or v.passed:
-        return 0
-    if spec.kind is CheckKind.CONJECTURE:
-        print("warning: conjecture counterexample candidate", file=sys.stderr)
-        return 0
-    return 1
-
-
-def _scan_exit_code(report: Report) -> int:
-    hard_fail = False
-    conjecture_fail = False
-    for row in report.rows:
-        if row.status != "FAIL":
-            continue
-        if get_check(row.check_id).kind is CheckKind.CONJECTURE:
-            conjecture_fail = True
-        else:
-            hard_fail = True
-    if hard_fail:
-        return 1
-    if conjecture_fail:
-        print(
-            "warning: conjecture counterexample candidates found (exit stays 0)",
-            file=sys.stderr,
-        )
-    return 0
+    print(csv_row(verdict_row(cmd.id, params.p, params.a, m_col, v)))
+    return _exit_code(set() if v is None or v.passed else {cmd.id})
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -311,7 +236,7 @@ def _execute_scan(cmd: ScanCommand) -> int:
     report = scan(cmd.request)
     text = render_csv(report) if cmd.format == "csv" else render_jsonl(report)
     _write_or_print(text, cmd.out)
-    return _scan_exit_code(report)
+    return _exit_code({row.check_id for row in report.rows if row.status == "FAIL"})
 
 
 def _execute_wss(cmd: WssCommand) -> int:
@@ -351,7 +276,7 @@ def main(argv: list[str] | None = None) -> int:
     except CheckError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (UsageError, ValueError, CheckpointCorrupt) as exc:
+    except (UsageError, CheckpointCorrupt) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,6 +15,7 @@ import os
 import random
 from dataclasses import dataclass, field, fields
 from math import isqrt
+from operator import attrgetter
 
 from ._version import __version__
 from .binomsums import PrimeTables
@@ -23,7 +24,6 @@ from .checks import (
     BudgetExceeded,
     CheckError,
     CheckParams,
-    UnknownCheckId,
     Verdict,
     get_check,
     run_check,
@@ -110,7 +110,11 @@ class ScanRequest:
     """One deterministic batch of checks.
 
     Identical requests (seed included) produce byte-identical reports no
-    matter how many workers run them.
+    matter how many workers run them.  A request no scan can run is
+    refused on construction: ``UnknownCheckId`` for an unknown id, and
+    ``ValueError`` for no ids, an n-indexed id (a scan never sets n, so
+    every one of its rows would be a SKIP), ``p_min > p_max``, or
+    ``a_max``, ``jobs`` or ``budget`` below 1.
     """
 
     check_ids: tuple[str, ...]
@@ -121,6 +125,21 @@ class ScanRequest:
     jobs: int = 1
     budget: int = DEFAULT_TERM_BUDGET
     force: bool = False
+
+    def __post_init__(self) -> None:
+        if not self.check_ids:
+            raise ValueError("a scan must name at least one check")
+        for cid in self.check_ids:
+            if get_check(cid).index == "n":
+                raise ValueError(
+                    f"{cid} is indexed by n, which a scan does not set; "
+                    "use check --n or run_conj11n_range"
+                )
+        if self.p_min > self.p_max:
+            raise ValueError(f"p_min {self.p_min} exceeds p_max {self.p_max}")
+        for name in ("a_max", "jobs", "budget"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -190,7 +209,7 @@ def _prime_worker(task) -> list[Row]:
     rows: list[Row] = []
     for cid in ids:
         spec = get_check(cid)
-        m_list = _m_values(p, policies) if spec.uses_m else [None]
+        m_list = _m_values(p, policies) if spec.index == "m" else [None]
         for a in range(1, a_max + 1):
             for m in m_list:
                 params = CheckParams(p=p, a=a, m=m, force=force, budget=budget)
@@ -213,17 +232,9 @@ def scan(request: ScanRequest) -> Report:
     Out-of-domain and over-budget combinations become SKIP rows, never
     errors; rows are ordered by (p, check_id, a, m).  A ``CheckError``
     (arithmetic that breaks) propagates, unless the request is forced,
-    where it becomes a SKIP row too.  An n-indexed check
-    is refused with ``ValueError``: a scan never sets n, so every one of
-    its rows would be a SKIP.
+    where it becomes a SKIP row too.
     """
     ids = tuple(sorted(set(request.check_ids)))
-    for cid in ids:
-        if get_check(cid).uses_n:  # get_check raises UnknownCheckId eagerly
-            raise ValueError(
-                f"{cid} is indexed by n, which a scan does not set; "
-                "use check --n or run_conj11n_range"
-            )
     primes = [p for p in sieve_primes(request.p_min, request.p_max) if p > 2]
     tasks = [
         (p, ids, request.a_max, request.m_policy, request.budget, request.force)
@@ -250,8 +261,9 @@ def scan(request: ScanRequest) -> Report:
 # one object per line with identical field names.
 # ---------------------------------------------------------------------------
 
-CSV_COLUMNS = "check_id,p,a,m,exponent,lhs,rhs,defect_valuation,status"
 _ROW_FIELDS = tuple(f.name for f in fields(Row))
+CSV_COLUMNS = ",".join(_ROW_FIELDS)
+_row_values = attrgetter(*_ROW_FIELDS)
 
 
 def _policy_text(policies: tuple[MPolicy, ...]) -> str:
@@ -264,6 +276,30 @@ def _policy_text(policies: tuple[MPolicy, ...]) -> str:
         else:
             parts.append("list:" + ",".join(str(v) for v in pol.values))
     return "+".join(parts)
+
+
+def _policy_from_text(text: str) -> tuple[MPolicy, ...]:
+    """The inverse of ``_policy_text``; ``ValueError`` for text it never renders."""
+    return tuple(_one_policy(part) for part in text.split("+"))
+
+
+def _one_policy(text: str) -> MPolicy:
+    if text == "all":
+        return AllSmall()
+    if text.startswith("sample:"):
+        parts = text.split(":")
+        if len(parts) != 3:
+            raise ValueError(f"bad m-policy {text!r}: expected sample:<count>:<seed>")
+        try:
+            return Sample(int(parts[1]), int(parts[2]))
+        except ValueError:
+            raise ValueError(f"bad m-policy {text!r}: count and seed must be integers") from None
+    if text.startswith("list:"):
+        try:
+            return MList(tuple(int(v) for v in text.removeprefix("list:").split(",")))
+        except ValueError:
+            raise ValueError(f"bad m-policy {text!r}: values must be integers") from None
+    raise ValueError(f"bad m-policy {text!r}: expected all, sample:<n>:<seed> or list:<v,...>")
 
 
 def _sample_seed(request: ScanRequest) -> str:
@@ -302,25 +338,9 @@ def _header_lines(report: Report) -> list[str]:
     ]
 
 
-def _cell(value) -> str:
-    return "" if value is None else str(value)
-
-
 def csv_row(row: Row) -> str:
     """One report row in ``CSV_COLUMNS`` order; absent values are empty."""
-    return ",".join(
-        (
-            row.check_id,
-            str(row.p),
-            str(row.a),
-            _cell(row.m),
-            _cell(row.exponent),
-            _cell(row.lhs),
-            _cell(row.rhs),
-            _cell(row.defect_valuation),
-            row.status,
-        )
-    )
+    return ",".join(["" if v is None else str(v) for v in _row_values(row)])
 
 
 def render_csv(report: Report) -> str:

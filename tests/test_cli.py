@@ -1,7 +1,10 @@
 import json
+from functools import partial
 
 import pytest
 
+from fibmod import cli
+from fibmod.checks import CheckParams, run_check
 from fibmod.cli import (
     CheckCommand,
     ListChecksCommand,
@@ -14,13 +17,14 @@ from fibmod.cli import (
     render_args,
 )
 from fibmod.scanner import AllSmall, MList, Sample, ScanRequest
+from fibmod.sequences import DomainError
 
 
 def test_parse_check():
     cmd = parse_args(["check", "--id", "T1_1", "--p", "7", "--a", "1"])
-    assert cmd == CheckCommand("T1_1", 7, 1)
+    assert cmd == CheckCommand("T1_1", CheckParams(7, 1))
     cmd = parse_args(["check", "--id", "T2_MAIN", "--p", "11", "--m", "-16", "--force"])
-    assert cmd == CheckCommand("T2_MAIN", 11, 1, m=-16, force=True)
+    assert cmd == CheckCommand("T2_MAIN", CheckParams(11, 1, m=-16, force=True))
 
 
 def test_parse_scan():
@@ -76,6 +80,7 @@ def test_parse_wss_and_list():
         ["check", "--id", "CONJ1_1N", "--n", "-1"],
         ["check", "--id", "T2_MAIN", "--p", "7"],  # no --m
         ["check", "--id", "CONJ1_1N"],  # no --n
+        ["scan", "--ids", "T1_1", "--pmin", "3", "--pmax", "5", "--m-policy", "list:"],
     ],
 )
 def test_usage_errors(argv):
@@ -84,12 +89,46 @@ def test_usage_errors(argv):
     assert main(argv) == 2
 
 
+_T1_1_SCAN = ["scan", "--ids", "T1_1", "--pmin", "3", "--pmax", "13"]
+
+
+@pytest.mark.parametrize(
+    "library_call, error, argv",
+    [
+        (partial(ScanRequest, ("T1_1",), 3, 13, budget=0), ValueError, _T1_1_SCAN + ["--budget", "0"]),
+        (partial(ScanRequest, ("T1_1",), 3, 13, a_max=0), ValueError, _T1_1_SCAN + ["--amax", "0"]),
+        (partial(ScanRequest, ("T1_1",), 3, 13, jobs=0), ValueError, _T1_1_SCAN + ["--jobs", "0"]),
+        (partial(ScanRequest, ("T1_1",), 13, 3), ValueError, _T1_1_SCAN + ["--pmin", "13", "--pmax", "3"]),
+        (partial(ScanRequest, (), 3, 13), ValueError, ["scan", "--ids", "", "--pmin", "3", "--pmax", "13"]),
+        (
+            partial(run_check, "T1_1", CheckParams(p=7, n=-1)),
+            DomainError,
+            ["check", "--id", "T1_1", "--p", "7", "--n", "-1"],
+        ),
+    ],
+    ids=["budget=0", "a_max=0", "jobs=0", "pmin>pmax", "no-ids", "n<0"],
+)
+def test_library_and_cli_refuse_the_same_requests(library_call, error, argv):
+    with pytest.raises(error):
+        library_call()
+    assert main(argv) == 2
+
+
+def test_stray_value_error_is_not_a_usage_error(monkeypatch):
+    def broken_scan(request):
+        raise ValueError("stray")
+
+    monkeypatch.setattr(cli, "scan", broken_scan)
+    with pytest.raises(ValueError, match="stray"):
+        main(_T1_1_SCAN + ["--jobs", "1"])
+
+
 def test_round_trip_identity():
     commands = [
-        CheckCommand("T1_1", 7, 1),
-        CheckCommand("T2_MAIN", 11, 2, m=-16, force=True),
-        CheckCommand("CONJ1_1N", 3, 1, n=17),
-        CheckCommand("L3_2", 7, 1, A=3, B=2),
+        CheckCommand("T1_1", CheckParams(7, 1)),
+        CheckCommand("T2_MAIN", CheckParams(11, 2, m=-16, force=True)),
+        CheckCommand("CONJ1_1N", CheckParams(3, 1, n=17)),
+        CheckCommand("L3_2", CheckParams(7, 1, A=3, B=2)),
         ScanCommand(
             ScanRequest(
                 check_ids=("T1_1", "C1_1_8"),
@@ -176,6 +215,9 @@ def test_check_n_indexed(capsys):
     assert code == 0
     # the m column carries n for the n-indexed check
     assert out[1].split(",")[3] == "17"
+    # and nothing for a check indexed by neither m nor n
+    main(["check", "--id", "T1_1", "--p", "7", "--m", "5"])
+    assert capsys.readouterr().out.splitlines()[1].split(",")[3] == ""
 
 
 def test_scan_to_csv_file(tmp_path, capsys):
