@@ -250,22 +250,37 @@ def central_binomial_stream(modulus: Modulus, max_k: int) -> Iterator[PadicFacto
         yield PadicFactored(modulus, v, u)
 
 
+def _central_sum(
+    base: int,
+    upper: int,
+    modulus: Modulus,
+    weight: WeightKind,
+    tables: PrimeTables | None,
+    signed: bool = False,
+) -> int:
+    """sum_{k=0}^{upper} weight(k) C(2k,k) x^k mod p^e, where x is the
+    base when ``signed`` and its inverse otherwise.
+
+    The base is inverted once and applied by Horner's rule.  A single
+    term never inverts, so the base may then be anything; otherwise an
+    unsigned sum raises ``NotInvertible`` when p divides the base.
+    """
+    p, pe = modulus.p, modulus.m
+    if not signed and upper:
+        if base % p == 0:
+            raise NotInvertible(f"base {base} is divisible by p = {p}")
+        base = pow(base, -1, pe)
+    tables = PrimeTables() if tables is None else tables
+    return _sum_with_power(base % pe, upper, modulus, weight, tables)
+
+
 def evaluate_sum(spec: SumSpec, tables: PrimeTables | None = None) -> ResidueClass:
     """Evaluate  sum_{k=0}^{upper} weight(k) C(2k,k) inv(base)^k  mod p^e.
 
-    The base is inverted once and applied by Horner's rule.  A sum of
-    length zero never inverts, so the base may then be anything.  Sums
-    that share ``tables`` share their residue tables.
+    Sums that share ``tables`` share their residue tables.
     """
     md = spec.modulus
-    tables = PrimeTables() if tables is None else tables
-    if spec.upper == 0:
-        # Single term: weight(0) * C(0,0); the base is never inverted.
-        return ResidueClass(md, _sum_with_power(1, 0, md, spec.weight, tables))
-    if spec.base % md.p == 0:
-        raise NotInvertible(f"base {spec.base} is divisible by p = {md.p}")
-    x = pow(spec.base % md.m, -1, md.m)
-    return ResidueClass(md, _sum_with_power(x, spec.upper, md, spec.weight, tables))
+    return ResidueClass(md, _central_sum(spec.base, spec.upper, md, spec.weight, tables))
 
 
 def signed_central_sum(
@@ -280,26 +295,21 @@ def signed_central_sum(
     The positive-power twin of ``evaluate_sum``: s^k needs no inversion,
     so s may be divisible by p.
     """
-    tables = PrimeTables() if tables is None else tables
-    return ResidueClass(
-        modulus, _sum_with_power(s % modulus.m, upper, modulus, weight, tables)
-    )
+    return ResidueClass(modulus, _central_sum(s, upper, modulus, weight, tables, signed=True))
 
 
-def alternating_harmonic(
-    bound: int, modulus: Modulus, tables: PrimeTables | None = None
-) -> ResidueClass:
+def alternating_harmonic(bound: int, modulus: Modulus, tables: PrimeTables | None = None) -> int:
     """sum_{k=1}^{bound} (-1)^k / k mod p^e, for bound < p."""
     p, pe = modulus.p, modulus.m
     if bound >= p:
         raise NotInvertible(f"bound {bound} reaches a multiple of p = {p}")
     tab = _inv_table(p, pe, bound, PrimeTables() if tables is None else tables)
-    return ResidueClass(modulus, (sum(tab[2 : bound + 1 : 2]) - sum(tab[1 : bound + 1 : 2])) % pe)
+    return (sum(tab[2 : bound + 1 : 2]) - sum(tab[1 : bound + 1 : 2])) % pe
 
 
 def power_over_square_sum(
     base_num: int, base_den: int, modulus: Modulus, tables: PrimeTables | None = None
-) -> ResidueClass:
+) -> int:
     """sum_{k=1}^{p-1} (base_num/base_den)^k / k^2 mod p^e."""
     p, pe = modulus.p, modulus.m
     if base_den % p == 0:
@@ -311,7 +321,7 @@ def power_over_square_sum(
     for k in range(1, p):
         xk = xk * x % pe
         acc = (acc + xk * tab[k] % pe * tab[k]) % pe
-    return ResidueClass(modulus, acc)
+    return acc
 
 
 def exact_lagrange(params: LucasParams, n: int) -> int:

@@ -20,17 +20,15 @@ from typing import Callable
 
 from .binomsums import (
     PrimeTables,
-    SumSpec,
     WeightDomain,
     WeightKind,
     _cb_vu,
+    _central_sum,
     _inv_table,
     _residues_from_vu,
     alternating_harmonic,
-    evaluate_sum,
     floor_multiple,
     power_over_square_sum,
-    signed_central_sum,
 )
 from .modarith import (
     LucasParams,
@@ -172,18 +170,18 @@ def _fib_sign(pr: CheckParams) -> int:
     return jacobi(pr.p, 5) ** pr.a
 
 
-def mbar(m: int, p: int, e: int) -> ResidueClass:
-    """The unit attached to the Lucas term of the base-m sum family:
-    1 when m = 4 (mod p), 2 when (4-m/p) = 1, and 2/m when (4-m/p) = -1.
+def mbar(m: int, p: int, e: int) -> int:
+    """The unit attached to the Lucas term of the base-m sum family, mod
+    p^e: 1 when m = 4 (mod p), 2 when (4-m/p) = 1, and 2/m when (4-m/p) = -1.
     """
     if m % p == 0:
         raise NotInvertible(f"p = {p} divides m = {m}")
-    md = Modulus(p, e)
     if (m - 4) % p == 0:
-        return ResidueClass(md, 1)
+        return 1
     if jacobi(4 - m, p) == 1:
-        return ResidueClass(md, 2)
-    return ResidueClass(md, 2 * pow(m % md.m, -1, md.m))
+        return 2
+    pe = p**e
+    return 2 * pow(m, -1, pe) % pe
 
 
 def _s3(x: int) -> int:
@@ -229,9 +227,7 @@ def _sum_side(
 
     def side(pr, md, tables):
         b = base(pr) if callable(base) else base
-        if signed:
-            return signed_central_sum(b, upper(pr), md, weight, tables).value
-        return evaluate_sum(SumSpec(b, upper(pr), weight, md), tables).value
+        return _central_sum(b, upper(pr), md, weight, tables, signed)
 
     side.upper = upper
     return side
@@ -268,8 +264,8 @@ def _t1_2_rhs(pr, md, tables):
 def _t2_main_rhs(pr, md, tables):
     m, p = pr.m, pr.p
     j = jacobi(m * (m - 4), p)
-    u = lucas_uv_mod(LucasParams(4, m), entry_index(LucasParams(4, m), p), md).u.value
-    mb = mbar(m, p, md.e).value
+    u, _ = lucas_uv_mod(LucasParams(4, m), entry_index(LucasParams(4, m), p), md)
+    mb = mbar(m, p, md.e)
     return (j**pr.a + jacobi(-m, p) * j ** (pr.a - 1) * mb % md.m * u) % md.m
 
 
@@ -303,12 +299,12 @@ def _basic_p_rhs(pr, md, tables):
 
 
 def _williams_lhs(pr, md, tables):
-    return fibonacci_quotient(pr.p, md.e).value
+    return fibonacci_quotient(pr.p, md.e)
 
 
 def _williams_rhs(pr, md, tables):
     pe = md.m
-    h = alternating_harmonic(4 * pr.p // 5, md, tables).value
+    h = alternating_harmonic(4 * pr.p // 5, md, tables)
     return 2 * pow(5, -1, pe) * h % pe
 
 
@@ -413,8 +409,7 @@ def l2_2a_displayed_rhs(p: int, a: int = 1, e: int = 3) -> ResidueClass:
 
 def _l2_2b_lhs(pr, md, tables):
     pe = md.m
-    pair = lucas_uv_mod(FIB, pr.p**pr.a, md)
-    f, lu = pair.u.value, pair.v.value
+    f, lu = lucas_uv_mod(FIB, pr.p**pr.a, md)
     return ((lu - 1) * pow(5, -1, pe) - _fib_sign(pr) * f + 1) % pe
 
 
@@ -426,13 +421,13 @@ def _l2_2b_rhs(pr, md, tables):
 
 def _l2_3a_rhs(pr, md, tables):
     pe = md.m
-    q = fibonacci_quotient(pr.p, md.e).value
+    q = fibonacci_quotient(pr.p, md.e)
     return jacobi(pr.p, 5) * 5 % pe * pow(2, -1, pe) % pe * q % pe * q % pe
 
 
 def _l2_3b_rhs(pr, md, tables):
     pe = md.m
-    q = fermat_quotient(2, pr.p, md.e).value
+    q = fermat_quotient(2, pr.p, md.e)
     return 2 * pow(3, -1, pe) % pe * q % pe * q % pe
 
 
@@ -451,32 +446,32 @@ def _mt_26_rhs(pr, md, tables):
 def _mt_27_rhs(pr, md, tables):
     # -2 sum u_k/k^2 with u_k = 2(2^k - 2^-k)/3, split into two power sums.
     pe = md.m
-    s2 = power_over_square_sum(2, 1, md, tables).value
-    s_half = power_over_square_sum(1, 2, md, tables).value
+    s2 = power_over_square_sum(2, 1, md, tables)
+    s_half = power_over_square_sum(1, 2, md, tables)
     return -4 * pow(3, -1, pe) * (s2 - s_half) % pe
 
 
 def _aux_granville_lhs(pr, md, tables):
-    return power_over_square_sum(2, 1, md, tables).value
+    return power_over_square_sum(2, 1, md, tables)
 
 
 def _aux_granville_rhs(pr, md, tables):
-    q = fermat_quotient(2, pr.p, md.e).value
+    q = fermat_quotient(2, pr.p, md.e)
     return -q * q % md.m
 
 
 def _aux_s08_lhs(pr, md, tables):
-    return power_over_square_sum(1, 2, md, tables).value
+    return power_over_square_sum(1, 2, md, tables)
 
 
 def _aux_s08_rhs(pr, md, tables):
     pe = md.m
-    q = fermat_quotient(2, pr.p, md.e).value
+    q = fermat_quotient(2, pr.p, md.e)
     return -q * q % pe * pow(2, -1, pe) % pe
 
 
 def _aux_st_lhs(pr, md, tables):
-    return 2 * (lucas_uv_mod(FIB, pr.p, md).v.value - 1) % md.m
+    return 2 * (lucas_uv_mod(FIB, pr.p, md)[1] - 1) % md.m
 
 
 def _aux_st_rhs(pr, md, tables):
@@ -484,7 +479,7 @@ def _aux_st_rhs(pr, md, tables):
 
 
 def _aux_ss_lhs(pr, md, tables):
-    return lucas_uv_mod(FIB, pr.p - jacobi(5, pr.p), md).v.value
+    return lucas_uv_mod(FIB, pr.p - jacobi(5, pr.p), md)[1]
 
 
 def _aux_ss_rhs(pr, md, tables):
@@ -492,7 +487,7 @@ def _aux_ss_rhs(pr, md, tables):
 
 
 def _v_cong_a_lhs(pr, md, tables):
-    return lucas_uv_mod(_ab(pr), pr.p, md).v.value
+    return lucas_uv_mod(_ab(pr), pr.p, md)[1]
 
 
 def _v_cong_a_rhs(pr, md, tables):
@@ -500,14 +495,14 @@ def _v_cong_a_rhs(pr, md, tables):
 
 
 def _l3_2_lhs(pr, md, tables):
-    return lucas_uv_mod(_ab(pr), pr.p, md).u.value
+    return lucas_uv_mod(_ab(pr), pr.p, md)[0]
 
 
 def _l3_2_rhs(pr, md, tables):
     ab = _ab(pr)
     p, pe = pr.p, md.m
     jd = jacobi(ab.delta, p)
-    un = lucas_uv_mod(ab, entry_index(ab, p), md).u.value
+    un, _ = lucas_uv_mod(ab, entry_index(ab, p), md)
     bpow = 1 if jd == 1 else pow(ab.B % pe, -1, pe)
     inv2 = pow(2, -1, pe)
     return (ab.A * inv2 % pe * bpow % pe * un + jd * (pow(ab.B % pe, p - 1, pe) + 1) * inv2) % pe
@@ -1167,8 +1162,10 @@ def run_conj11n_range(n_max: int, budget: int = DEFAULT_TERM_BUDGET) -> list[Ver
 
     All sums share a single accumulation at the largest needed 3-adic
     precision; each n is then compared at its own exponent.  Agreement
-    with per-n ``run_check`` calls is pinned by tests.
+    with per-n ``run_check`` calls is pinned by tests.  A negative
+    ``n_max`` is refused as ``check_request`` refuses a negative n.
     """
+    check_request("CONJ1_1N", CheckParams(p=3, n=n_max))
     if n_max > budget:
         raise BudgetExceeded(f"n_max = {n_max} exceeds budget {budget}")
     e_top = max(_conj11n_valuation(n) + 2 for n in range(n_max + 1))

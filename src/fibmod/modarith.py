@@ -1,10 +1,11 @@
 """Residue arithmetic modulo odd prime powers.
 
-Everything in this module is exact integer arithmetic: canonical residues
-in [0, p^e), Jacobi symbols, and a factored representation p^v * u that
-keeps division by p (and by multiples of p) exact.  All values are
-immutable after construction and all operations are pure, so they can be
-shared freely across worker processes.
+Everything in this module is exact integer arithmetic: the modulus p^e,
+Jacobi symbols, and the two value types of the public edge, a canonical
+residue in [0, p^e) and a factored integer p^v * u.  Inside the package
+residues are plain ints in [0, p^e).  All values are immutable after
+construction and all operations are pure, so they can be shared freely
+across worker processes.
 """
 
 from __future__ import annotations
@@ -103,16 +104,12 @@ class Modulus:
     def __repr__(self) -> str:
         return f"Modulus({self.p}^{self.e})"
 
-    def residue(self, value: int) -> "ResidueClass":
-        return ResidueClass(self, value)
-
 
 class ResidueClass:
     """A canonical residue in [0, m) under a fixed odd prime power m.
 
-    Arithmetic is closed: sums, products and negations of residues under
-    one modulus are again canonical.  Mixed operations with plain ints
-    reduce the int first.
+    The value type of the public edge (``Verdict`` sides and the
+    documented sums); arithmetic inside the package runs on plain ints.
     """
 
     __slots__ = ("modulus", "value")
@@ -120,32 +117,6 @@ class ResidueClass:
     def __init__(self, modulus: Modulus, value: int) -> None:
         self.modulus = modulus
         self.value = value % modulus.m
-
-    def _coerce(self, other: "ResidueClass | int") -> int:
-        if isinstance(other, ResidueClass):
-            if other.modulus != self.modulus:
-                raise ValueError(f"modulus mismatch: {self.modulus} vs {other.modulus}")
-            return other.value
-        return other % self.modulus.m
-
-    def __add__(self, other: "ResidueClass | int") -> "ResidueClass":
-        return ResidueClass(self.modulus, self.value + self._coerce(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "ResidueClass | int") -> "ResidueClass":
-        return ResidueClass(self.modulus, self.value - self._coerce(other))
-
-    def __rsub__(self, other: int) -> "ResidueClass":
-        return ResidueClass(self.modulus, other - self.value)
-
-    def __mul__(self, other: "ResidueClass | int") -> "ResidueClass":
-        return ResidueClass(self.modulus, self.value * self._coerce(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "ResidueClass":
-        return ResidueClass(self.modulus, -self.value)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, ResidueClass):
@@ -156,9 +127,6 @@ class ResidueClass:
 
     def __hash__(self) -> int:
         return hash((self.modulus, self.value))
-
-    def __int__(self) -> int:
-        return self.value
 
     def __repr__(self) -> str:
         return f"{self.value} (mod {self.modulus.p}^{self.modulus.e})"
@@ -180,9 +148,8 @@ class LucasParams:
 class PadicFactored:
     """An integer written as p^v * u with the unit u known modulo p^e.
 
-    The unit precision is pinned to the target modulus for the whole
-    computation; multiplication and exact division are then loss-free,
-    and additions only ever happen after ``to_residue``.
+    The term type of ``central_binomial_stream``: the valuation is exact
+    even where p^v exceeds the modulus, and ``to_residue`` reduces it.
     """
 
     __slots__ = ("modulus", "valuation", "unit")
@@ -196,29 +163,6 @@ class PadicFactored:
         self.modulus = modulus
         self.valuation = valuation
         self.unit = u
-
-    def __mul__(self, other: "PadicFactored") -> "PadicFactored":
-        if other.modulus != self.modulus:
-            raise ValueError("modulus mismatch in p-adic multiplication")
-        return PadicFactored(
-            self.modulus,
-            self.valuation + other.valuation,
-            self.unit * other.unit % self.modulus.m,
-        )
-
-    def __truediv__(self, other: "PadicFactored") -> "PadicFactored":
-        if other.modulus != self.modulus:
-            raise ValueError("modulus mismatch in p-adic division")
-        if self.valuation < other.valuation:
-            raise NegativeValuation(
-                f"cannot divide p^{self.valuation}-valued term by p^{other.valuation}"
-            )
-        inv_u = pow(other.unit, -1, self.modulus.m)
-        return PadicFactored(
-            self.modulus,
-            self.valuation - other.valuation,
-            self.unit * inv_u % self.modulus.m,
-        )
 
     def to_residue(self) -> ResidueClass:
         md = self.modulus
@@ -240,20 +184,6 @@ class PadicFactored:
 
     def __repr__(self) -> str:
         return f"{self.modulus.p}^{self.valuation} * {self.unit} (mod {self.modulus.p}^{self.modulus.e})"
-
-
-def pow_mod(base: int, exp: int, modulus: Modulus) -> ResidueClass:
-    """base^exp mod p^e by square-and-multiply; exp = 0 yields 1."""
-    if exp < 0:
-        raise ValueError("exponent must be nonnegative")
-    return ResidueClass(modulus, pow(base % modulus.m, exp, modulus.m))
-
-
-def inv_mod(x: int, modulus: Modulus) -> ResidueClass:
-    """The inverse of x modulo p^e, by extended Euclid."""
-    if x % modulus.p == 0:
-        raise NotInvertible(f"{x} is divisible by p = {modulus.p}")
-    return ResidueClass(modulus, pow(x % modulus.m, -1, modulus.m))
 
 
 def jacobi(n: int, d: int) -> int:

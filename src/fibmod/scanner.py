@@ -94,12 +94,20 @@ class Sample:
     count: int
     seed: int
 
+    def __post_init__(self) -> None:
+        if self.count < 1:
+            raise ValueError(f"a sample must draw at least one m, got count {self.count}")
+
 
 @dataclass(frozen=True)
 class MList:
     """An explicit list of m values."""
 
     values: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if not self.values:
+            raise ValueError("an m list must hold at least one value")
 
 
 MPolicy = AllSmall | Sample | MList
@@ -113,8 +121,9 @@ class ScanRequest:
     matter how many workers run them.  A request no scan can run is
     refused on construction: ``UnknownCheckId`` for an unknown id, and
     ``ValueError`` for no ids, an n-indexed id (a scan never sets n, so
-    every one of its rows would be a SKIP), ``p_min > p_max``, or
-    ``a_max``, ``jobs`` or ``budget`` below 1.
+    every one of its rows would be a SKIP), ``p_min > p_max``, no m
+    policy, or ``a_max``, ``jobs`` or ``budget`` below 1.  The policies
+    refuse themselves when they select no m.
     """
 
     check_ids: tuple[str, ...]
@@ -137,6 +146,8 @@ class ScanRequest:
                 )
         if self.p_min > self.p_max:
             raise ValueError(f"p_min {self.p_min} exceeds p_max {self.p_max}")
+        if not self.m_policy:
+            raise ValueError("a scan must name at least one m policy")
         for name in ("a_max", "jobs", "budget"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -291,9 +302,10 @@ def _one_policy(text: str) -> MPolicy:
         if len(parts) != 3:
             raise ValueError(f"bad m-policy {text!r}: expected sample:<count>:<seed>")
         try:
-            return Sample(int(parts[1]), int(parts[2]))
+            count, seed = int(parts[1]), int(parts[2])
         except ValueError:
             raise ValueError(f"bad m-policy {text!r}: count and seed must be integers") from None
+        return Sample(count, seed)
     if text.startswith("list:"):
         try:
             return MList(tuple(int(v) for v in text.removeprefix("list:").split(",")))

@@ -9,9 +9,7 @@ of precision so no big-integer arithmetic is ever needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .modarith import LucasParams, Modulus, NotInvertible, ResidueClass, jacobi
+from .modarith import LucasParams, Modulus, NotInvertible, jacobi
 
 
 class DomainError(Exception):
@@ -22,17 +20,8 @@ class NotDivisible(Exception):
     """An allegedly p-divisible value was not; signals an arithmetic bug."""
 
 
-@dataclass(frozen=True)
-class LucasPair:
-    """(u_n, v_n) under one modulus, tagged with the index n."""
-
-    u: ResidueClass
-    v: ResidueClass
-    index: int
-
-
-def lucas_uv_mod(params: LucasParams, n: int, modulus: Modulus) -> LucasPair:
-    """Compute (u_n, v_n) mod p^e in O(log n) ring operations.
+def lucas_uv_mod(params: LucasParams, n: int, modulus: Modulus) -> tuple[int, int]:
+    """(u_n, v_n) mod p^e, in O(log n) ring operations.
 
     Fast doubling: from (u_j, v_j, B^j) the index is doubled via
 
@@ -61,7 +50,7 @@ def lucas_uv_mod(params: LucasParams, n: int, modulus: Modulus) -> LucasPair:
                     (delta * u + A * v) * inv2 % m,
                     bn * B % m,
                 )
-    return LucasPair(ResidueClass(modulus, u), ResidueClass(modulus, v), n)
+    return u, v
 
 
 def _fib_pair_mod(n: int, m: int) -> tuple[int, int]:
@@ -90,28 +79,27 @@ def entry_index(params: LucasParams, p: int) -> int:
     return p - jacobi(params.delta, p)
 
 
-def fibonacci_quotient(p: int, e: int) -> ResidueClass:
-    """The integer F_{p - (p/5)} / p, as a residue mod p^e.
+def fibonacci_quotient(p: int, e: int) -> int:
+    """The integer F_{p - (p/5)} / p, reduced mod p^e.
 
     F is computed mod p^(e+1) by fast doubling, divisibility by p is
     asserted, and the quotient is reduced to p^e.
     """
     if p in (2, 5):
         raise DomainError("Fibonacci quotient is undefined for p in {2, 5}")
-    hi = Modulus(p, e + 1)
     idx = p - jacobi(p, 5)
-    f = _fib_pair_mod(idx, hi.m)[0]
+    f = _fib_pair_mod(idx, p ** (e + 1))[0]
     if f % p:
         raise NotDivisible(f"F_{idx} is not divisible by {p}")
-    return ResidueClass(Modulus(p, e), f // p)
+    return f // p
 
 
-def fermat_quotient(b: int, p: int, e: int) -> ResidueClass:
-    """The Fermat quotient (b^(p-1) - 1) / p, as a residue mod p^e."""
+def fermat_quotient(b: int, p: int, e: int) -> int:
+    """The Fermat quotient (b^(p-1) - 1) / p, reduced mod p^e."""
     if b % p == 0:
         raise NotInvertible(f"p = {p} divides the base {b}")
-    hi = Modulus(p, e + 1)
-    t = (pow(b % hi.m, p - 1, hi.m) - 1) % hi.m
+    hi = p ** (e + 1)
+    t = (pow(b % hi, p - 1, hi) - 1) % hi
     if t % p:
         raise NotDivisible(f"{b}^{p - 1} - 1 is not divisible by {p}")
-    return ResidueClass(Modulus(p, e), t // p)
+    return t // p

@@ -88,9 +88,10 @@ def test_l2_2a_corrected_vs_displayed():
 
 
 def test_mbar_examples():
-    assert mbar(4, 11, 1).value == 1
-    assert mbar(3, 11, 1).value == 2  # (1/11) = 1
-    assert mbar(8, 7, 2).value == 37  # (-4/7) = -1, 2/8 = 37 (mod 49)
+    assert mbar(4, 11, 1) == 1
+    assert mbar(3, 11, 1) == 2  # (1/11) = 1
+    assert mbar(8, 7, 2) == 37  # (-4/7) = -1, 2/8 = 37 (mod 49)
+    assert type(mbar(8, 7, 2)) is int
     with pytest.raises(NotInvertible):
         mbar(22, 11, 1)
 
@@ -110,6 +111,8 @@ def test_domain_errors():
         run_check("T1_1", CheckParams(p=9))  # not prime
     with pytest.raises(DomainError):
         run_check("T1_1", CheckParams(p=7, a=0))
+    with pytest.raises(DomainError, match="n must be >= 0"):
+        run_conj11n_range(-1)
 
 
 def test_budget():

@@ -90,6 +90,7 @@ def test_usage_errors(argv):
 
 
 _T1_1_SCAN = ["scan", "--ids", "T1_1", "--pmin", "3", "--pmax", "13"]
+_T2_SCAN = ["scan", "--ids", "T2_MAIN", "--pmin", "3", "--pmax", "7"]
 
 
 @pytest.mark.parametrize(
@@ -105,8 +106,18 @@ _T1_1_SCAN = ["scan", "--ids", "T1_1", "--pmin", "3", "--pmax", "13"]
             DomainError,
             ["check", "--id", "T1_1", "--p", "7", "--n", "-1"],
         ),
+        (partial(Sample, 0, 1), ValueError, _T2_SCAN + ["--m-policy", "sample:0:1"]),
+        (partial(MList, ()), ValueError, _T2_SCAN + ["--m-policy", "list:"]),
+        (
+            partial(ScanRequest, ("T2_MAIN",), 3, 7, m_policy=()),
+            ValueError,
+            _T2_SCAN + ["--m-policy", ""],
+        ),
     ],
-    ids=["budget=0", "a_max=0", "jobs=0", "pmin>pmax", "no-ids", "n<0"],
+    ids=[
+        "budget=0", "a_max=0", "jobs=0", "pmin>pmax", "no-ids", "n<0",
+        "sample-count<1", "empty-m-list", "no-m-policy",
+    ],
 )
 def test_library_and_cli_refuse_the_same_requests(library_call, error, argv):
     with pytest.raises(error):

@@ -7,16 +7,12 @@ from hypothesis import strategies as st
 from fibmod.modarith import (
     BadDenominator,
     Modulus,
-    NegativeValuation,
-    NotInvertible,
     PadicFactored,
     ResidueClass,
     ZeroInput,
-    inv_mod,
     is_prime,
     jacobi,
     padic_normalize,
-    pow_mod,
 )
 
 ODD_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 101, 9973]
@@ -50,46 +46,6 @@ def test_is_prime_matches_trial_division():
 
     for n in range(2000):
         assert is_prime(n) == trial(n), n
-
-
-def test_pow_mod_examples():
-    assert pow_mod(2, 4, Modulus(5, 3)).value == 16
-    assert pow_mod(2, 0, Modulus(7, 3)).value == 1
-    assert pow_mod(2, 6, Modulus(7, 3)).value == 64
-
-
-def test_inv_mod_examples():
-    assert inv_mod(1, Modulus(11, 2)).value == 1
-    assert inv_mod(8, Modulus(3, 3)).value == 17
-    assert 8 * 17 % 27 == 1
-    assert inv_mod(16, Modulus(7, 3)).value == 193
-    assert 16 * 193 % 343 == 1
-    with pytest.raises(NotInvertible):
-        inv_mod(7, Modulus(7, 2))
-
-
-@settings(max_examples=200)
-@given(
-    x=st.integers(min_value=-(10**9), max_value=10**9),
-    pe=st.sampled_from([(3, 3), (7, 2), (13, 4), (101, 1), (9973, 3)]),
-)
-def test_inverse_property(x, pe):
-    p, e = pe
-    md = Modulus(p, e)
-    if x % p == 0:
-        with pytest.raises(NotInvertible):
-            inv_mod(x, md)
-    else:
-        assert inv_mod(x, md).value * x % md.m == 1
-
-
-def test_euler_theorem():
-    for p, e in [(3, 4), (7, 3), (31, 2), (9973, 1)]:
-        md = Modulus(p, e)
-        order = p ** (e - 1) * (p - 1)
-        for x in (2, 5, 12, 1234567):
-            if x % p:
-                assert pow_mod(x, order, md).value == 1
 
 
 def test_jacobi_examples():
@@ -167,20 +123,12 @@ def test_padic_normalize_is_multiplicative():
         for _ in range(10**4):
             a = rng.randrange(1, 10**7)
             b = rng.randrange(1, 10**7)
-            lhs = padic_normalize(a * b, md)
-            rhs = padic_normalize(a, md) * padic_normalize(b, md)
-            assert lhs == rhs
-
-
-def test_padic_mul_div_examples():
-    md = Modulus(7, 2)
-    prod = PadicFactored(md, 1, 3) * PadicFactored(md, 1, 3)
-    assert (prod.valuation, prod.unit) == (2, 9)
-    md = Modulus(3, 3)
-    quot = PadicFactored(md, 2, 1) / PadicFactored(md, 1, 5)
-    assert (quot.valuation, quot.unit) == (1, 11)  # 5 * 11 = 55 = 1 (mod 27)
-    with pytest.raises(NegativeValuation):
-        PadicFactored(md, 0, 2) / PadicFactored(md, 1, 1)
+            ab = padic_normalize(a * b, md)
+            fa, fb = padic_normalize(a, md), padic_normalize(b, md)
+            assert (ab.valuation, ab.unit) == (
+                fa.valuation + fb.valuation,
+                fa.unit * fb.unit % md.m,
+            )
 
 
 def test_padic_unit_must_be_coprime():
@@ -195,19 +143,10 @@ def test_padic_to_residue_saturates_at_exponent():
 
 
 @settings(max_examples=200)
-@given(
-    x=st.integers(min_value=-(10**9), max_value=10**9),
-    y=st.integers(min_value=-(10**9), max_value=10**9),
-)
-def test_residue_arithmetic_is_closed(x, y):
+@given(x=st.integers(min_value=-(10**9), max_value=10**9))
+def test_residue_arithmetic_is_closed(x):
+    # Residues are built canonical; arithmetic on them runs on plain ints.
     md = Modulus(13, 3)
-    a, b = ResidueClass(md, x), ResidueClass(md, y)
-    for r in (a + b, a - b, a * b, -a, a + 5, 3 * b, 2 - a):
-        assert 0 <= r.value < md.m
-    assert (a + b).value == (x + y) % md.m
-    assert (a * b).value == (x * y) % md.m
-
-
-def test_residue_modulus_mismatch_rejected():
-    with pytest.raises(ValueError):
-        ResidueClass(Modulus(3, 2), 1) + ResidueClass(Modulus(5, 2), 1)
+    r = ResidueClass(md, x)
+    assert 0 <= r.value < md.m
+    assert r.value == x % md.m

@@ -209,7 +209,7 @@ def test_wss_signed_representative():
     # module cross-check: the scanner and the quotient map agree to 10^4
     for rec in wss_search(10_000):
         assert -rec.p // 2 < rec.quotient <= rec.p // 2
-        assert rec.quotient % rec.p == fibonacci_quotient(rec.p, 1).value
+        assert rec.quotient % rec.p == fibonacci_quotient(rec.p, 1)
 
 
 def test_wss_threshold_filters():

@@ -124,4 +124,4 @@ def test_alternating_harmonic(case):
     md = Modulus(p, e)
     exact = sum((Fraction((-1) ** k, k) for k in range(1, bound + 1)), Fraction(0))
     want = exact.numerator * pow(exact.denominator, -1, md.m) % md.m
-    assert alternating_harmonic(bound, md).value == want
+    assert alternating_harmonic(bound, md) == want
