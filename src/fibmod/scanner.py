@@ -13,7 +13,9 @@ import json
 import multiprocessing
 import os
 import random
+import re
 from dataclasses import dataclass, field, fields
+from itertools import compress
 from math import isqrt
 from operator import attrgetter
 
@@ -71,9 +73,7 @@ def sieve_primes(lo: int, hi: int) -> list[int]:
             if start >= high:
                 continue
             mask[start - low :: q] = bytes((high - start + q - 1) // q)
-        for i in range(high - low):
-            if mask[i] and low + i >= 2:
-                out.append(low + i)
+        out.extend(compress(range(low, high), mask))
     return out
 
 
@@ -397,34 +397,64 @@ class WssRecord:
     quotient: int
 
 
-CHECKPOINT_MAGIC = "wss-checkpoint v2"
-CHECKPOINT_V1 = "wss-checkpoint v1"  # still resumable; it has no near line
+CHECKPOINT_MAGIC = "wss-checkpoint v3"
+# Older versions still resume; the first write after such a resume
+# replaces the file with a v3 one.  v1 has no near line.
+CHECKPOINT_V2 = "wss-checkpoint v2"
+CHECKPOINT_V1 = "wss-checkpoint v1"
 CHECKPOINT_EVERY = 10_000
+_COMMIT = re.compile(r"commit last_prime=([0-9]+) records=([0-9]+)")
 
 
 def _near_text(near_threshold: int | None) -> str:
     return "all" if near_threshold is None else str(near_threshold)
 
 
-def _write_checkpoint(path: str, last_prime: int, near: str, records: list[WssRecord]) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="ascii") as fh:
-        fh.write(f"{CHECKPOINT_MAGIC}\n")
-        fh.write(f"last_prime={last_prime}\n")
-        fh.write(f"near={near}\n")
-        for rec in records:
-            fh.write(f"{rec.p},{rec.quotient}\n")
-    os.replace(tmp, path)
+def _write_checkpoint(
+    path: str, end: int | None, near: str, records: list[WssRecord], committed: int, last_prime: int
+) -> int:
+    """Commit ``records[committed:]`` and ``last_prime`` to ``path``; return the file's new length.
+
+    ``end`` is the length of the file up to its last commit line.  The
+    file is cut back to it, which drops a torn tail, and the new records
+    and a commit line are appended in one write, so each record is
+    written once.  With ``end`` None (no file yet, or a v1 or v2 file,
+    which hold no v3 commits, so ``committed`` is 0) a whole v3 file is
+    written to a temporary file and moved over ``path``.
+    """
+    text = "".join([f"{rec.p},{rec.quotient}\n" for rec in records[committed:]])
+    text += f"commit last_prime={last_prime} records={len(records)}\n"
+    if end is None:
+        text = f"{CHECKPOINT_MAGIC}\nnear={near}\n{text}"
+        tmp = path + ".tmp"
+        with open(tmp, "w", encoding="ascii") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+        return len(text)
+    os.truncate(path, end)
+    with open(path, "a", encoding="ascii") as fh:
+        fh.write(text)
+    return end + len(text)
 
 
-def _read_checkpoint(path: str) -> tuple[int, str | None, list[WssRecord]]:
-    """(last_prime, near, records) of a checkpoint; near is None for v1."""
+def _read_checkpoint(path: str) -> tuple[int, str | None, list[WssRecord], int | None]:
+    """(last_prime, near, records, end) of a checkpoint; near is None for v1.
+
+    ``end`` is the length of a v3 file up to its last commit line, or up
+    to its header when it has none, which resumes from p = 7.  Records
+    after that line are the torn tail of a killed run and are left out.
+    ``end`` is None for v1 and v2.  In every version the records' p must
+    rise strictly from 7 and stay within the last_prime that covers them.
+    """
     try:
-        with open(path, encoding="ascii") as fh:
-            lines = fh.read().splitlines()
+        with open(path, encoding="ascii", newline="") as fh:
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise CheckpointCorrupt(f"cannot read checkpoint {path}: {exc}") from exc
-    if not lines or lines[0] not in (CHECKPOINT_MAGIC, CHECKPOINT_V1):
+    if text.startswith(CHECKPOINT_MAGIC + "\n"):
+        return _read_v3(path, text.split("\n"))
+    lines = text.splitlines()
+    if not lines or lines[0] not in (CHECKPOINT_V2, CHECKPOINT_V1):
         raise CheckpointCorrupt(f"{path}: missing '{CHECKPOINT_MAGIC}' header")
     if len(lines) < 2 or not lines[1].startswith("last_prime="):
         raise CheckpointCorrupt(f"{path}: missing last_prime line")
@@ -434,22 +464,57 @@ def _read_checkpoint(path: str) -> tuple[int, str | None, list[WssRecord]]:
         raise CheckpointCorrupt(f"{path}: bad last_prime value") from exc
     near = None
     body = 2
-    if lines[0] == CHECKPOINT_MAGIC:
-        near = lines[2][5:] if len(lines) > 2 and lines[2].startswith("near=") else ""
-        if not (near == "all" or near.isdigit()):
-            raise CheckpointCorrupt(f"{path}: missing or bad near line")
+    if lines[0] == CHECKPOINT_V2:
+        near = _near_line(path, lines[2] if len(lines) > 2 else "")
         body = 3
-    records = []
+    records: list[WssRecord] = []
     for lineno, line in enumerate(lines[body:], start=body + 1):
-        parts = line.split(",")
-        try:
-            p, q = int(parts[0]), int(parts[1])
-        except (IndexError, ValueError) as exc:
-            raise CheckpointCorrupt(f"{path}:{lineno}: bad record {line!r}") from exc
-        if len(parts) != 2 or p > last_prime:
-            raise CheckpointCorrupt(f"{path}:{lineno}: bad record {line!r}")
-        records.append(WssRecord(p, q))
-    return last_prime, near, records
+        records.append(_record(path, lineno, line, records[-1].p if records else 6))
+        if records[-1].p > last_prime:
+            raise CheckpointCorrupt(f"{path}:{lineno}: record past last_prime={last_prime}")
+    return last_prime, near, records, None
+
+
+def _read_v3(path: str, lines: list[str]) -> tuple[int, str, list[WssRecord], int]:
+    lines.pop()  # the text after the last newline: empty, or a line cut short
+    near = _near_line(path, lines[1] if len(lines) > 1 else "")
+    end = offset = len(lines[0]) + len(lines[1]) + 2
+    last_prime = floor = 6
+    committed = 0
+    records: list[WssRecord] = []
+    for lineno, line in enumerate(lines[2:], start=3):
+        offset += len(line) + 1
+        commit = _COMMIT.fullmatch(line)
+        if commit is None:
+            records.append(_record(path, lineno, line, floor))
+            floor = records[-1].p
+            continue
+        prime, count = int(commit[1]), int(commit[2])
+        if prime <= last_prime or floor > prime or count != len(records):
+            raise CheckpointCorrupt(
+                f"{path}:{lineno}: {line!r} disagrees with the {len(records)} records "
+                f"and last_prime={last_prime} before it"
+            )
+        last_prime, floor, committed, end = prime, prime, count, offset
+    return last_prime, near, records[:committed], end
+
+
+def _near_line(path: str, line: str) -> str:
+    near = line.removeprefix("near=")
+    if near == line or not (near == "all" or near.isdigit()):
+        raise CheckpointCorrupt(f"{path}: missing or bad near line")
+    return near
+
+
+def _record(path: str, lineno: int, line: str, floor: int) -> WssRecord:
+    """The record on one checkpoint line, whose p must exceed ``floor``."""
+    try:
+        p, q = map(int, line.split(","))
+    except ValueError as exc:
+        raise CheckpointCorrupt(f"{path}:{lineno}: bad record {line!r}") from exc
+    if p <= floor:
+        raise CheckpointCorrupt(f"{path}:{lineno}: record p={p} does not exceed {floor}")
+    return WssRecord(p, q)
 
 
 def wss_search(
@@ -462,18 +527,23 @@ def wss_search(
 
     Computes F_{p-(p/5)} mod p^2 by fast doubling and keeps records with
     |quotient| <= near_threshold (all records when the threshold is
-    None).  When ``checkpoint_path`` is given, progress is persisted
-    every ``checkpoint_every`` primes and the search resumes from the
-    file if it already exists.  A file written under another threshold
-    raises ``CheckpointCorrupt``: its records would mix two selections.
+    None).  When ``checkpoint_path`` is given, the records found since
+    the last commit are appended to the file with a new commit line
+    every ``checkpoint_every`` primes (at least 1) and at the end, and
+    the search resumes from the file's last commit if it already exists.
+    A file written under another threshold raises ``CheckpointCorrupt``:
+    its records would mix two selections.
     """
     if limit < 7:
         raise ValueError("limit must be at least 7")
+    if checkpoint_every < 1:
+        raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
     start = 7
     near = _near_text(near_threshold)
     records: list[WssRecord] = []
+    end = None  # length of the v3 file up to its last commit; None: no such file
     if checkpoint_path and os.path.exists(checkpoint_path):
-        last_prime, recorded, records = _read_checkpoint(checkpoint_path)
+        last_prime, recorded, records, end = _read_checkpoint(checkpoint_path)
         if recorded is not None and recorded != near:
             raise CheckpointCorrupt(
                 f"{checkpoint_path}: written with near={recorded}, resumed with near={near}"
@@ -481,12 +551,10 @@ def wss_search(
         # A checkpoint written under a larger limit may hold records past
         # this one; the file keeps them, the result does not.
         records = [rec for rec in records if rec.p <= limit]
-        start = last_prime + 1
-    processed = 0
-    last = None
+        start = max(last_prime + 1, 7)
+    committed = 0 if end is None else len(records)
+    pending = 0
     for p in sieve_primes(start, limit):
-        if p < 7:
-            continue
         idx = p - jacobi(p, 5)
         q, r = divmod(_fib_pair_mod(idx, p * p)[0], p)
         if r:
@@ -494,12 +562,12 @@ def wss_search(
         signed = q - p if q > p // 2 else q
         if near_threshold is None or abs(signed) <= near_threshold:
             records.append(WssRecord(p, signed))
-        processed += 1
-        last = p
-        if checkpoint_path and processed % checkpoint_every == 0:
-            _write_checkpoint(checkpoint_path, p, near, records)
-    if checkpoint_path and last is not None:
-        _write_checkpoint(checkpoint_path, last, near, records)
+        pending += 1
+        if checkpoint_path and pending == checkpoint_every:
+            end = _write_checkpoint(checkpoint_path, end, near, records, committed, p)
+            committed, pending = len(records), 0
+    if checkpoint_path and pending:
+        _write_checkpoint(checkpoint_path, end, near, records, committed, p)
     return records
 
 

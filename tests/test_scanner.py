@@ -11,6 +11,7 @@ from fibmod.scanner import (
     Sample,
     ScanRequest,
     _read_checkpoint,
+    _small_primes,
     _sample_values,
     render_csv,
     render_jsonl,
@@ -44,6 +45,21 @@ def test_sieve_against_simple():
     # segment-boundary crossing window
     lo, hi = (1 << 17) - 50, (1 << 17) + 50
     assert sieve_primes(lo, hi) == [p for p in simple(hi) if p >= lo]
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        (3, (1 << 17) + 100),  # crosses from the first segment into the second
+        (100_003, 2 * (1 << 17) + 500),  # lo inside a segment, two boundaries
+        (-5, 50),
+        (0, 2),
+        (2, 3),
+        (50, 10),
+    ],
+)
+def test_sieve_matches_small_primes(lo, hi):
+    assert sieve_primes(lo, hi) == [p for p in _small_primes(hi) if p >= lo]
 
 
 def test_scan_t1_1_rows():
@@ -221,6 +237,9 @@ def test_wss_threshold_filters():
 def test_wss_limit_validation():
     with pytest.raises(ValueError):
         wss_search(5)
+    for every in (0, -1):
+        with pytest.raises(ValueError, match="checkpoint_every"):
+            wss_search(100, checkpoint_every=every)
 
 
 def test_wss_refuses_a_quotient_p_does_not_divide(monkeypatch):
@@ -261,12 +280,13 @@ def test_checkpoint_format(tmp_path):
     ckpt = tmp_path / "wss.ckpt"
     wss_search(1000, checkpoint_path=str(ckpt), checkpoint_every=10)
     lines = ckpt.read_text().splitlines()
-    assert lines[0] == "wss-checkpoint v2"
-    assert lines[1].startswith("last_prime=")
-    assert lines[2] == "near=all"
-    for line in lines[3:]:
-        p, q = line.split(",")
-        int(p), int(q)
+    assert lines[0] == "wss-checkpoint v3"
+    assert lines[1] == "near=all"
+    for line in lines[2:]:
+        if not line.startswith("commit "):
+            p, q = line.split(",")
+            int(p), int(q)
+    assert lines[-1] == f"commit last_prime=997 records={len(wss_search(1000))}"
 
 
 @pytest.mark.parametrize(
@@ -283,6 +303,18 @@ def test_checkpoint_format(tmp_path):
         "wss-checkpoint v2\nlast_prime=11\nnear=-1\n7,3\n",
         "wss-checkpoint v2\nlast_prime=11\nnear=\n",
         "wss-checkpoint v3\nlast_prime=11\nnear=all\n",
+        "wss-checkpoint v1\nlast_prime=11\n5,1\n",  # p < 7
+        "wss-checkpoint v1\nlast_prime=11\n11,5\n7,3\n",
+        "wss-checkpoint v2\nlast_prime=11\nnear=all\n11,1\n7,3\n7,3\n",
+        "wss-checkpoint v2\nlast_prime=11\nnear=all\n7,3\n7,3\n",
+        "wss-checkpoint v3\nnear=all\n7,3\ncommit last_prime=11 records=2\n",
+        "wss-checkpoint v3\nnear=all\n7,3\ncommit last_prime=11 records=1\ncommit last_prime=7 records=1\n",
+        "wss-checkpoint v3\nnear=all\n7,3\n13,4\ncommit last_prime=11 records=2\n",
+        "wss-checkpoint v3\nnear=all\n7,3\ncommit last_prime=11 records=1\n11,5\n",  # record within a committed range
+        "wss-checkpoint v3\nnear=all\n3,1\ncommit last_prime=7 records=1\n",
+        "wss-checkpoint v3\n7,3\ncommit last_prime=7 records=1\n",  # no near line
+        "wss-checkpoint v3\nnear=all\n7,3\ncommit last_prime=7\n",
+        "wss-checkpoint v3\nnear=all",  # header cut short
     ],
 )
 def test_checkpoint_corrupt(tmp_path, content):
@@ -297,7 +329,7 @@ def test_checkpoint_corrupt(tmp_path, content):
 def test_checkpoint_records_its_threshold(tmp_path):
     ckpt = tmp_path / "wss.ckpt"
     wss_search(2000, near_threshold=0, checkpoint_path=str(ckpt))
-    assert ckpt.read_text().splitlines()[2] == "near=0"
+    assert ckpt.read_text().splitlines()[1] == "near=0"
     before = ckpt.read_text()
     # Resuming with another threshold would mix two record selections.
     for near in (None, 1):
@@ -312,11 +344,96 @@ def test_checkpoint_v1_still_resumes(tmp_path):
     ckpt = tmp_path / "wss.ckpt"
     wss_search(2000, checkpoint_path=str(ckpt))
     lines = ckpt.read_text().splitlines()
-    assert lines[2] == "near=all"
-    ckpt.write_text("\n".join(["wss-checkpoint v1", lines[1]] + lines[3:]) + "\n")
+    assert lines[1] == "near=all"
+    ckpt.write_text("\n".join(["wss-checkpoint v1", "last_prime=1999"] + lines[2:-1]) + "\n")
     assert _read_checkpoint(str(ckpt))[1] is None
     assert wss_search(3000, checkpoint_path=str(ckpt)) == wss_search(3000)
-    assert ckpt.read_text().splitlines()[:3] == ["wss-checkpoint v2", "last_prime=2999", "near=all"]
+    assert ckpt.read_text().splitlines()[:2] == ["wss-checkpoint v3", "near=all"]
+
+
+def _assert_v3_holds(text, records, last_prime):
+    """text is a whole v3 checkpoint of ``records``: each once, in commits
+    whose records= counts the record lines above them."""
+    lines = text.splitlines()
+    assert text.endswith("\n")
+    assert lines[:2] == ["wss-checkpoint v3", "near=all"]
+    body = []
+    for line in lines[2:]:
+        if line.startswith("commit "):
+            assert line.endswith(f" records={len(body)}")
+        else:
+            body.append(line)
+    assert body == [f"{rec.p},{rec.quotient}" for rec in records]
+    assert lines[-1] == f"commit last_prime={last_prime} records={len(records)}"
+
+
+def test_checkpoint_appends_each_record_once(tmp_path, monkeypatch):
+    ckpt = tmp_path / "wss.ckpt"
+    write = scanner._write_checkpoint
+    sizes = []
+
+    def appending(path, *args):
+        before = ckpt.read_text() if ckpt.exists() else ""
+        size = write(path, *args)
+        assert ckpt.read_text().startswith(before)
+        sizes.append(size)
+        return size
+
+    monkeypatch.setattr(scanner, "_write_checkpoint", appending)
+    fresh = wss_search(3000)
+    assert wss_search(3000, checkpoint_path=str(ckpt), checkpoint_every=100) == fresh
+    text = ckpt.read_text()
+    # one commit per 100 primes and one for the rest
+    assert len(sizes) == -(-len(fresh) // 100) == text.count("commit ")
+    assert sizes[-1] == len(text)
+    _assert_v3_holds(text, fresh, 2999)
+
+
+@pytest.mark.parametrize(
+    "tail",
+    [
+        "3001,7\n",  # a whole record with no commit
+        "3001,7",  # a line cut short
+        "3001,7\n3011,-4\ncommit last_prime=30",
+    ],
+)
+@pytest.mark.parametrize("first_limit", [3000, None])
+def test_checkpoint_torn_tail_is_dropped(tmp_path, tail, first_limit):
+    ckpt = tmp_path / "wss.ckpt"
+    if first_limit is None:
+        ckpt.write_text("wss-checkpoint v3\nnear=all\n")  # no commit: resumes from 7
+        tail = "7,3\n" + tail
+        committed, last_prime = [], 6
+    else:
+        committed = wss_search(first_limit, checkpoint_path=str(ckpt), checkpoint_every=50)
+        last_prime = 2999
+    before = ckpt.read_text()
+    with open(ckpt, "a") as fh:
+        fh.write(tail)
+    read_last_prime, _, read_records, _ = _read_checkpoint(str(ckpt))
+    assert (read_last_prime, read_records) == (last_prime, committed)
+    fresh = wss_search(5000)
+    assert wss_search(5000, checkpoint_path=str(ckpt), checkpoint_every=50) == fresh
+    text = ckpt.read_text()
+    assert text.startswith(before)
+    _assert_v3_holds(text, fresh, 4999)
+
+
+def test_checkpoint_v2_upgrades_on_first_write(tmp_path):
+    ckpt = tmp_path / "wss.ckpt"
+    old = wss_search(2000)
+    v2 = "".join(
+        ["wss-checkpoint v2\nlast_prime=1999\nnear=all\n"]
+        + [f"{rec.p},{rec.quotient}\n" for rec in old]
+    )
+    ckpt.write_text(v2)
+    # A resume that processes no prime leaves the file as it is.
+    assert wss_search(1000, checkpoint_path=str(ckpt)) == wss_search(1000)
+    assert ckpt.read_text() == v2
+    fresh = wss_search(3000)
+    assert wss_search(3000, checkpoint_path=str(ckpt), checkpoint_every=50) == fresh
+    _assert_v3_holds(ckpt.read_text(), fresh, 2999)
+    assert not (tmp_path / "wss.ckpt.tmp").exists()
 
 
 def test_unforced_check_error_is_not_a_skip(monkeypatch, capsys):
