@@ -1,13 +1,15 @@
 """Finite sums of central binomial and Catalan terms modulo prime powers.
 
-The workhorse is a segment walk over C(2k,k) = p^v * unit: the ratio
-C(2k,k) / C(2k-2,k-1) = 2(2k-1)/k is a p-adic unit except where p
-divides k or 2k-1, so between those indices the valuation is fixed and
-a run of units is one comprehension; only the special indices strip
-p-parts.  Every term is exact even past k = p/2, where the binomials
-pick up positive p-valuation.  Each weight gets a table of the residues
-weight(k) C(2k,k) in a ``PrimeTables`` store, which every sum at that
-prime shares, and a sum runs Horner's rule over a prefix of it; the base
+The workhorse is a segment walk over a hypergeometric term t_k =
+p^v * unit whose ratio t_k / t_{k-1} is a product of linear factors
+a*k + b over another, such as (4k-2)/k for C(2k,k).  The ratio is a
+p-adic unit except where p divides a factor, so between those indices
+the valuation is fixed and a run of units is one comprehension; only
+the special indices strip p-parts.  Every term is exact even past
+k = p/2, where the binomials pick up positive p-valuation.  Each weight
+but H2 is walked as its own term weight(k) C(2k,k) into a table of
+residues in a ``PrimeTables`` store, which every sum at that prime
+shares, and a sum runs Horner's rule over a prefix of it; the base
 costs one inversion total.
 
 Two identities are also provided in exact arbitrary-precision form, as
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import comb
+from math import comb, prod
 from typing import Iterator
 
 from .modarith import (
@@ -77,8 +79,8 @@ class PrimeTables(dict):
     a ``WeightKind`` for the tables of weight(k) C(2k,k), ``"inv"`` for
     the inverses of 1..n and ``"h2"`` for the H_k^(2) prefix.  A prime
     power fixes its prime, so one store may also serve several primes.
-    ``walk_ends`` keeps the walk's (v, unit) at the end of the plain and
-    Catalan tables, so a longer request resumes the walk there.
+    ``walk_ends`` keeps the walk's (v, unit) at the end of each walked
+    table, so a longer request resumes the walk there.
     """
 
     def __init__(self) -> None:
@@ -105,40 +107,52 @@ def _inv_table(p: int, pe: int, n: int, tables: PrimeTables) -> list[int]:
     return tab
 
 
-def _walk(
-    modulus: Modulus, shift: int, k_lo: int, k_hi: int, v: int, u: int, tables: PrimeTables
-) -> Iterator[tuple[int, list[int]]]:
-    """Runs (v, units) of C(2k,k)/(k+1)^shift = p^v * unit for k_lo..k_hi.
+# Each walked term t_k = weight(k) C(2k,k): its head terms t_0.., then the ratio
+# t_k / t_{k-1} as the linear factors (a, b) = a*k + b of numerator and denominator.
+_RATIOS = {
+    WeightKind.NONE: ((1,), (((4, -2),), ((1, 0),))),  # (4k-2)/k
+    WeightKind.CATALAN: ((1,), (((4, -2),), ((1, 1),))),  # (4k-2)/(k+1)
+    WeightKind.LINEAR_K: ((0, 2), (((4, -2),), ((1, -1),))),  # (4k-2)/(k-1)
+    WeightKind.INV_2KM1: ((-1,), (((4, -6),), ((1, 0),))),  # (4k-6)/k
+    # (4k-6)(2k-3) / (k(2k-1))
+    WeightKind.INV_2KM1_SQ: ((1,), (((4, -6), (2, -3)), ((1, 0), (2, -1)))),
+}
 
-    Each term is the previous one, ``(v, u)`` at k_lo - 1, times
-    2(2k-1)/(k+shift).  That ratio is a p-adic unit except where p
-    divides 2k-1 or k+shift, so between those special indices the
-    valuation is fixed and a run of units is one comprehension.  Only a
-    special index strips p-parts and moves v.  Units stay exact for
-    every k, also past p and while v >= e, so the walk can resume
-    anywhere.
+
+def _walk(
+    modulus: Modulus, ratio: tuple, k_lo: int, k_hi: int, v: int, u: int, tables: PrimeTables
+) -> Iterator[tuple[int, list[int]]]:
+    """Runs (v, units) of a hypergeometric term t_k = p^v * unit for k_lo..k_hi.
+
+    Each term is the previous one, ``(v, u)`` at k_lo - 1, times the
+    ratio: ``ratio`` is (numerator factors, denominator factors), each a
+    tuple of (a, b) for a*k + b; over k_lo..k_hi the numerator factors
+    are nonzero and the denominator factors positive.  The ratio is a
+    p-adic unit except where p divides a factor, so between those special
+    indices the valuation is fixed and a run of units is one
+    comprehension.  Only a special index strips p-parts and moves v.
+    Units stay exact for every k, also past p and while v >= e, so the
+    walk can resume anywhere.
     """
     p, pe = modulus.p, modulus.m
-    inv = _inv_table(p, pe, min(k_hi + shift, p - 1), tables)
-    half = (p + 1) // 2  # p | 2k-1  iff  k = half (mod p)
-    special = sorted(
-        set(range(k_lo + (half - k_lo) % p, k_hi + 1, p))
-        | set(range(k_lo + (-shift - k_lo) % p, k_hi + 1, p))
-    )
+    nums, dens = ratio
+    # Only denominators below p are read from the inverse table.
+    inv = _inv_table(p, pe, min(max(a * k_hi + b for a, b in dens), p - 1), tables)
+    roots = {-b * pow(a, -1, p) % p for a, b in nums + dens}  # p | a*k + b iff k = root mod p
+    special = sorted({s for r in roots for s in range(k_lo + (r - k_lo) % p, k_hi + 1, p)})
     k = k_lo
     for s in special + [k_hi + 1]:
         if s > k:
-            # The run k..s-1 holds no special index, so its denominators
-            # k+shift..s-1+shift lie all below p or all above it.
-            if s + shift <= p:
-                invs = inv[k + shift : s + shift]
+            ns = _product([range(a * k + b, a * s + b, a) for a, b in nums])
+            if all(a * (s - 1) + b < p for a, b in dens):
+                invs = _product([inv[a * k + b : a * s + b : a] for a, b in dens])
             else:
-                invs = [pow(d, -1, pe) for d in range(k + shift, s + shift)]
-            nums = range(4 * k - 2, 4 * s - 2, 4)
-            yield v, [(u := u * num * i % pe) for num, i in zip(nums, invs)]
+                ds = _product([range(a * k + b, a * s + b, a) for a, b in dens])
+                invs = [pow(d, -1, pe) for d in ds]
+            yield v, [(u := u * n * i % pe) for n, i in zip(ns, invs)]
         if s > k_hi:
             return
-        num, den = 4 * s - 2, s + shift
+        num, den = (prod([a * s + b for a, b in factors]) for factors in ratio)
         while num % p == 0:
             num //= p
             v += 1
@@ -147,15 +161,23 @@ def _walk(
             v -= 1
         if v < 0:
             raise NegativeValuation(f"walk term {s} went p-adically negative")
-        u = u * num * (inv[den] if den < p else pow(den, -1, pe)) % pe
+        u = u * num * pow(den, -1, pe) % pe
         yield v, [u]
         k = s + 1
+
+
+def _product(columns: list) -> list[int] | range:
+    """The entrywise product of equal-length columns; one column as is."""
+    first, *rest = columns
+    for col in rest:
+        first = [x * y for x, y in zip(first, col)]
+    return first
 
 
 def _cb_vu(modulus: Modulus, upto: int, tables: PrimeTables) -> list[tuple[int, int]]:
     """Factored central binomials: (v_p, unit) of C(2k,k) for k = 0..upto."""
     vu = [(0, 1)]
-    for v, us in _walk(modulus, 0, 1, upto, 0, 1, tables):
+    for v, us in _walk(modulus, _RATIOS[WeightKind.NONE][1], 1, upto, 0, 1, tables):
         vu.extend([(v, x) for x in us])
     return vu
 
@@ -169,39 +191,26 @@ def _residues_from_vu(
     res = tables.table(weight, pe)
     if len(res) > upto:
         return res
-    start = len(res)
-    if weight is WeightKind.NONE or weight is WeightKind.CATALAN:
-        # Both come from one walk; Catalan terms divide C(2k,k) by k + 1.
-        if not res:
-            res.append(1)
-            start = 1
-        shift = 1 if weight is WeightKind.CATALAN else 0
-        ends = tables.walk_ends
-        for v, us in _walk(modulus, shift, start, upto, *ends.get((weight, pe), (0, 1)), tables):
-            if v == 0:
-                res.extend(us)
-            elif v < e:
-                pv = p**v
-                res.extend([x * pv % pe for x in us])
-            else:
-                res.extend([0] * len(us))
-            ends[weight, pe] = (v, us[-1])
-        return res
-    # The remaining weights are units (or k) inside their domains, so
-    # they multiply the plain residues directly.
-    cb = _residues_from_vu(modulus, upto, tables)[start : upto + 1]
-    if weight is WeightKind.LINEAR_K:
-        res.extend([c * k % pe for k, c in enumerate(cb, start)])
-        return res
     if weight is WeightKind.H2:
+        start = len(res)
+        cb = _residues_from_vu(modulus, upto, tables)[start : upto + 1]
         w = _h2_prefix(modulus, upto, tables)[start : upto + 1]
-    else:
-        # 1/(2k-1) for k = start..upto; at k = 0 it is -1.
-        tab = _inv_table(p, pe, max(2 * upto - 1, 1), tables)
-        w = tab[2 * start - 1 : 2 * upto : 2] if start else [pe - 1] + tab[1 : 2 * upto : 2]
-        if weight is WeightKind.INV_2KM1_SQ:
-            w = [x * x % pe for x in w]
-    res.extend([c * x % pe for c, x in zip(cb, w)])
+        res.extend([c * x % pe for c, x in zip(cb, w)])
+        return res
+    head, ratio = _RATIOS[weight]
+    ends = tables.walk_ends
+    if not res:
+        res.extend([t % pe for t in head])
+        ends[weight, pe] = (0, head[-1] % pe)
+    for v, us in _walk(modulus, ratio, len(res), upto, *ends[weight, pe], tables):
+        if v == 0:
+            res.extend(us)
+        elif v < e:
+            pv = p**v
+            res.extend([x * pv % pe for x in us])
+        else:
+            res.extend([0] * len(us))
+        ends[weight, pe] = (v, us[-1])
     return res
 
 

@@ -26,6 +26,7 @@ from .binomsums import (
     _central_sum,
     _inv_table,
     _residues_from_vu,
+    _walk,
     alternating_harmonic,
     floor_multiple,
     power_over_square_sum,
@@ -329,26 +330,14 @@ def _l2_1_lhs(pr, md, tables):
     n = _half(pr)
     cb = _residues_from_vu(md, n, tables)
     x = pow(-16 % pe, -1, pe)
-    inv = _inv_table(p, pe, min(2 * n, p - 1), tables)
-    out = [0] * (n + 1)  # both binomials are 1 at k = 0
-    v, u = 0, 1
+    out = [0]  # both binomials are 1 at k = 0
     xk = 1
-    for k in range(1, n + 1):
-        # Ratio of consecutive binomials: (n+k)(n-k+1) / (2k)(2k-1),
-        # p-parts stripped factor by factor so each stays below p^a.
-        num = (n + k) * (n - k + 1)
-        while num % p == 0:
-            num //= p
-            v += 1
-        u = u * (num % pe) % pe
-        for den in (2 * k, 2 * k - 1):
-            while den % p == 0:
-                den //= p
-                v -= 1
-            u = u * (inv[den] if den < p else pow(den, -1, pe)) % pe
-        xk = xk * x % pe
-        lb = u * p**v % pe if v < e else 0
-        out[k] = (lb - cb[k] * xk) % pe
+    # binom(n+k, 2k) = binom(n+k-1, 2k-2) (k+n)(n+1-k) / ((2k)(2k-1)).
+    for v, us in _walk(md, (((1, n), (-1, n + 1)), ((2, 0), (2, -1))), 1, n, 0, 1, tables):
+        pv = p**v if v < e else 0
+        for u in us:
+            xk = xk * x % pe
+            out.append((u * pv - cb[len(out)] * xk) % pe)
     return out
 
 

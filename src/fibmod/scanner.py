@@ -30,8 +30,8 @@ from .checks import (
     get_check,
     run_check,
 )
-from .modarith import jacobi
-from .sequences import DomainError, NotDivisible, _fib_pair_mod
+from .modarith import is_prime
+from .sequences import DomainError, fibonacci_quotient
 
 
 class CheckpointCorrupt(Exception):
@@ -443,8 +443,8 @@ def _read_checkpoint(path: str) -> tuple[int, str | None, list[WssRecord], int |
     ``end`` is the length of a v3 file up to its last commit line, or up
     to its header when it has none, which resumes from p = 7.  Records
     after that line are the torn tail of a killed run and are left out.
-    ``end`` is None for v1 and v2.  In every version the records' p must
-    rise strictly from 7 and stay within the last_prime that covers them.
+    ``end`` is None for v1 and v2.  In every version each record must pass
+    ``_record`` and stay within the last_prime that covers it.
     """
     try:
         with open(path, encoding="ascii", newline="") as fh:
@@ -469,7 +469,7 @@ def _read_checkpoint(path: str) -> tuple[int, str | None, list[WssRecord], int |
         body = 3
     records: list[WssRecord] = []
     for lineno, line in enumerate(lines[body:], start=body + 1):
-        records.append(_record(path, lineno, line, records[-1].p if records else 6))
+        records.append(_record(path, lineno, line, records[-1].p if records else 6, near))
         if records[-1].p > last_prime:
             raise CheckpointCorrupt(f"{path}:{lineno}: record past last_prime={last_prime}")
     return last_prime, near, records, None
@@ -486,7 +486,7 @@ def _read_v3(path: str, lines: list[str]) -> tuple[int, str, list[WssRecord], in
         offset += len(line) + 1
         commit = _COMMIT.fullmatch(line)
         if commit is None:
-            records.append(_record(path, lineno, line, floor))
+            records.append(_record(path, lineno, line, floor, near))
             floor = records[-1].p
             continue
         prime, count = int(commit[1]), int(commit[2])
@@ -506,14 +506,18 @@ def _near_line(path: str, line: str) -> str:
     return near
 
 
-def _record(path: str, lineno: int, line: str, floor: int) -> WssRecord:
-    """The record on one checkpoint line, whose p must exceed ``floor``."""
+def _record(path: str, lineno: int, line: str, floor: int, near: str | None) -> WssRecord:
+    """The record on one checkpoint line: a prime p above ``floor`` (7 or
+    more at the first record) whose quotient lies in (-p/2, p/2] and,
+    under a numeric ``near``, within it."""
     try:
         p, q = map(int, line.split(","))
     except ValueError as exc:
         raise CheckpointCorrupt(f"{path}:{lineno}: bad record {line!r}") from exc
-    if p <= floor:
-        raise CheckpointCorrupt(f"{path}:{lineno}: record p={p} does not exceed {floor}")
+    if p <= floor or not is_prime(p):
+        raise CheckpointCorrupt(f"{path}:{lineno}: record p={p} is not a prime above {floor}")
+    if abs(q) > p // 2 or near not in (None, "all") and abs(q) > int(near):
+        raise CheckpointCorrupt(f"{path}:{lineno}: quotient {q} out of range, p={p}, near={near}")
     return WssRecord(p, q)
 
 
@@ -555,10 +559,7 @@ def wss_search(
     committed = 0 if end is None else len(records)
     pending = 0
     for p in sieve_primes(start, limit):
-        idx = p - jacobi(p, 5)
-        q, r = divmod(_fib_pair_mod(idx, p * p)[0], p)
-        if r:
-            raise NotDivisible(f"F_{idx} is not divisible by {p}")
+        q = fibonacci_quotient(p, 1)
         signed = q - p if q > p // 2 else q
         if near_threshold is None or abs(signed) <= near_threshold:
             records.append(WssRecord(p, signed))

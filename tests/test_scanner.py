@@ -20,7 +20,7 @@ from fibmod.scanner import (
     sieve_primes,
     wss_search,
 )
-from fibmod import scanner
+from fibmod import scanner, sequences
 from fibmod.sequences import NotDivisible, fibonacci_quotient
 
 
@@ -243,7 +243,7 @@ def test_wss_limit_validation():
 
 
 def test_wss_refuses_a_quotient_p_does_not_divide(monkeypatch):
-    monkeypatch.setattr(scanner, "_fib_pair_mod", lambda n, m: (1, 1))
+    monkeypatch.setattr(sequences, "_fib_pair_mod", lambda n, m: (1, 1))
     with pytest.raises(NotDivisible):
         wss_search(100)
 
@@ -315,6 +315,12 @@ def test_checkpoint_format(tmp_path):
         "wss-checkpoint v3\n7,3\ncommit last_prime=7 records=1\n",  # no near line
         "wss-checkpoint v3\nnear=all\n7,3\ncommit last_prime=7\n",
         "wss-checkpoint v3\nnear=all",  # header cut short
+        "wss-checkpoint v3\nnear=all\n9,0\ncommit last_prime=11 records=1\n",  # 9 is not prime
+        "wss-checkpoint v3\nnear=all\n7,999\ncommit last_prime=7 records=1\n",  # |q| > p/2
+        "wss-checkpoint v3\nnear=3\n11,4\ncommit last_prime=11 records=1\n",  # |q| > near
+        "wss-checkpoint v1\nlast_prime=11\n9,0\n",
+        "wss-checkpoint v1\nlast_prime=11\n7,-4\n",
+        "wss-checkpoint v2\nlast_prime=11\nnear=3\n11,4\n",
     ],
 )
 def test_checkpoint_corrupt(tmp_path, content):

@@ -1,17 +1,20 @@
-"""The C(2k,k) residue tables and their (v, u) stream against exact oracles.
+"""The weighted C(2k,k) residue tables and their (v, u) stream against
+exact oracles.
 
-The plain and Catalan tables and the factored stream all come from one
-segment walk in ``binomsums``; these tests compare each with
+Every table but H2's, the factored stream and L2_1's binomial come from
+one segment walk in ``binomsums``; these tests compare each with
 ``math.comb`` and ``Fraction`` values computed from scratch.  Upper
-bounds reach p^3 for p <= 7, so they cross many multiples of p: the
-valuation dips at p | k, the runs where v >= e and the table is zero,
-and the units past k >= p.
+bounds reach p^3 for p <= 7 where the weight allows it, so they cross
+many multiples of p: the valuation dips at p | k, the runs where v >= e
+and the table is zero, and the units past k >= p.  The 1/(2k-1) weights
+stop at (p-1)/2, their domain.
 """
 
 from fractions import Fraction
 from functools import cache
 from math import comb
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,34 +26,50 @@ from fibmod.binomsums import (
     alternating_harmonic,
     central_binomial_stream,
 )
+from fibmod.checks import CheckParams, _l2_1_lhs
 from fibmod.modarith import Modulus
 
 PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41]
-WALKED = (WeightKind.NONE, WeightKind.CATALAN)
+WALKED = (
+    WeightKind.NONE,
+    WeightKind.CATALAN,
+    WeightKind.LINEAR_K,
+    WeightKind.INV_2KM1,
+    WeightKind.INV_2KM1_SQ,
+)
+WEIGHTS = {
+    WeightKind.NONE: lambda k: 1,
+    WeightKind.CATALAN: lambda k: Fraction(1, k + 1),
+    WeightKind.LINEAR_K: lambda k: k,
+    WeightKind.INV_2KM1: lambda k: Fraction(1, 2 * k - 1),
+    WeightKind.INV_2KM1_SQ: lambda k: Fraction(1, (2 * k - 1) ** 2),
+}
 
 
-def _max_upper(p: int) -> int:
+def _max_upper(p: int, weight: WeightKind = WeightKind.NONE) -> int:
+    if weight in (WeightKind.INV_2KM1, WeightKind.INV_2KM1_SQ):
+        return (p - 1) // 2
     return p**3 if p <= 7 else 4 * p
 
 
+def _mod(t: Fraction, pe: int) -> int:
+    return t.numerator * pow(t.denominator, -1, pe) % pe
+
+
 @cache
-def _exact(p: int, weight: WeightKind) -> tuple[int, ...]:
-    """C(2k,k), or the Catalan number C(2k,k)/(k+1), for k up to the bound."""
-    out = []
-    for k in range(_max_upper(p) + 1):
-        term = Fraction(comb(2 * k, k), k + 1 if weight is WeightKind.CATALAN else 1)
-        assert term.denominator == 1
-        out.append(term.numerator)
-    return tuple(out)
+def _exact(p: int, weight: WeightKind) -> tuple[Fraction, ...]:
+    """weight(k) C(2k,k) for k up to the weight's bound at p."""
+    return tuple(WEIGHTS[weight](k) * comb(2 * k, k) for k in range(_max_upper(p, weight) + 1))
 
 
 def _residues(p: int, pe: int, upper: int, weight: WeightKind) -> list[int]:
-    return [t % pe for t in _exact(p, weight)[: upper + 1]]
+    return [_mod(t, pe) for t in _exact(p, weight)[: min(upper, _max_upper(p, weight)) + 1]]
 
 
 def _factored(p: int, pe: int, upper: int) -> list[tuple[int, int]]:
     out = []
     for t in _exact(p, WeightKind.NONE)[: upper + 1]:
+        t = int(t)
         v = 0
         while t % p == 0:
             t //= p
@@ -71,8 +90,11 @@ def test_tables_in_one_call(case):
     p, e, upper = case
     md = Modulus(p, e)
     for weight in WALKED:
-        got = _residues_from_vu(md, upper, PrimeTables(), weight)
-        assert got == _residues(p, md.m, upper, weight), (p, e, upper, weight)
+        bound = min(upper, _max_upper(p, weight))
+        got = _residues_from_vu(md, bound, PrimeTables(), weight)
+        # LINEAR_K's table starts with both head terms, even at bound 0.
+        assert len(got) > bound, (p, e, bound, weight)
+        assert got == _residues(p, md.m, len(got) - 1, weight), (p, e, bound, weight)
     want = _factored(p, md.m, upper)
     assert _cb_vu(md, upper, PrimeTables()) == want
     assert [(t.valuation, t.unit) for t in central_binomial_stream(md, upper)] == want
@@ -100,14 +122,15 @@ def test_tables_extended_through_one_cache(case):
     for e, upper in pieces:
         md = Modulus(p, e)
         for weight in WALKED:
-            got = _residues_from_vu(md, upper, shared, weight)
-            assert got[: upper + 1] == _residues(p, md.m, upper, weight), (p, pieces, weight)
+            bound = min(upper, _max_upper(p, weight))
+            got = _residues_from_vu(md, bound, shared, weight)
+            assert got[: bound + 1] == _residues(p, md.m, bound, weight), (p, pieces, weight)
         assert _cb_vu(md, upper, shared) == _factored(p, md.m, upper)
     # After every extension the tables equal ones built in a single call.
     for e, upper in pieces:
         md = Modulus(p, e)
         for weight in WALKED:
-            table = _residues_from_vu(md, upper, shared, weight)
+            table = _residues_from_vu(md, min(upper, _max_upper(p, weight)), shared, weight)
             assert table == _residues_from_vu(md, len(table) - 1, PrimeTables(), weight)
 
 
@@ -125,3 +148,14 @@ def test_alternating_harmonic(case):
     exact = sum((Fraction((-1) ** k, k) for k in range(1, bound + 1)), Fraction(0))
     want = exact.numerator * pow(exact.denominator, -1, md.m) % md.m
     assert alternating_harmonic(bound, md) == want
+
+
+@pytest.mark.parametrize("a", [1, 2])
+@pytest.mark.parametrize("p", PRIMES)
+def test_l2_1_lhs_walks_its_binomial(p, a):
+    md = Modulus(p, 3)
+    n = (p**a - 1) // 2
+    want = [
+        _mod(comb(n + k, 2 * k) - Fraction(comb(2 * k, k), (-16) ** k), md.m) for k in range(n + 1)
+    ]
+    assert _l2_1_lhs(CheckParams(p=p, a=a), md, PrimeTables()) == want
