@@ -14,6 +14,7 @@ import multiprocessing
 import os
 import random
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field, fields
 from itertools import compress
 from math import isqrt
@@ -30,7 +31,6 @@ from .checks import (
     get_check,
     run_check,
 )
-from .modarith import is_prime
 from .sequences import DomainError, fibonacci_quotient
 
 
@@ -41,6 +41,9 @@ class CheckpointCorrupt(Exception):
 # ---------------------------------------------------------------------------
 # Prime generation.
 # ---------------------------------------------------------------------------
+
+
+_SEGMENT = 1 << 17
 
 
 def _small_primes(limit: int) -> list[int]:
@@ -62,19 +65,22 @@ def sieve_primes(lo: int, hi: int) -> list[int]:
     if hi < 2 or hi < lo:
         return []
     base = _small_primes(isqrt(hi))
-    segment = 1 << 17
     out: list[int] = []
     lo = max(lo, 2)
-    for low in range(lo, hi + 1, segment):
-        high = min(low + segment, hi + 1)
-        mask = bytearray([1]) * (high - low)
-        for q in base:
-            start = max(q * q, (low + q - 1) // q * q)
-            if start >= high:
-                continue
-            mask[start - low :: q] = bytes((high - start + q - 1) // q)
-        out.extend(compress(range(low, high), mask))
+    for low in range(lo, hi + 1, _SEGMENT):
+        high = min(low + _SEGMENT, hi + 1)
+        out.extend(compress(range(low, high), _segment_mask(low, high, base)))
     return out
+
+
+def _segment_mask(low: int, high: int, base: list[int]) -> bytearray:
+    """1 at each n in [low, high) that no prime q in ``base`` with q*q <= n divides."""
+    mask = bytearray([1]) * (high - low)
+    for q in base:
+        start = max(q * q, (low + q - 1) // q * q)
+        if start < high:
+            mask[start - low :: q] = bytes((high - start + q - 1) // q)
+    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +450,7 @@ def _read_checkpoint(path: str) -> tuple[int, str | None, list[WssRecord], int |
     to its header when it has none, which resumes from p = 7.  Records
     after that line are the torn tail of a killed run and are left out.
     ``end`` is None for v1 and v2.  In every version each record must pass
-    ``_record`` and stay within the last_prime that covers it.
+    ``_record``, have a prime p and stay within the last_prime that covers it.
     """
     try:
         with open(path, encoding="ascii", newline="") as fh:
@@ -472,6 +478,7 @@ def _read_checkpoint(path: str) -> tuple[int, str | None, list[WssRecord], int |
         records.append(_record(path, lineno, line, records[-1].p if records else 6, near))
         if records[-1].p > last_prime:
             raise CheckpointCorrupt(f"{path}:{lineno}: record past last_prime={last_prime}")
+    _refuse_composites(path, records)
     return last_prime, near, records, None
 
 
@@ -496,6 +503,7 @@ def _read_v3(path: str, lines: list[str]) -> tuple[int, str, list[WssRecord], in
                 f"and last_prime={last_prime} before it"
             )
         last_prime, floor, committed, end = prime, prime, count, offset
+    _refuse_composites(path, records)
     return last_prime, near, records[:committed], end
 
 
@@ -507,18 +515,35 @@ def _near_line(path: str, line: str) -> str:
 
 
 def _record(path: str, lineno: int, line: str, floor: int, near: str | None) -> WssRecord:
-    """The record on one checkpoint line: a prime p above ``floor`` (7 or
-    more at the first record) whose quotient lies in (-p/2, p/2] and,
-    under a numeric ``near``, within it."""
+    """The record on one checkpoint line: p above ``floor`` (7 or more at
+    the first record) whose quotient lies in (-p/2, p/2] and, under a
+    numeric ``near``, within it.  ``_refuse_composites`` checks p."""
     try:
         p, q = map(int, line.split(","))
     except ValueError as exc:
         raise CheckpointCorrupt(f"{path}:{lineno}: bad record {line!r}") from exc
-    if p <= floor or not is_prime(p):
-        raise CheckpointCorrupt(f"{path}:{lineno}: record p={p} is not a prime above {floor}")
+    if p <= floor:
+        raise CheckpointCorrupt(f"{path}:{lineno}: record p={p} is not above {floor}")
     if abs(q) > p // 2 or near not in (None, "all") and abs(q) > int(near):
         raise CheckpointCorrupt(f"{path}:{lineno}: quotient {q} out of range, p={p}, near={near}")
     return WssRecord(p, q)
+
+
+def _refuse_composites(path: str, records: list[WssRecord]) -> None:
+    """Raise ``CheckpointCorrupt`` if the p of a record is not prime.
+
+    The records rise, so one sieve segment checks every record in it.
+    """
+    ps = [rec.p for rec in records]
+    base = _small_primes(isqrt(ps[-1])) if ps else []
+    i = 0
+    while i < len(ps):
+        low, j = ps[i], bisect_left(ps, ps[i] + _SEGMENT, i)
+        mask = _segment_mask(low, ps[j - 1] + 1, base)
+        for p in ps[i:j]:
+            if not mask[p - low]:
+                raise CheckpointCorrupt(f"{path}: record p={p} is not prime")
+        i = j
 
 
 def wss_search(

@@ -319,6 +319,8 @@ def test_checkpoint_format(tmp_path):
         "wss-checkpoint v3\nnear=all\n7,999\ncommit last_prime=7 records=1\n",  # |q| > p/2
         "wss-checkpoint v3\nnear=3\n11,4\ncommit last_prime=11 records=1\n",  # |q| > near
         "wss-checkpoint v1\nlast_prime=11\n9,0\n",
+        "wss-checkpoint v1\nlast_prime=53\n7,3\n49,0\n",  # 7 * 7
+        "wss-checkpoint v1\nlast_prime=1000003\n7,3\n1000001,0\n",  # 101 * 9901, a later segment
         "wss-checkpoint v1\nlast_prime=11\n7,-4\n",
         "wss-checkpoint v2\nlast_prime=11\nnear=3\n11,4\n",
     ],
