@@ -1,4 +1,4 @@
-"""Lucas sequences modulo prime powers, via fast doubling.
+"""Lucas sequences modulo prime powers, via fast doubling and ladders.
 
 u_n and v_n satisfy x_{n+1} = A*x_n - B*x_{n-1} with u_0 = 0, u_1 = 1 and
 v_0 = 2, v_1 = A.  Fibonacci and Lucas numbers are the (A, B) = (1, -1)
@@ -54,21 +54,32 @@ def lucas_uv_mod(params: LucasParams, n: int, modulus: Modulus) -> tuple[int, in
 
 
 def _fib_pair_mod(n: int, m: int) -> tuple[int, int]:
-    """(F_n, F_{n+1}) mod m, by the specialized Fibonacci doubling."""
-    a, b = 0, 1 % m
-    if n:
-        for bit in bin(n)[2:]:
-            c = a * ((2 * b - a) % m) % m
-            d = (a * a + b * b) % m
-            if bit == "1":
-                a, b = d, (c + d) % m
-            else:
-                a, b = c, d
-    return a, b
+    """(F_n, F_{n+1}) mod m, by a ladder on L_{2k}, k = n // 2.
+
+    V_j(3, 1) = L_{2j} satisfies V_{2j} = V_j^2 - 2 and
+    V_{2j+1} = V_j V_{j+1} - 3, so the pair (V_j, V_{j+1}) walks the
+    bits of k with two multiplications per bit.  It is kept mod 5m,
+    where 5 F_{2k} = 2 L_{2k+2} - 3 L_{2k} and
+    5 F_{2k+2} = 3 L_{2k+2} - 2 L_{2k} are read off by exact division
+    by 5; no inverse of 5 is needed, so m may be any positive integer.
+    """
+    if n < 0:
+        raise ValueError("index must be nonnegative")
+    M = 5 * m
+    x, y = 2, 3
+    for bit in bin(n >> 1)[2:]:
+        if bit == "1":
+            x, y = (x * y - 3) % M, (y * y - 2) % M
+        else:
+            x, y = (x * x - 2) % M, (x * y - 3) % M
+    f0 = (2 * y - 3 * x) % M // 5
+    f2 = (3 * y - 2 * x) % M // 5
+    f1 = (f2 - f0) % m
+    return (f1, f2) if n & 1 else (f0, f1)
 
 
 def fibonacci_mod(n: int, m: int) -> int:
-    """F_n mod m."""
+    """F_n mod m; n must be nonnegative."""
     return _fib_pair_mod(n, m)[0]
 
 
@@ -79,15 +90,21 @@ def entry_index(params: LucasParams, p: int) -> int:
     return p - jacobi(params.delta, p)
 
 
-def fibonacci_quotient(p: int, e: int) -> int:
-    """The integer F_{p - (p/5)} / p, reduced mod p^e.
+# The Legendre symbol (p/5) indexed by p mod 5: the squares mod 5 are 1 and 4.
+_LEGENDRE_MOD5 = (0, 1, -1, -1, 1)
 
-    F is computed mod p^(e+1) by fast doubling, divisibility by p is
-    asserted, and the quotient is reduced to p^e.
+
+def fibonacci_quotient(p: int, e: int) -> int:
+    """The integer F_{p - (p/5)} / p, reduced mod p^e, for e >= 1.
+
+    (p/5) is looked up from p mod 5.  F is computed mod p^(e+1),
+    divisibility by p is asserted, and the quotient is reduced to p^e.
     """
     if p in (2, 5):
         raise DomainError("Fibonacci quotient is undefined for p in {2, 5}")
-    idx = p - jacobi(p, 5)
+    if e < 1:
+        raise ValueError(f"exponent must be >= 1, got {e}")
+    idx = p - _LEGENDRE_MOD5[p % 5]
     f = _fib_pair_mod(idx, p ** (e + 1))[0]
     if f % p:
         raise NotDivisible(f"F_{idx} is not divisible by {p}")
@@ -95,9 +112,11 @@ def fibonacci_quotient(p: int, e: int) -> int:
 
 
 def fermat_quotient(b: int, p: int, e: int) -> int:
-    """The Fermat quotient (b^(p-1) - 1) / p, reduced mod p^e."""
+    """The Fermat quotient (b^(p-1) - 1) / p, reduced mod p^e, for e >= 1."""
     if b % p == 0:
         raise NotInvertible(f"p = {p} divides the base {b}")
+    if e < 1:
+        raise ValueError(f"exponent must be >= 1, got {e}")
     hi = p ** (e + 1)
     t = (pow(b % hi, p - 1, hi) - 1) % hi
     if t % p:

@@ -2,9 +2,11 @@ import random
 
 import pytest
 
-from fibmod.modarith import LucasParams, Modulus, NotInvertible
+from fibmod.modarith import LucasParams, Modulus, NotInvertible, jacobi
+from fibmod.scanner import sieve_primes, wss_search
 from fibmod.sequences import (
     DomainError,
+    _fib_pair_mod,
     entry_index,
     fermat_quotient,
     fibonacci_mod,
@@ -76,9 +78,6 @@ def test_pair_identity():
 
 def test_entry_divisibility():
     # u_p = (delta/p) and u_{p - (delta/p)} = 0 (mod p); v_p = A (mod p).
-    from fibmod.modarith import jacobi
-    from fibmod.scanner import sieve_primes
-
     for A, B in PARAM_SET:
         params = LucasParams(A, B)
         for p in sieve_primes(3, 2000):
@@ -154,3 +153,48 @@ def test_fibonacci_mod_agrees_with_lucas():
     md = Modulus(9973, 2)
     for n in (0, 1, 2, 89, 10**6 + 7):
         assert fibonacci_mod(n, md.m) == lucas_uv_mod(LucasParams(1, -1), n, md)[0]
+
+
+def test_negative_index_is_refused():
+    # F_{-2} = -1, which the ladder on |n| would answer as F_2 = 1.
+    for call in (lambda: fibonacci_mod(-2, 7), lambda: _fib_pair_mod(-1, 7)):
+        with pytest.raises(ValueError):
+            call()
+
+
+def test_exponent_below_one_is_refused():
+    for call in (lambda: fibonacci_quotient(7, 0), lambda: fermat_quotient(2, 7, 0)):
+        with pytest.raises(ValueError):
+            call()
+
+
+def _exact_fibonacci(n):
+    fib = [0, 1]
+    while len(fib) <= n:
+        fib.append(fib[-1] + fib[-2])
+    return fib
+
+
+def test_fib_pair_matches_exact_recurrence():
+    # 5 | m exercises the exact division by 5 of the L_{2k} ladder mod 5m.
+    fib = _exact_fibonacci(401)
+    for m in (1, 2, 5, 10, 25, 125, 343, 9973**2, 5 * 9973**3, 999983**2):
+        for n in range(401):
+            assert _fib_pair_mod(n, m) == (fib[n] % m, fib[n + 1] % m), (n, m)
+
+
+def test_fibonacci_quotient_matches_exact_value():
+    fib = _exact_fibonacci(3001)
+    for p in sieve_primes(7, 2999):
+        exact = fib[p - jacobi(p, 5)] // p
+        for e in (1, 2, 3):
+            assert fibonacci_quotient(p, e) == exact % p**e, (p, e)
+
+
+def test_wss_quotients_match_exact_values():
+    fib = _exact_fibonacci(10**4 + 1)
+    records = wss_search(10**4)
+    assert [rec.p for rec in records] == list(sieve_primes(7, 10**4))
+    for rec in records:
+        exact = fib[rec.p - jacobi(rec.p, 5)] // rec.p % rec.p
+        assert rec.quotient % rec.p == exact and abs(rec.quotient) <= rec.p // 2, rec
