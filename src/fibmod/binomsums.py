@@ -10,7 +10,8 @@ k = p/2, where the binomials pick up positive p-valuation.  Each weight
 but H2 is walked as its own term weight(k) C(2k,k) into a table of
 residues in a ``PrimeTables`` store, which every sum at that prime
 shares, and a sum runs Horner's rule over a prefix of it; the base
-costs one inversion total.
+costs one inversion total, and the store keeps the sum for any other
+check at that prime that asks for it.
 
 Two identities are also provided in exact arbitrary-precision form, as
 independent oracles for the modular machinery.
@@ -80,12 +81,15 @@ class PrimeTables(dict):
     the inverses of 1..n and ``"h2"`` for the H_k^(2) prefix.  A prime
     power fixes its prime, so one store may also serve several primes.
     ``walk_ends`` keeps the walk's (v, unit) at the end of each walked
-    table, so a longer request resumes the walk there.
+    table, so a longer request resumes the walk there.  ``sums`` keeps
+    each finished sum under (weight, p^e, base as given, upper, signed),
+    so checks at one prime that share a sum compute it once.
     """
 
     def __init__(self) -> None:
         super().__init__()
         self.walk_ends: dict[tuple[WeightKind, int], tuple[int, int]] = {}
+        self.sums: dict[tuple[WeightKind, int, int, int, bool], int] = {}
 
     def table(self, kind, pe: int, head: tuple[int, ...] = ()) -> list[int]:
         """The table of ``kind`` mod ``pe``, started with ``head`` when new."""
@@ -272,15 +276,21 @@ def _central_sum(
 
     The base is inverted once and applied by Horner's rule.  A single
     term never inverts, so the base may then be anything; otherwise an
-    unsigned sum raises ``NotInvertible`` when p divides the base.
+    unsigned sum raises ``NotInvertible`` when p divides the base.  The
+    store's ``sums`` answers a sum it has seen; failures are not kept.
     """
     p, pe = modulus.p, modulus.m
-    if not signed and upper:
-        if base % p == 0:
-            raise NotInvertible(f"base {base} is divisible by p = {p}")
-        base = pow(base, -1, pe)
     tables = PrimeTables() if tables is None else tables
-    return _sum_with_power(base % pe, upper, modulus, weight, tables)
+    key = (weight, pe, base, upper, signed)
+    s = tables.sums.get(key)
+    if s is None:
+        x = base
+        if not signed and upper:
+            if base % p == 0:
+                raise NotInvertible(f"base {base} is divisible by p = {p}")
+            x = pow(base, -1, pe)
+        s = tables.sums[key] = _sum_with_power(x % pe, upper, modulus, weight, tables)
+    return s
 
 
 def evaluate_sum(spec: SumSpec, tables: PrimeTables | None = None) -> ResidueClass:

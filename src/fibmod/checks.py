@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from math import comb
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .binomsums import (
     PrimeTables,
@@ -75,14 +75,14 @@ class CheckKind(Enum):
     CONJECTURE = "CONJECTURE"
 
 
-@dataclass(frozen=True)
-class CheckParams:
+class CheckParams(NamedTuple):
     """Parameters of one check evaluation.
 
     ``m`` parameterizes the base-m sum family, ``n`` the index of the
     3-adic Catalan-ratio conjecture, and (A, B) the Lucas-sequence
     checks (defaulting to the Fibonacci instance).  ``force`` evaluates
-    outside the declared domain; ``budget`` caps the sum length.
+    outside the declared domain; ``budget`` caps the sum length.  A
+    tuple, not a frozen dataclass, because a scan builds one per row.
     """
 
     p: int
@@ -95,12 +95,12 @@ class CheckParams:
     budget: int = DEFAULT_TERM_BUDGET
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of one check: both sides, and how badly they disagree.
 
     ``defect_valuation`` is min(v_p(lhs - rhs), e); the check passes
-    exactly when it equals the modulus exponent e.
+    exactly when it equals the modulus exponent e.  A tuple, like
+    ``CheckParams``; it compares equal to the plain tuple of its fields.
     """
 
     check_id: str

@@ -14,11 +14,12 @@ import multiprocessing
 import os
 import random
 import re
-from bisect import bisect_left
-from dataclasses import dataclass, field, fields
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
 from itertools import compress
+from json.encoder import encode_basestring_ascii as _json_str
 from math import isqrt
-from operator import attrgetter
+from operator import le, lt
 from typing import NamedTuple
 
 from ._version import __version__
@@ -160,8 +161,10 @@ class ScanRequest:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
-@dataclass(frozen=True)
-class Row:
+class Row(NamedTuple):
+    """One report row.  A tuple, not a frozen dataclass, because a scan
+    builds one per row; a row equals the plain tuple of its fields."""
+
     check_id: str
     p: int
     a: int
@@ -279,9 +282,10 @@ def scan(request: ScanRequest) -> Report:
 # one object per line with identical field names.
 # ---------------------------------------------------------------------------
 
-_ROW_FIELDS = tuple(f.name for f in fields(Row))
+_ROW_FIELDS = Row._fields
 CSV_COLUMNS = ",".join(_ROW_FIELDS)
-_row_values = attrgetter(*_ROW_FIELDS)
+# The bytes json.dumps gives a dict of a row's fields, with one %s per value.
+_JSONL_ROW = "{" + ", ".join(f"{json.dumps(k)}: %s" for k in _ROW_FIELDS) + "}"
 
 
 def _policy_text(policies: tuple[MPolicy, ...]) -> str:
@@ -359,7 +363,7 @@ def _header_lines(report: Report) -> list[str]:
 
 def csv_row(row: Row) -> str:
     """One report row in ``CSV_COLUMNS`` order; absent values are empty."""
-    return ",".join(["" if v is None else str(v) for v in _row_values(row)])
+    return ",".join(["" if v is None else str(v) for v in row])
 
 
 def render_csv(report: Report) -> str:
@@ -380,9 +384,13 @@ def render_jsonl(report: Report) -> str:
         "sample_seed": _sample_seed(report.request),
     }
     lines = [json.dumps(head)]
-    # Not asdict(), whose deep copy triples the cost per row, nor vars(),
-    # which gives every row a lasting __dict__ (1.1 MB more at 22k rows).
-    lines.extend(json.dumps({k: getattr(row, k) for k in _ROW_FIELDS}) for row in report.rows)
+    # A row holds only str, int and None, so its values are spliced into
+    # one template; no dict is built and dumped per row.
+    lines.extend(
+        _JSONL_ROW
+        % tuple(["null" if v is None else _json_str(v) if isinstance(v, str) else v for v in row])
+        for row in report.rows
+    )
     lines.append(json.dumps({"summary": {cid: report.summary[cid] for cid in sorted(report.summary)}}))
     return "\n".join(lines) + "\n"
 
@@ -411,7 +419,9 @@ CHECKPOINT_MAGIC = "wss-checkpoint v3"
 CHECKPOINT_V2 = "wss-checkpoint v2"
 CHECKPOINT_V1 = "wss-checkpoint v1"
 CHECKPOINT_EVERY = 10_000
-_COMMIT = re.compile(r"commit last_prime=([0-9]+) records=([0-9]+)")
+_COMMIT = re.compile(r"commit last_prime=([0-9]+) records=([0-9]+)\n")
+_RECORD = re.compile(r"[0-9]+,-?[0-9]+")
+_NO_DIGITS = str.maketrans("", "", "0123456789")
 
 
 def _near_text(near_threshold: int | None) -> str:
@@ -452,7 +462,8 @@ def _read_checkpoint(path: str) -> tuple[int, str | None, list[WssRecord], int |
     to its header when it has none, which resumes from p = 7.  Records
     after that line are the torn tail of a killed run and are left out.
     ``end`` is None for v1 and v2.  In every version each record must pass
-    ``_record``, have a prime p and stay within the last_prime that covers it.
+    ``_parse_records``, have a prime p and stay within the last_prime
+    that covers it.
     """
     try:
         with open(path, encoding="ascii", newline="") as fh:
@@ -460,52 +471,65 @@ def _read_checkpoint(path: str) -> tuple[int, str | None, list[WssRecord], int |
     except (OSError, UnicodeDecodeError) as exc:
         raise CheckpointCorrupt(f"cannot read checkpoint {path}: {exc}") from exc
     if text.startswith(CHECKPOINT_MAGIC + "\n"):
-        return _read_v3(path, text.split("\n"))
-    lines = text.splitlines()
-    if not lines or lines[0] not in (CHECKPOINT_V2, CHECKPOINT_V1):
+        return _read_v3(path, text)
+    # v1 and v2 hold no commits, so a last line without its newline is a record too.
+    if not text.endswith("\n"):
+        text += "\n"
+    lines = text.split("\n", 3)
+    if lines[0] not in (CHECKPOINT_V2, CHECKPOINT_V1):
         raise CheckpointCorrupt(f"{path}: missing '{CHECKPOINT_MAGIC}' header")
-    if len(lines) < 2 or not lines[1].startswith("last_prime="):
+    if not lines[1].startswith("last_prime="):
         raise CheckpointCorrupt(f"{path}: missing last_prime line")
     try:
         last_prime = int(lines[1].removeprefix("last_prime="))
     except ValueError as exc:
         raise CheckpointCorrupt(f"{path}: bad last_prime value") from exc
     near = None
-    body = 2
+    start = len(lines[0]) + len(lines[1]) + 2
     if lines[0] == CHECKPOINT_V2:
-        near = _near_line(path, lines[2] if len(lines) > 2 else "")
-        body = 3
-    records: list[WssRecord] = []
-    for lineno, line in enumerate(lines[body:], start=body + 1):
-        records.append(_record(path, lineno, line, records[-1].p if records else 6, near))
-        if records[-1].p > last_prime:
-            raise CheckpointCorrupt(f"{path}:{lineno}: record past last_prime={last_prime}")
-    _refuse_composites(path, records)
-    return last_prime, near, records, None
+        near = _near_line(path, lines[2])
+        start += len(lines[2]) + 1
+    ps, qs = _parse_records(path, text, start, len(text), 6, near)
+    if ps and ps[-1] > last_prime:
+        i = bisect_right(ps, last_prime)
+        raise _corrupt(path, text, start, i, f"record past last_prime={last_prime}")
+    _refuse_composites(path, ps)
+    return last_prime, near, list(map(WssRecord, ps, qs)), None
 
 
-def _read_v3(path: str, lines: list[str]) -> tuple[int, str, list[WssRecord], int]:
-    lines.pop()  # the text after the last newline: empty, or a line cut short
-    near = _near_line(path, lines[1] if len(lines) > 1 else "")
-    end = offset = len(lines[0]) + len(lines[1]) + 2
+def _read_v3(path: str, text: str) -> tuple[int, str, list[WssRecord], int]:
+    start = len(CHECKPOINT_MAGIC) + 1
+    stop = text.find("\n", start)
+    near = _near_line(path, text[start:stop] if stop > 0 else "")
+    end = start = stop + 1
+    tail = text.rfind("\n") + 1  # after it: nothing, or a line cut short
     last_prime = floor = 6
     committed = 0
+    ps: list[int] = []
     records: list[WssRecord] = []
-    for lineno, line in enumerate(lines[2:], start=3):
-        offset += len(line) + 1
-        commit = _COMMIT.fullmatch(line) if line.startswith("commit") else None
+    while start < tail:
+        stop = text.find("\ncommit", start - 1, tail) + 1 or tail  # the next commit line
+        run_ps, run_qs = _parse_records(path, text, start, stop, floor, near)
+        ps += run_ps
+        records += map(WssRecord, run_ps, run_qs)
+        floor = ps[-1] if run_ps else floor
+        if stop == tail:
+            break
+        commit = _COMMIT.match(text, stop, tail)
         if commit is None:
-            records.append(_record(path, lineno, line, floor, near))
-            floor = records[-1].p
-            continue
+            line = text[stop : text.find("\n", stop)]
+            raise _corrupt(path, text, stop, 0, f"bad record {line!r}")
         prime, count = int(commit[1]), int(commit[2])
-        if prime <= last_prime or floor > prime or count != len(records):
-            raise CheckpointCorrupt(
-                f"{path}:{lineno}: {line!r} disagrees with the {len(records)} records "
+        if prime <= last_prime or floor > prime or count != len(ps):
+            why = (
+                f"{commit[0][:-1]!r} disagrees with the {len(ps)} records "
                 f"and last_prime={last_prime} before it"
             )
-        last_prime, floor, committed, end = prime, prime, count, offset
-    _refuse_composites(path, records)
+            raise _corrupt(path, text, stop, 0, why)
+        last_prime = floor = prime
+        committed = count
+        end = start = commit.end()
+    _refuse_composites(path, ps)
     return last_prime, near, records[:committed], end
 
 
@@ -516,27 +540,54 @@ def _near_line(path: str, line: str) -> str:
     return near
 
 
-def _record(path: str, lineno: int, line: str, floor: int, near: str | None) -> WssRecord:
-    """The record on one checkpoint line: p above ``floor`` (7 or more at
-    the first record) whose quotient lies in (-p/2, p/2] and, under a
-    numeric ``near``, within it.  ``_refuse_composites`` checks p."""
+def _parse_records(
+    path: str, text: str, start: int, stop: int, floor: int, near: str | None
+) -> tuple[list[int], list[int]]:
+    """(ps, qs) of the "p,q" record lines that make up ``text[start:stop]``.
+
+    The run is checked and converted as a whole, not by one call per
+    line.  Each p must rise above ``floor`` (so the first is 7 or more)
+    and each quotient lie in (-p/2, p/2] and, under a numeric ``near``,
+    within it.  ``_refuse_composites`` checks p.
+    """
+    body = text[start:stop]
     try:
-        p, q = map(int, line.split(","))
-    except ValueError as exc:
-        raise CheckpointCorrupt(f"{path}:{lineno}: bad record {line!r}") from exc
-    if p <= floor:
-        raise CheckpointCorrupt(f"{path}:{lineno}: record p={p} is not above {floor}")
-    if abs(q) > p // 2 or near not in (None, "all") and abs(q) > int(near):
-        raise CheckpointCorrupt(f"{path}:{lineno}: quotient {q} out of range, p={p}, near={near}")
-    return WssRecord(p, q)
+        # Without its digits a record line reads ",\n" or ",-\n", and int()
+        # then refuses an empty field or a minus anywhere but first in q.
+        if body.translate(_NO_DIGITS).replace(",-\n", ",\n") != ",\n" * body.count("\n"):
+            raise ValueError
+        nums = list(map(int, body.replace("\n", ",").split(",")[:-1]))
+    except ValueError:
+        lines = body.split("\n")
+        i = next(i for i, line in enumerate(lines) if not _RECORD.fullmatch(line))
+        raise _corrupt(path, text, start, i, f"bad record {lines[i]!r}") from None
+    ps, qs = nums[::2], nums[1::2]
+    rising = list(map(lt, [floor, *ps], ps))
+    if not all(rising):
+        i = rising.index(False)
+        below = ps[i - 1] if i else floor
+        raise _corrupt(path, text, start, i, f"record p={ps[i]} is not above {below}")
+    cap = None if near in (None, "all") else int(near)
+    bounds = [p // 2 for p in ps] if cap is None else [min(p // 2, cap) for p in ps]
+    fits = list(map(le, map(abs, qs), bounds))
+    if not all(fits):
+        i = fits.index(False)
+        why = f"quotient {qs[i]} out of range, p={ps[i]}, near={near}"
+        raise _corrupt(path, text, start, i, why)
+    return ps, qs
 
 
-def _refuse_composites(path: str, records: list[WssRecord]) -> None:
-    """Raise ``CheckpointCorrupt`` if the p of a record is not prime.
+def _corrupt(path: str, text: str, start: int, i: int, why: str) -> CheckpointCorrupt:
+    """A refusal for ``why`` that names line i of the lines from ``start``, a line start."""
+    lineno = text.count("\n", 0, start) + 1 + i
+    return CheckpointCorrupt(f"{path}:{lineno}: {why}")
+
+
+def _refuse_composites(path: str, ps: list[int]) -> None:
+    """Raise ``CheckpointCorrupt`` if a record's p in ``ps`` is not prime.
 
     The records rise, so one sieve segment checks every record in it.
     """
-    ps = [rec.p for rec in records]
     base = _small_primes(isqrt(ps[-1])) if ps else []
     i = 0
     while i < len(ps):

@@ -3,7 +3,7 @@ from dataclasses import replace
 import pytest
 
 import fibmod.checks as checks
-from fibmod.binomsums import PrimeTables
+from fibmod.binomsums import PrimeTables, WeightKind, _central_sum
 from fibmod.checks import (
     BudgetExceeded,
     CheckError,
@@ -18,7 +18,7 @@ from fibmod.checks import (
     run_conj11n_range,
 )
 from fibmod.modarith import Modulus, NotInvertible
-from fibmod.scanner import sieve_primes
+from fibmod.scanner import AllSmall, Sample, _m_values, sieve_primes
 from fibmod.sequences import DomainError, fibonacci_mod
 
 
@@ -254,3 +254,68 @@ def test_shared_cache_is_consistent():
                     continue
                 assert with_cache.lhs.value == fresh.lhs.value, (cid, p, m)
                 assert with_cache.rhs.value == fresh.rhs.value, (cid, p, m)
+
+
+def _t2_m_values(p):
+    """Every m in 1..p-1 and ten seeded m in [p, p^2) coprime to p, as a scan draws them."""
+    return _m_values(p, (AllSmall(), Sample(10, 7)))
+
+
+def test_sum_memo_keeps_verdicts():
+    # T2_CAT's rhs and T2_MAIN's lhs ask for the same plain sum; with one
+    # store per prime the second reads the first's from the memo.
+    ids = ("T2_CAT", "T2_MAIN", "BASIC_P")
+    for p in sieve_primes(3, 61):
+        shared = PrimeTables()
+        for m in _t2_m_values(p):
+            for cid in ids:
+                params = CheckParams(p=p, m=m)
+                assert run_check(cid, params, shared) == run_check(cid, params, PrimeTables())
+        # Per m: the Catalan and the plain sum mod p^2, the latter shared by
+        # T2_CAT and T2_MAIN, and BASIC_P's plain sum mod p.
+        assert len(shared.sums) == 3 * len(_t2_m_values(p))
+
+
+def test_sum_memo_keeps_keys_apart():
+    md = Modulus(7, 2)
+    shared = PrimeTables()
+    for base in (2, 3, -16, 5):
+        for upper in (2, 3):
+            for signed in (False, True):
+                got = _central_sum(base, upper, md, WeightKind.NONE, shared, signed)
+                assert got == _central_sum(base, upper, md, WeightKind.NONE, None, signed)
+    assert len(shared.sums) == 4 * 2 * 2
+    # The keys must matter: signed and unsigned differ here, and so do the uppers.
+    sums = {key[2:]: value for key, value in shared.sums.items()}
+    assert sums[3, 3, False] != sums[3, 3, True]
+    assert sums[3, 3, False] != sums[3, 2, False]
+
+
+def test_sum_memo_does_not_keep_failures():
+    tables = PrimeTables()
+    for _ in range(2):
+        with pytest.raises(NotInvertible):
+            _central_sum(14, 3, Modulus(7, 2), WeightKind.NONE, tables)
+        with pytest.raises(CheckError):
+            run_check("T2_MAIN", CheckParams(p=7, m=14, force=True), tables)
+    assert not tables.sums
+
+
+def test_records_are_immutable_tuples():
+    params = CheckParams(p=7, m=3)
+    verdict = run_check("T2_MAIN", params)
+    for record, name in ((params, "m"), (verdict, "passed")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        assert record == tuple(record)
+    assert CheckParams._field_defaults == {
+        "a": 1,
+        "m": None,
+        "n": None,
+        "A": None,
+        "B": None,
+        "force": False,
+        "budget": checks.DEFAULT_TERM_BUDGET,
+    }
+    assert CheckParams(p=7) == (7, 1, None, None, None, None, False, 1 << 22)
+    assert verdict.params is params and verdict.passed

@@ -5,9 +5,12 @@ from dataclasses import replace
 import fibmod.checks as checks
 from fibmod.checks import CheckError, UnknownCheckId, get_check
 from fibmod.scanner import (
+    CSV_COLUMNS,
     AllSmall,
     CheckpointCorrupt,
     MList,
+    Report,
+    Row,
     Sample,
     ScanRequest,
     _read_checkpoint,
@@ -462,3 +465,48 @@ def test_unforced_check_error_is_not_a_skip(monkeypatch, capsys):
     # Under force, broken arithmetic is expected and stays a SKIP.
     forced = scan(replace(request, force=True))
     assert [row.status for row in forced.rows] == ["SKIP"] * 4
+
+
+def test_render_jsonl_rows_match_json_dumps():
+    import json
+
+    odd = 'T"2\\_é'  # a quote, a backslash and a non-ASCII letter
+    rows = [
+        Row("T1_1", 3, 1, None, None, None, None, None, "SKIP"),
+        Row("T2_MAIN", 7, 2, -16, 2, 0, 48, 0, "FAIL"),
+        Row(odd, 2**60 - 93, 1, -(2**59) - 1, 3, 2**60 - 1, -1, 3, odd + "\U0001F600"),
+        Row("C1_2", 11, 1, 5, None, 12, None, 2, "PASS"),
+    ]
+    request = ScanRequest(check_ids=("T1_1",), p_min=3, p_max=3)
+    lines = render_jsonl(Report(request, rows, {"T1_1": {"pass": 0, "fail": 0, "skip": 1}}))
+    body = lines.splitlines()[1:-1]
+    assert body == [json.dumps({k: getattr(row, k) for k in Row._fields}) for row in rows]
+
+
+def test_rows_are_immutable_tuples():
+    row = Row("T1_1", 3, 1, None, 3, 11, 11, 3, "PASS")
+    with pytest.raises(AttributeError):
+        row.status = "FAIL"
+    assert row == ("T1_1", 3, 1, None, 3, 11, 11, 3, "PASS")
+    assert ",".join(Row._fields) == CSV_COLUMNS
+    assert CSV_COLUMNS == "check_id,p,a,m,exponent,lhs,rhs,defect_valuation,status"
+
+
+@pytest.mark.parametrize(
+    "body, lineno",
+    [
+        ("7,3\n11,+1\ncommit last_prime=11 records=2\n", 4),  # only what the writer writes
+        ("7,3\ncommit last_prime=7 records=1\n11, 1\n", 5),
+        ("7,3\n11,1-\n", 4),
+        ("7,3\n11,-\n", 4),
+        ("7,3\n11,1,\n,13\n", 4),  # commas that still pair up overall
+        ("7,3\ncommit last_prime=7 records=1\n11,1\n13,1\n13,2\n", 7),
+        ("7,3\ncommit last_prime=7 records=1\n11,-6\n", 5),
+        ("7,3\ncommit last_prime=7 records=1\ncommit last_prime=7 records=1\n", 5),
+    ],
+)
+def test_checkpoint_refusal_names_its_line(tmp_path, body, lineno):
+    ckpt = tmp_path / "bad.ckpt"
+    ckpt.write_text("wss-checkpoint v3\nnear=all\n" + body)
+    with pytest.raises(CheckpointCorrupt, match=f"bad.ckpt:{lineno}: "):
+        _read_checkpoint(str(ckpt))
