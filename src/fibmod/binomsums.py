@@ -11,7 +11,10 @@ but H2 is walked as its own term weight(k) C(2k,k) into a table of
 residues in a ``PrimeTables`` store, which every sum at that prime
 shares, and a sum runs Horner's rule over a prefix of it; the base
 costs one inversion total, and the store keeps the sum for any other
-check at that prime that asks for it.
+check at that prime that asks for it.  A sum whose base does not depend
+on p is also given at many primes at once by ``batch_central_sums``, a
+remainder tree over 2x2 matrix products, which a scan uses in place of
+the walk where it can.
 
 Two identities are also provided in exact arbitrary-precision form, as
 independent oracles for the modular machinery.
@@ -52,6 +55,11 @@ class WeightKind(Enum):
     INV_2KM1 = "inv_2km1"
     INV_2KM1_SQ = "inv_2km1_sq"
     H2 = "h2"
+
+    # A member is part of every table and sum key; Enum.__hash__ hashes
+    # its name in Python on each lookup.  Members are singletons (also
+    # when unpickled), so identity is their equality and their hash.
+    __hash__ = object.__hash__
 
 
 @dataclass(frozen=True)
@@ -263,6 +271,12 @@ def central_binomial_stream(modulus: Modulus, max_k: int) -> Iterator[PadicFacto
         yield PadicFactored(modulus, v, u)
 
 
+def sum_key(base: int, upper: int, pe: int, weight: WeightKind, signed: bool) -> tuple:
+    """The key of a finished sum in ``PrimeTables.sums``: ``_central_sum``
+    reads and writes it, and a scan fills it from ``batch_central_sums``."""
+    return weight, pe, base, upper, signed
+
+
 def _central_sum(
     base: int,
     upper: int,
@@ -281,7 +295,7 @@ def _central_sum(
     """
     p, pe = modulus.p, modulus.m
     tables = PrimeTables() if tables is None else tables
-    key = (weight, pe, base, upper, signed)
+    key = sum_key(base, upper, pe, weight, signed)
     s = tables.sums.get(key)
     if s is None:
         x = base
@@ -291,6 +305,95 @@ def _central_sum(
             x = pow(base, -1, pe)
         s = tables.sums[key] = _sum_with_power(x % pe, upper, modulus, weight, tables)
     return s
+
+
+def batch_central_sums(
+    base: int, signed: bool, weight: WeightKind, entries: list[tuple[int, int, int]]
+) -> list[int | None]:
+    """``_central_sum(base, upper, Modulus(p, e), weight, ..., signed)`` for
+    each (p, upper, e) of ``entries`` at once, by an accumulating
+    remainder tree; None for an entry left to the walk.
+
+    With x = xn/xd (base/1 when ``signed``, else 1/base) and the term
+    ratio N(k)/D(k) of ``_RATIOS``, the scaled state (S_k Q_k, t_k x^k Q_k),
+    Q_k = xd^(h-1) prod_{h<=j<=k} D(j) xd, moves by the row-vector step
+    [[D xd, 0], [N xn, N xn]] from the h head terms on.  One product tree
+    runs over the blocks of k between consecutive uppers and one over the
+    moduli; the descent hands each node its incoming state reduced mod
+    the product of its moduli, so every sum costs its share of
+    quasi-linear big-int work instead of O(p).  An entry is left out
+    where the walk raises or Q is not a unit: p divides an unsigned base,
+    the upper is outside the weight's domain or below h, or p divides
+    D(k) for some h <= k <= upper (CATALAN to p-1).
+    """
+    head, (nums, dens) = _RATIOS[weight]
+    h = len(head)
+    xn, xd = (base, 1) if signed else (1, base)
+
+    def left_out(p: int, upper: int) -> bool:
+        if upper < h or xd % p == 0:
+            return True
+        try:
+            _check_weight_domain(weight, upper, p)
+        except WeightDomain:
+            return True
+        # a*k + b = 0 (mod p) at k = -b/a; the ratios' a are 1, 2 and 4.
+        return any(h + (-b * pow(a, -1, p) - h) % p <= upper for a, b in dens)
+
+    def step(lo: int, hi: int) -> tuple[int, int, int]:
+        """The product of the steps k = lo..hi-1 as (a, b, c) = [[a, 0], [b, c]],
+        split in halves above 16 steps so the big factors meet last."""
+        if hi - lo > 16:
+            mid = (lo + hi) // 2
+            return mul(step(lo, mid), step(mid, hi))
+        a, b, c = 1, 0, 1
+        for k in range(lo, hi):
+            d = prod([s * k + t for s, t in dens]) * xd
+            n = prod([s * k + t for s, t in nums]) * xn
+            a, b, c = a * d, b * d + c * n, c * n
+        return a, b, c
+
+    def mul(l: tuple[int, int, int], r: tuple[int, int, int]) -> tuple[int, int, int]:
+        return l[0] * r[0], l[1] * r[0] + l[2] * r[1], l[2] * r[2]
+
+    def moduli(lo: int, hi: int) -> tuple:
+        """The product tree of the moduli of blocks lo..hi-1, as (product, left, right)."""
+        if hi - lo == 1:
+            return (mods[lo],)
+        mid = (lo + hi) // 2
+        left, right = moduli(lo, mid), moduli(mid, hi)
+        return (left[0] * right[0], left, right)
+
+    def descend(node: tuple, lo: int, hi: int, state: tuple[int, int, int], need: bool):
+        """Record the sums at blocks lo..hi-1 from ``state`` = (S Q, t x^k Q, Q)
+        before block lo; return the product of their steps when ``need``."""
+        m = node[0]
+        sq, tq, q = (v % m for v in state)
+        if hi - lo == 1:
+            a, b, c = step(starts[lo], starts[lo + 1])
+            am = a % m
+            out[order[lo]] = (sq * am + tq * (b % m)) * pow(q * am, -1, m) % m
+            return (a, b, c) if need else None
+        mid = (lo + hi) // 2
+        left = descend(node[1], lo, mid, (sq, tq, q), True)
+        right = descend(node[2], mid, hi, (sq * left[0] + tq * left[1], tq * left[2], q * left[0]), need)
+        return mul(left, right) if need else None
+
+    out: list[int | None] = [None] * len(entries)
+    order = sorted(
+        (i for i, (p, upper, _) in enumerate(entries) if not left_out(p, upper)),
+        key=lambda i: entries[i][1],
+    )
+    if order:
+        mods = [entries[i][0] ** entries[i][2] for i in order]
+        starts = [h] + [entries[i][1] + 1 for i in order]
+        state = (
+            sum(t * xn**k * xd ** (h - 1 - k) for k, t in enumerate(head)),
+            head[-1] * xn ** (h - 1),
+            xd ** (h - 1),
+        )
+        descend(moduli(0, len(order)), 0, len(order), state, False)
+    return out
 
 
 def evaluate_sum(spec: SumSpec, tables: PrimeTables | None = None) -> ResidueClass:

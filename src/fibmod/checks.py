@@ -213,40 +213,39 @@ def _conj11n_valuation(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _sum_side(
-    base: int | Callable[[CheckParams], int],
-    upper: Callable[[CheckParams], int],
-    weight: WeightKind = WeightKind.NONE,
-    signed: bool = False,
-) -> Side:
+@dataclass(frozen=True, slots=True)
+class SumSide:
     """The side  sum_{k<=upper} weight(k) C(2k,k) / base^k,  or with
     base^k when ``signed`` (then p may divide the base).
 
-    ``base`` is a constant or read from the params.  The side keeps its
-    bound as ``.upper``, which ``_spec`` takes as the check's length.
+    ``base`` is a constant or read from the params.  ``_spec`` takes
+    ``upper`` as the check's length, and ``scan`` evaluates a side with a
+    constant base and a walked weight over all its primes at once.
     """
 
-    def side(pr, md, tables):
-        b = base(pr) if callable(base) else base
-        return _central_sum(b, upper(pr), md, weight, tables, signed)
+    base: int | Callable[[CheckParams], int]
+    upper: Callable[[CheckParams], int]
+    weight: WeightKind = WeightKind.NONE
+    signed: bool = False
 
-    side.upper = upper
-    return side
+    def __call__(self, pr, md, tables):
+        b = self.base(pr) if callable(self.base) else self.base
+        return _central_sum(b, self.upper(pr), md, self.weight, tables, self.signed)
 
 
 # Sums over the free parameter m, shared by several checks and closed forms.
-_m_half_sum = _sum_side(_m, _half)
-_m_half_cat_sum = _sum_side(_m, _half, WeightKind.CATALAN)
-_m_half_k_sum = _sum_side(_m, _half, WeightKind.LINEAR_K)
-_m_full_sum = _sum_side(_m, _full)
-_m_full_k_sum = _sum_side(_m, _full, WeightKind.LINEAR_K)
+_m_half_sum = SumSide(_m, _half)
+_m_half_cat_sum = SumSide(_m, _half, WeightKind.CATALAN)
+_m_half_k_sum = SumSide(_m, _half, WeightKind.LINEAR_K)
+_m_full_sum = SumSide(_m, _full)
+_m_full_k_sum = SumSide(_m, _full, WeightKind.LINEAR_K)
 
 # sum (-1)^k C(2k,k) H_k^(2) and sum (-2)^k C(2k,k) H_k^(2) over k < p.
-_h2_alt_sum = _sum_side(-1, _p_full, WeightKind.H2, signed=True)
-_h2_neg2_sum = _sum_side(-2, _p_full, WeightKind.H2, signed=True)
+_h2_alt_sum = SumSide(-1, _p_full, WeightKind.H2, signed=True)
+_h2_neg2_sum = SumSide(-2, _p_full, WeightKind.H2, signed=True)
 
-_c1_2_sum = _sum_side(16, _p_half, WeightKind.INV_2KM1_SQ)
-_adamchuk_sum = _sum_side(1, lambda pr: 2 * pr.p // 3, signed=True)
+_c1_2_sum = SumSide(16, _p_half, WeightKind.INV_2KM1_SQ)
+_adamchuk_sum = SumSide(1, lambda pr: 2 * pr.p // 3, signed=True)
 
 
 def _t1_1_rhs(pr, md, tables):
@@ -292,6 +291,9 @@ def _c1_2_rhs(pr, md, tables):
     closed = jacobi(-1, p) * (3 * jacobi(p, 3) + 1) % pe * pow(4, -1, pe) % pe
     inv2 = pow(2, -1, pe)
     table = {1: 1 % pe, 5: -inv2 % pe, 7: pe - 1, 11: inv2}
+    if p % 12 not in table:
+        # Only p = 3, outside the domain: (p/3) = 0 there.
+        raise ValueError(f"the mod-12 case table has no entry for p = {p}")
     return [closed, table[p % 12]]
 
 
@@ -636,7 +638,7 @@ _REGISTRY: tuple[CheckSpec, ...] = (
         "T1_1",
         CheckKind.THEOREM,
         "half-range sum of C(2k,k)/(-16)^k determines the Fibonacci entry term mod p^3",
-        _sum_side(-16, _half),
+        SumSide(-16, _half),
         _t1_1_rhs,
         e=3,
         domain=lambda pr: pr.p != 5,
@@ -646,7 +648,7 @@ _REGISTRY: tuple[CheckSpec, ...] = (
         "T1_2",
         CheckKind.THEOREM,
         "half-range sum of C(2k,k)/(-32)^k against a Fermat-quotient polynomial mod p^3",
-        _sum_side(-32, _half),
+        SumSide(-32, _half),
         _t1_2_rhs,
         e=3,
         domain=lambda pr: pr.p != 3,
@@ -674,7 +676,7 @@ _REGISTRY: tuple[CheckSpec, ...] = (
         "C1_1_8",
         CheckKind.THEOREM,
         "half-range sum of C(2k,k)/8^k equals the Jacobi symbol (2/p^a) mod p^2",
-        _sum_side(8, _half),
+        SumSide(8, _half),
         _c1_1_8_rhs,
         e=2,
     ),
@@ -682,7 +684,7 @@ _REGISTRY: tuple[CheckSpec, ...] = (
         "C1_1_16",
         CheckKind.THEOREM,
         "half-range sum of C(2k,k)/16^k equals the Jacobi symbol (3/p^a) mod p^2",
-        _sum_side(16, _half),
+        SumSide(16, _half),
         _jac3_rhs,
         e=2,
     ),
@@ -720,7 +722,7 @@ _REGISTRY: tuple[CheckSpec, ...] = (
         "PANSUN",
         CheckKind.AUXILIARY,
         "full-range alternating sum of C(2k,k) determines the Fibonacci entry term mod p^3",
-        _sum_side(-1, _full, signed=True),
+        SumSide(-1, _full, signed=True),
         _pansun_rhs,
         e=3,
         domain=lambda pr: pr.p != 5,
@@ -904,7 +906,7 @@ _REGISTRY: tuple[CheckSpec, ...] = (
         "E4_4",
         CheckKind.THEOREM,
         "full-range sum k C(2k,k)/2^k equals p - (-1/p) mod p^2",
-        _sum_side(2, _p_full, WeightKind.LINEAR_K),
+        SumSide(2, _p_full, WeightKind.LINEAR_K),
         _e4_4_rhs,
         e=2,
         **_P_GT_3_A1,
@@ -913,7 +915,7 @@ _REGISTRY: tuple[CheckSpec, ...] = (
         "E4_5",
         CheckKind.THEOREM,
         "full-range sum k C(2k,k)/3^k equals 2p - 2(p/3) mod p^2",
-        _sum_side(3, _p_full, WeightKind.LINEAR_K),
+        SumSide(3, _p_full, WeightKind.LINEAR_K),
         _e4_5_rhs,
         e=2,
         **_P_GT_3_A1,
@@ -922,7 +924,7 @@ _REGISTRY: tuple[CheckSpec, ...] = (
         "E4_6",
         CheckKind.THEOREM,
         "half-range sum k C(2k,k)/8^k equals (2/p)(1 - (-1/p) p)/2 mod p^2",
-        _sum_side(8, _p_half, WeightKind.LINEAR_K),
+        SumSide(8, _p_half, WeightKind.LINEAR_K),
         _e4_6_rhs,
         e=2,
         **_P_GT_3_A1,
@@ -931,7 +933,7 @@ _REGISTRY: tuple[CheckSpec, ...] = (
         "E4_7",
         CheckKind.THEOREM,
         "half-range sum k C(2k,k)/16^k equals ((3/p) - (-1/p) p)/6 mod p^2",
-        _sum_side(16, _p_half, WeightKind.LINEAR_K),
+        SumSide(16, _p_half, WeightKind.LINEAR_K),
         _e4_7_rhs,
         e=2,
         **_P_GT_3_A1,
@@ -951,7 +953,7 @@ _REGISTRY: tuple[CheckSpec, ...] = (
         CheckKind.CONJECTURE,
         "sum_{k<=n} C(2k,k)/16^k equals (2n+1)^2 C(2n,n) times (1 or 4 per 3|n), "
         "compared 3-adically at exponent v+2",
-        _sum_side(16, lambda pr: pr.n),
+        SumSide(16, lambda pr: pr.n),
         _conj11n_rhs,
         exponent=lambda pr: _conj11n_valuation(pr.n) + 2,
         exponent_label="v+2",
@@ -963,7 +965,7 @@ _REGISTRY: tuple[CheckSpec, ...] = (
         "CONJ1_1A",
         CheckKind.CONJECTURE,
         "sum to (3^a-1)/2 of C(2k,k)/16^k equals 9^a (-1)^a 10 mod 3^(2a+3)",
-        _sum_side(16, lambda pr: (3**pr.a - 1) // 2),
+        SumSide(16, lambda pr: (3**pr.a - 1) // 2),
         _conj11a_rhs,
         exponent=lambda pr: 2 * pr.a + 3,
         exponent_label="2a+3",
@@ -974,7 +976,7 @@ _REGISTRY: tuple[CheckSpec, ...] = (
         "CONJ1_2_I",
         CheckKind.CONJECTURE,
         "sum to floor(5 p^a/6) of C(2k,k)/16^k equals (3/p^a) mod p^2",
-        _sum_side(16, _floor_of(5, 6)),
+        SumSide(16, _floor_of(5, 6)),
         _jac3_rhs,
         e=2,
         domain=lambda pr: pr.p % 3 == 1 or pr.a > 1,
@@ -984,7 +986,7 @@ _REGISTRY: tuple[CheckSpec, ...] = (
         "CONJ1_2_II_45",
         CheckKind.CONJECTURE,
         "alternating C(2k,k) sum to floor(4 p^a/5) equals (5/p^a) mod p^2",
-        _sum_side(-1, _floor_of(4, 5), signed=True),
+        SumSide(-1, _floor_of(4, 5), signed=True),
         _jac5_rhs,
         e=2,
         # p = 5 is excluded: there the Jacobi symbol vanishes and the sum
@@ -998,7 +1000,7 @@ _REGISTRY: tuple[CheckSpec, ...] = (
         "CONJ1_2_II_35",
         CheckKind.CONJECTURE,
         "alternating C(2k,k) sum to floor(3 p^a/5) equals (5/p^a) mod p^2",
-        _sum_side(-1, _floor_of(3, 5), signed=True),
+        SumSide(-1, _floor_of(3, 5), signed=True),
         _jac5_rhs,
         e=2,
         domain=lambda pr: pr.p != 5
@@ -1009,7 +1011,7 @@ _REGISTRY: tuple[CheckSpec, ...] = (
         "CONJ1_2_III_710",
         CheckKind.CONJECTURE,
         "sum to floor(7 p^a/10) of C(2k,k)/(-16)^k equals (5/p^a) mod p^2",
-        _sum_side(-16, _floor_of(7, 10)),
+        SumSide(-16, _floor_of(7, 10)),
         _jac5_rhs,
         e=2,
         domain=lambda pr: pr.p % 10 in (1, 7) or pr.a > 2,
@@ -1019,7 +1021,7 @@ _REGISTRY: tuple[CheckSpec, ...] = (
         "CONJ1_2_III_910",
         CheckKind.CONJECTURE,
         "sum to floor(9 p^a/10) of C(2k,k)/(-16)^k equals (5/p^a) mod p^2",
-        _sum_side(-16, _floor_of(9, 10)),
+        SumSide(-16, _floor_of(9, 10)),
         _jac5_rhs,
         e=2,
         domain=lambda pr: pr.p % 10 in (1, 3) or pr.a > 2,
@@ -1131,7 +1133,7 @@ def run_check(
         NotDivisible,
         WeightDomain,
         ZeroInput,
-        ValueError,  # a raw pow(x, -1, m) on a forced evaluation
+        ValueError,  # a raw pow(x, -1, m) or a missing case on a forced evaluation
     ) as exc:
         raise CheckError(f"{check_id} at p={p}: {exc}") from exc
     defect, l, r = _compare(lhs, rhs, md)

@@ -4,7 +4,9 @@ Work is partitioned by prime: all checks at one prime share one
 ``PrimeTables`` store (the central-binomial residue tables and inverse
 tables at each exponent), and per-prime row
 lists are merged in ascending prime order, so reports are byte-identical
-regardless of the worker count.
+regardless of the worker count.  Before the primes are handed out, every
+constant-base sum side of the request is evaluated at all of them at
+once, and each prime's store starts with those values.
 """
 
 from __future__ import annotations
@@ -23,12 +25,13 @@ from operator import le, lt
 from typing import NamedTuple
 
 from ._version import __version__
-from .binomsums import PrimeTables
+from .binomsums import _RATIOS, PrimeTables, batch_central_sums, sum_key
 from .checks import (
     DEFAULT_TERM_BUDGET,
     BudgetExceeded,
     CheckError,
     CheckParams,
+    SumSide,
     Verdict,
     get_check,
     run_check,
@@ -224,9 +227,68 @@ def verdict_row(check_id: str, p: int, a: int, m: int | None, verdict: Verdict |
     )
 
 
+def _batched_sides(ids: tuple[str, ...]) -> tuple[tuple[str, str], ...]:
+    """(check id, "lhs" or "rhs") of each side of ``ids`` that ``scan``
+    evaluates over all its primes at once: a ``SumSide`` with a constant
+    base and a walked weight.  The others, custom sides among them, stay
+    on the per-prime walk."""
+    return tuple(
+        (cid, name)
+        for cid in ids
+        for name in ("lhs", "rhs")
+        if isinstance(side := getattr(get_check(cid), name), SumSide)
+        and isinstance(side.base, int)
+        and side.weight in _RATIOS
+    )
+
+
+def _batched_sums(
+    sides: tuple[tuple[str, str], ...], primes: list[int], force: bool, budget: int
+) -> list[tuple[int | None, ...]]:
+    """Per prime, the value at a = 1 of each of ``sides``, or None.
+
+    A side is evaluated only at the primes where ``run_check`` reads it
+    (in the domain unless forced, and within the budget), and sides that
+    share a base, sign and weight share one ``batch_central_sums`` call.
+    None marks a sum left to the walk, or one ``run_check`` never reads.
+    One group's entries are alive at a time: only the values are kept.
+    """
+    columns: list[list[int | None]] = [[None] * len(primes) for _ in sides]
+    groups: dict[tuple, list[int]] = {}
+    for j, (cid, name) in enumerate(sides):
+        side = getattr(get_check(cid), name)
+        groups.setdefault((side.base, side.signed, side.weight), []).append(j)
+    for (base, signed, weight), members in groups.items():
+        entries: list[tuple[int, int, int]] = []
+        read: list[list[int]] = []  # per member, the indices of the primes it is read at
+        for j in members:
+            cid, name = sides[j]
+            spec = get_check(cid)
+            upper = getattr(spec, name).upper
+            read.append([])
+            for i, p in enumerate(primes):
+                pr = CheckParams(p=p, force=force, budget=budget)
+                if force or (spec.domain(pr) and spec.length(pr) <= budget):
+                    read[-1].append(i)
+                    entries.append((p, upper(pr), spec.exponent(pr)))
+        values = iter(batch_central_sums(base, signed, weight, entries))
+        for j, where in zip(members, read):
+            column = columns[j]
+            for i, s in zip(where, values):
+                column[i] = s
+    return list(zip(*columns)) if sides else [()] * len(primes)
+
+
 def _prime_worker(task) -> list[Row]:
-    p, ids, a_max, policies, budget, force = task
+    p, ids, a_max, policies, budget, force, sides, sums = task
     tables = PrimeTables()
+    pr = CheckParams(p=p, force=force, budget=budget)
+    for (cid, name), s in zip(sides, sums):
+        if s is not None:
+            spec = get_check(cid)
+            side = getattr(spec, name)
+            pe = p ** spec.exponent(pr)
+            tables.sums[sum_key(side.base, side.upper(pr), pe, side.weight, side.signed)] = s
     rows: list[Row] = []
     for cid in ids:
         spec = get_check(cid)
@@ -257,9 +319,11 @@ def scan(request: ScanRequest) -> Report:
     """
     ids = tuple(sorted(set(request.check_ids)))
     primes = [p for p in sieve_primes(request.p_min, request.p_max) if p > 2]
+    sides = _batched_sides(ids)
+    sums = _batched_sums(sides, primes, request.force, request.budget)
     tasks = [
-        (p, ids, request.a_max, request.m_policy, request.budget, request.force)
-        for p in primes
+        (p, ids, request.a_max, request.m_policy, request.budget, request.force, sides, s)
+        for p, s in zip(primes, sums)
     ]
     rows: list[Row] = []
     if request.jobs > 1 and len(tasks) > 1:

@@ -1,0 +1,152 @@
+"""The scan's batched sums against the per-prime walk and an exact oracle.
+
+``batch_central_sums`` evaluates a constant-base sum at many primes at
+once by a remainder tree.  Every value it gives must equal
+``_central_sum`` with a store of its own, and every entry it leaves out
+must be one of the cases that stay on the walk.  A scan that prefills
+its stores with these values must give the rows each check gives alone.
+"""
+
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from fibmod import binomsums
+from fibmod.binomsums import (
+    _RATIOS,
+    PrimeTables,
+    WeightKind,
+    _central_sum,
+    batch_central_sums,
+)
+from fibmod.checks import (
+    BudgetExceeded,
+    CheckError,
+    CheckParams,
+    run_check,
+)
+from fibmod.modarith import Modulus
+from fibmod.scanner import ScanRequest, scan, sieve_primes, verdict_row
+from fibmod.sequences import DomainError
+from test_sum_oracle import oracle
+
+PRIMES = sieve_primes(3, 3000)
+BASES = (-35, 6)  # negative, and multiples of 2, 3, 5 and 7
+
+# The first k >= 1 at which p divides a denominator factor of the ratio.
+_FIRST_BAD_K = {
+    WeightKind.NONE: lambda p: p,  # k
+    WeightKind.CATALAN: lambda p: p - 1,  # k + 1
+    WeightKind.LINEAR_K: lambda p: p + 1,  # k - 1
+    WeightKind.INV_2KM1: lambda p: p,  # k
+    WeightKind.INV_2KM1_SQ: lambda p: (p + 1) // 2,  # k (2k - 1)
+}
+
+
+def _left_out(weight, base, signed, p, upper):
+    if upper < len(_RATIOS[weight][0]) or (not signed and base % p == 0):
+        return True
+    if weight in (WeightKind.INV_2KM1, WeightKind.INV_2KM1_SQ) and upper > (p - 1) // 2:
+        return True
+    return upper >= _FIRST_BAD_K[weight](p)
+
+
+def _entries(primes):
+    # Mixed exponents and three uppers per prime, so one tree holds several
+    # moduli of one prime and uppers that are not sorted by prime.
+    return [
+        (p, upper, 1 + p % 3)
+        for p in primes
+        for upper in ((p - 1) // 2, p - 1, 2 * p // 3)
+    ]
+
+
+@pytest.mark.parametrize("weight", list(_RATIOS))
+def test_batch_matches_the_walk(weight):
+    entries = _entries(PRIMES)
+    stores = {}  # one store per (p, e) that no batch has touched
+    batched = 0
+    for signed in (False, True):
+        for base in BASES:
+            got = batch_central_sums(base, signed, weight, entries)
+            assert len(got) == len(entries)
+            for (p, upper, e), value in zip(entries, got):
+                if _left_out(weight, base, signed, p, upper):
+                    assert value is None, (base, signed, p, upper)
+                    continue
+                tables = stores.setdefault((p, e), PrimeTables())
+                want = _central_sum(base, upper, Modulus(p, e), weight, tables, signed)
+                assert value == want, (base, signed, p, upper, e)
+                batched += 1
+    assert batched > len(entries)
+
+
+@pytest.mark.parametrize("weight", list(_RATIOS))
+def test_batch_matches_the_fraction_oracle(weight):
+    entries = _entries(sieve_primes(3, 41)) + [(5, 0, 2), (7, 1, 3), (3, 2, 4)]
+    for signed in (False, True):
+        for base in BASES + (-16, -1, 1, 105):
+            got = batch_central_sums(base, signed, weight, entries)
+            for (p, upper, e), value in zip(entries, got):
+                if _left_out(weight, base, signed, p, upper):
+                    assert value is None
+                    continue
+                x = Fraction(base) if signed else Fraction(1, base)
+                assert value == oracle(weight, x, upper, Modulus(p, e)), (base, signed, p, upper)
+
+
+def test_batch_of_nothing():
+    assert batch_central_sums(16, False, WeightKind.NONE, []) == []
+    assert batch_central_sums(3, False, WeightKind.NONE, [(3, 1, 2)]) == [None]
+
+
+# Every id with a batched side, plus the four custom sides that stay on the walk.
+SCAN_IDS = (
+    "T1_1", "T1_2", "C1_1_8", "C1_1_16", "PANSUN", "E4_4", "E4_5", "E4_6", "E4_7",
+    "C1_2", "ADAMCHUK", "MORLEY", "WILLIAMS",
+)
+
+
+def _alone(cid, p, a, force):
+    """The row of one check run with a fresh store, as ``_prime_worker`` makes it."""
+    try:
+        verdict = run_check(cid, CheckParams(p=p, a=a, force=force), PrimeTables())
+    except (DomainError, BudgetExceeded, CheckError):
+        verdict = None
+    return verdict_row(cid, p, a, None, verdict)
+
+
+@pytest.mark.parametrize(
+    "p_min, p_max, a_max, force",
+    [(3, 1500, 1, False), (3, 60, 2, False), (3, 400, 1, True), (3, 40, 2, True)],
+)
+def test_batched_scan_rows_equal_rows_alone(p_min, p_max, a_max, force):
+    want = [
+        _alone(cid, p, a, force)
+        for p in sieve_primes(p_min, p_max)
+        for cid in sorted(SCAN_IDS)
+        for a in range(1, a_max + 1)
+    ]
+    for jobs in (1, 2):
+        request = ScanRequest(SCAN_IDS, p_min, p_max, a_max=a_max, jobs=jobs, force=force)
+        assert scan(request).rows == want
+
+
+def test_batched_sides_skip_the_kernel(monkeypatch):
+    # Every sum of these checks at a = 1 comes from the batch; the stores
+    # must hold it under _central_sum's key, or the kernel would run.
+    def kernel(*args):
+        raise AssertionError("a batched sum reached the kernel")
+
+    monkeypatch.setattr(binomsums, "_sum_with_power", kernel)
+    ids = ("T1_1", "T1_2", "C1_1_8", "C1_1_16", "PANSUN", "E4_4", "E4_5", "E4_6", "E4_7")
+    report = scan(ScanRequest(ids, 7, 300))
+    assert {row.status for row in report.rows} == {"PASS"}
+
+
+def test_weight_kind_hash_is_identity():
+    for kind in WeightKind:
+        assert hash(kind) == object.__hash__(kind)
+        assert pickle.loads(pickle.dumps(kind)) is kind
+        assert {kind: 1}[WeightKind(kind.value)] == 1

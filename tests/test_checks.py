@@ -128,6 +128,27 @@ def test_check_error_wraps_arithmetic():
         run_check("T1_2", CheckParams(p=3, force=True))
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+@pytest.mark.parametrize("a", [1, 2])
+def test_every_forced_check_gives_a_verdict_or_a_known_error(p, a):
+    # A forced evaluation outside a domain may break, but only as an error
+    # the scanner turns into a SKIP row, never as a bare KeyError or the like.
+    for spec in list_checks():
+        for m, n in [(1, 0), (2, 1), (4, 3), (6, 4), (p, 9), (p + 4, 12), (-3, 2)]:
+            params = CheckParams(p=p, a=a, m=m, n=n, force=True)
+            try:
+                verdict = run_check(spec.id, params)
+            except (CheckError, DomainError, BudgetExceeded):
+                continue
+            assert verdict.check_id == spec.id
+
+
+def test_forced_c1_2_at_3_is_a_check_error():
+    # p = 3 has no row in C1_2's mod-12 case table.
+    with pytest.raises(CheckError, match="mod-12"):
+        run_check("C1_2", CheckParams(p=3, force=True))
+
+
 def test_forced_conjecture_candidate():
     v = run_check("ADAMCHUK", CheckParams(p=5, force=True))
     assert not v.passed

@@ -194,6 +194,19 @@ def test_check_arithmetic_failure_exits_one_without_output(capsys):
     assert captured.err.startswith("error: T2_MAIN at p=7")
 
 
+def test_forced_c1_2_at_3_is_an_error_not_a_crash(tmp_path, capsys):
+    code = main(["check", "--id", "C1_2", "--p", "3", "--force"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: C1_2 at p=3")
+    for jobs in ("1", "2"):
+        out = tmp_path / f"r{jobs}.csv"
+        argv = ["scan", "--ids", "C1_2", "--pmin", "3", "--pmax", "7", "--force", "--jobs", jobs]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.read_text().splitlines()[4] == "C1_2,3,1,,,,,,SKIP"
+
+
 def test_check_header_comes_with_its_row(capsys):
     for argv in (
         ["check", "--id", "T1_1", "--p", "7"],  # PASS
