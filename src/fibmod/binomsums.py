@@ -14,7 +14,8 @@ costs one inversion total, and the store keeps the sum for any other
 check at that prime that asks for it.  A sum whose base does not depend
 on p is also given at many primes at once by ``batch_central_sums``, a
 remainder tree over 2x2 matrix products, which a scan uses in place of
-the walk where it can.
+the walk where it can; the same tree gives a single C(2k,k) and the
+alternating harmonic sum at many primes.
 
 Two identities are also provided in exact arbitrary-precision form, as
 independent oracles for the modular machinery.
@@ -91,13 +92,15 @@ class PrimeTables(dict):
     ``walk_ends`` keeps the walk's (v, unit) at the end of each walked
     table, so a longer request resumes the walk there.  ``sums`` keeps
     each finished sum under (weight, p^e, base as given, upper, signed),
-    so checks at one prime that share a sum compute it once.
+    so checks at one prime that share a sum compute it once, and the
+    values of ``central_binomial`` and ``alternating_harmonic`` under
+    ``value_key``.
     """
 
     def __init__(self) -> None:
         super().__init__()
         self.walk_ends: dict[tuple[WeightKind, int], tuple[int, int]] = {}
-        self.sums: dict[tuple[WeightKind, int, int, int, bool], int] = {}
+        self.sums: dict[tuple, int] = {}
 
     def table(self, kind, pe: int, head: tuple[int, ...] = ()) -> list[int]:
         """The table of ``kind`` mod ``pe``, started with ``head`` when new."""
@@ -277,6 +280,25 @@ def sum_key(base: int, upper: int, pe: int, weight: WeightKind, signed: bool) ->
     return weight, pe, base, upper, signed
 
 
+def value_key(name: str, upper: int, pe: int) -> tuple:
+    """The key in ``PrimeTables.sums`` of a value that is not a central sum:
+    ``"central_binomial"`` C(2k,k) at k = upper, or ``"alternating_harmonic"``
+    to the bound upper.  Its reader and a scan's prefill both build it here."""
+    return name, pe, upper
+
+
+def central_binomial(k: int, modulus: Modulus, tables: PrimeTables) -> int:
+    """C(2k,k) mod p^e, the last entry of the walked table to k.
+
+    The store's ``sums`` answers a k it has seen, under ``value_key``.
+    """
+    key = value_key("central_binomial", k, modulus.m)
+    c = tables.sums.get(key)
+    if c is None:
+        c = tables.sums[key] = _residues_from_vu(modulus, k, tables)[k]
+    return c
+
+
 def _central_sum(
     base: int,
     upper: int,
@@ -307,35 +329,29 @@ def _central_sum(
     return s
 
 
-def batch_central_sums(
-    base: int, signed: bool, weight: WeightKind, entries: list[tuple[int, int, int]]
-) -> list[int | None]:
-    """``_central_sum(base, upper, Modulus(p, e), weight, ..., signed)`` for
-    each (p, upper, e) of ``entries`` at once, by an accumulating
-    remainder tree; None for an entry left to the walk.
+def _tree(
+    term: tuple, xn: int, xd: int, entries: list[tuple[int, int, int]]
+) -> list[tuple[int, int] | None]:
+    """(S, t_upper x^upper) mod p^e for each (p, upper, e) of ``entries`` at
+    once, by an accumulating remainder tree; None where Q is not a unit.
 
-    With x = xn/xd (base/1 when ``signed``, else 1/base) and the term
-    ratio N(k)/D(k) of ``_RATIOS``, the scaled state (S_k Q_k, t_k x^k Q_k),
-    Q_k = xd^(h-1) prod_{h<=j<=k} D(j) xd, moves by the row-vector step
-    [[D xd, 0], [N xn, N xn]] from the h head terms on.  One product tree
-    runs over the blocks of k between consecutive uppers and one over the
-    moduli; the descent hands each node its incoming state reduced mod
-    the product of its moduli, so every sum costs its share of
-    quasi-linear big-int work instead of O(p).  An entry is left out
-    where the walk raises or Q is not a unit: p divides an unsigned base,
-    the upper is outside the weight's domain or below h, or p divides
-    D(k) for some h <= k <= upper (CATALAN to p-1).
+    S = sum_{k<=upper} t_k x^k for the term t_k given as in ``_RATIOS``,
+    (head terms, ratio N(k)/D(k)), and x = xn/xd.
+    The scaled state (S_k Q_k, t_k x^k Q_k), Q_k = xd^(h-1) prod_{h<=j<=k}
+    D(j) xd, moves by the row-vector step [[D xd, 0], [N xn, N xn]] from
+    the h head terms on.  One product tree runs over the blocks of k
+    between consecutive uppers and one over the moduli; the descent hands
+    each node its incoming state reduced mod the product of its moduli,
+    so every entry costs its share of quasi-linear big-int work instead
+    of O(p) (Costa, Gerbicz & Harvey, Math. Comp. 83 (2014)).  An entry
+    is left out where the upper is below h, p divides xd, or p divides
+    D(k) for some h <= k <= upper.
     """
-    head, (nums, dens) = _RATIOS[weight]
+    head, (nums, dens) = term
     h = len(head)
-    xn, xd = (base, 1) if signed else (1, base)
 
     def left_out(p: int, upper: int) -> bool:
         if upper < h or xd % p == 0:
-            return True
-        try:
-            _check_weight_domain(weight, upper, p)
-        except WeightDomain:
             return True
         # a*k + b = 0 (mod p) at k = -b/a; the ratios' a are 1, 2 and 4.
         return any(h + (-b * pow(a, -1, p) - h) % p <= upper for a, b in dens)
@@ -365,21 +381,22 @@ def batch_central_sums(
         return (left[0] * right[0], left, right)
 
     def descend(node: tuple, lo: int, hi: int, state: tuple[int, int, int], need: bool):
-        """Record the sums at blocks lo..hi-1 from ``state`` = (S Q, t x^k Q, Q)
+        """Record the entries at blocks lo..hi-1 from ``state`` = (S Q, t x^k Q, Q)
         before block lo; return the product of their steps when ``need``."""
         m = node[0]
         sq, tq, q = (v % m for v in state)
         if hi - lo == 1:
             a, b, c = step(starts[lo], starts[lo + 1])
             am = a % m
-            out[order[lo]] = (sq * am + tq * (b % m)) * pow(q * am, -1, m) % m
+            inv = pow(q * am, -1, m)
+            out[order[lo]] = ((sq * am + tq * (b % m)) * inv % m, tq * (c % m) * inv % m)
             return (a, b, c) if need else None
         mid = (lo + hi) // 2
         left = descend(node[1], lo, mid, (sq, tq, q), True)
         right = descend(node[2], mid, hi, (sq * left[0] + tq * left[1], tq * left[2], q * left[0]), need)
         return mul(left, right) if need else None
 
-    out: list[int | None] = [None] * len(entries)
+    out: list[tuple[int, int] | None] = [None] * len(entries)
     order = sorted(
         (i for i, (p, upper, _) in enumerate(entries) if not left_out(p, upper)),
         key=lambda i: entries[i][1],
@@ -394,6 +411,58 @@ def batch_central_sums(
         )
         descend(moduli(0, len(order)), 0, len(order), state, False)
     return out
+
+
+def batch_central_sums(
+    base: int, signed: bool, weight: WeightKind, entries: list[tuple[int, int, int]]
+) -> list[int | None]:
+    """``_central_sum(base, upper, Modulus(p, e), weight, ..., signed)`` for
+    each (p, upper, e) of ``entries`` at once, by ``_tree`` with x = base
+    when ``signed`` and 1/base otherwise; None for an entry left to the
+    walk.
+
+    An entry is left out where the walk raises or Q is not a unit: p
+    divides an unsigned base, the upper is outside the weight's domain or
+    below the head, or p divides a ratio denominator D(k) in range
+    (CATALAN to p-1).
+    """
+    def in_domain(p: int, upper: int) -> bool:
+        try:
+            _check_weight_domain(weight, upper, p)
+        except WeightDomain:
+            return False
+        return True
+
+    xn, xd = (base, 1) if signed else (1, base)
+    values = _tree(_RATIOS[weight], xn, xd, entries)
+    return [
+        r[0] if r is not None and in_domain(p, upper) else None
+        for (p, upper, _), r in zip(entries, values)
+    ]
+
+
+def batch_central_binomials(entries: list[tuple[int, int, int]]) -> list[int | None]:
+    """``central_binomial(k, Modulus(p, e))``, the last term of ``_tree``'s
+    walk of C(2k,k) at x = 1, for each (p, k, e) of ``entries`` at once;
+    None for k = 0 (below the head) or k >= p, which stay on the walk."""
+    return [None if r is None else r[1] for r in _tree(_RATIOS[WeightKind.NONE], 1, 1, entries)]
+
+
+# t_k = 1/k: head terms t_0 = 0 and t_1 = 1, then the ratio (k-1)/k.
+_HARMONIC = ((0, 1), (((1, -1),), ((1, 0),)))
+
+
+def batch_alternating_harmonic(entries: list[tuple[int, int, int]]) -> list[int | None]:
+    """``alternating_harmonic(bound, Modulus(p, e))`` for each (p, bound, e)
+    of ``entries`` at once, by ``_tree`` over t_k = 1/k at x = -1.
+
+    A negative bound raises ``ValueError``, as in ``alternating_harmonic``;
+    None marks a bound below 2 (the head) or at least p, which stay on the
+    walk.
+    """
+    if any(bound < 0 for _, bound, _ in entries):
+        raise ValueError("alternating harmonic bound must be nonnegative")
+    return [None if r is None else r[0] for r in _tree(_HARMONIC, -1, 1, entries)]
 
 
 def evaluate_sum(spec: SumSpec, tables: PrimeTables | None = None) -> ResidueClass:
@@ -421,12 +490,22 @@ def signed_central_sum(
 
 
 def alternating_harmonic(bound: int, modulus: Modulus, tables: PrimeTables | None = None) -> int:
-    """sum_{k=1}^{bound} (-1)^k / k mod p^e, for bound < p."""
+    """sum_{k=1}^{bound} (-1)^k / k mod p^e, for 0 <= bound < p.
+
+    The store's ``sums`` answers a bound it has seen, under ``value_key``.
+    """
     p, pe = modulus.p, modulus.m
+    if bound < 0:
+        raise ValueError(f"alternating harmonic bound must be nonnegative, got {bound}")
     if bound >= p:
         raise NotInvertible(f"bound {bound} reaches a multiple of p = {p}")
-    tab = _inv_table(p, pe, bound, PrimeTables() if tables is None else tables)
-    return (sum(tab[2 : bound + 1 : 2]) - sum(tab[1 : bound + 1 : 2])) % pe
+    tables = PrimeTables() if tables is None else tables
+    key = value_key("alternating_harmonic", bound, pe)
+    h = tables.sums.get(key)
+    if h is None:
+        tab = _inv_table(p, pe, bound, tables)
+        h = tables.sums[key] = (sum(tab[2 : bound + 1 : 2]) - sum(tab[1 : bound + 1 : 2])) % pe
+    return h
 
 
 def power_over_square_sum(

@@ -28,8 +28,14 @@ from .binomsums import (
     _residues_from_vu,
     _walk,
     alternating_harmonic,
+    batch_alternating_harmonic,
+    batch_central_binomials,
+    batch_central_sums,
+    central_binomial,
     floor_multiple,
     power_over_square_sum,
+    sum_key,
+    value_key,
 )
 from .modarith import (
     LucasParams,
@@ -213,14 +219,20 @@ def _conj11n_valuation(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+# A side below is a frozen record that ``scan`` can evaluate over all its
+# primes at once: ``batch`` gives its value at each (p, upper, e) of a
+# list (None where it is left to the walk), and ``key`` the store key
+# under which the per-prime call reads that value.  ``_spec`` takes
+# ``upper`` as the check's length.
+
+
 @dataclass(frozen=True, slots=True)
 class SumSide:
     """The side  sum_{k<=upper} weight(k) C(2k,k) / base^k,  or with
     base^k when ``signed`` (then p may divide the base).
 
-    ``base`` is a constant or read from the params.  ``_spec`` takes
-    ``upper`` as the check's length, and ``scan`` evaluates a side with a
-    constant base and a walked weight over all its primes at once.
+    ``base`` is a constant or read from the params; only a side with a
+    constant base and a walked weight is batched.
     """
 
     base: int | Callable[[CheckParams], int]
@@ -231,6 +243,48 @@ class SumSide:
     def __call__(self, pr, md, tables):
         b = self.base(pr) if callable(self.base) else self.base
         return _central_sum(b, self.upper(pr), md, self.weight, tables, self.signed)
+
+    def batch(self, entries):
+        return batch_central_sums(self.base, self.signed, self.weight, entries)
+
+    def key(self, upper, pe):
+        return sum_key(self.base, upper, pe, self.weight, self.signed)
+
+
+@dataclass(frozen=True, slots=True)
+class CentralBinomialSide:
+    """The side C(2k,k) at k = upper."""
+
+    upper: Callable[[CheckParams], int]
+
+    def __call__(self, pr, md, tables):
+        return central_binomial(self.upper(pr), md, tables)
+
+    def batch(self, entries):
+        return batch_central_binomials(entries)
+
+    def key(self, upper, pe):
+        return value_key("central_binomial", upper, pe)
+
+
+@dataclass(frozen=True, slots=True)
+class HarmonicSide:
+    """The side  (num/den) sum_{k=1}^{upper} (-1)^k / k."""
+
+    upper: Callable[[CheckParams], int]
+    num: int
+    den: int
+
+    def __call__(self, pr, md, tables):
+        pe = md.m
+        h = alternating_harmonic(self.upper(pr), md, tables)
+        return self.num * pow(self.den, -1, pe) * h % pe
+
+    def batch(self, entries):
+        return batch_alternating_harmonic(entries)
+
+    def key(self, upper, pe):
+        return value_key("alternating_harmonic", upper, pe)
 
 
 # Sums over the free parameter m, shared by several checks and closed forms.
@@ -246,6 +300,7 @@ _h2_neg2_sum = SumSide(-2, _p_full, WeightKind.H2, signed=True)
 
 _c1_2_sum = SumSide(16, _p_half, WeightKind.INV_2KM1_SQ)
 _adamchuk_sum = SumSide(1, lambda pr: 2 * pr.p // 3, signed=True)
+_williams_sum = HarmonicSide(lambda pr: 4 * pr.p // 5, 2, 5)
 
 
 def _t1_1_rhs(pr, md, tables):
@@ -303,12 +358,6 @@ def _basic_p_rhs(pr, md, tables):
 
 def _williams_lhs(pr, md, tables):
     return fibonacci_quotient(pr.p, md.e)
-
-
-def _williams_rhs(pr, md, tables):
-    pe = md.m
-    h = alternating_harmonic(4 * pr.p // 5, md, tables)
-    return 2 * pow(5, -1, pe) * h % pe
 
 
 def _pansun_rhs(pr, md, tables):
@@ -553,11 +602,6 @@ def _e4_7_rhs(pr, md, tables):
     return (jacobi(3, pr.p) - jacobi(-1, pr.p) * pr.p) % pe * pow(6, -1, pe) % pe
 
 
-def _morley_lhs(pr, md, tables):
-    half = _p_half(pr)
-    return _residues_from_vu(md, half, tables)[half]
-
-
 def _morley_rhs(pr, md, tables):
     return jacobi(-1, pr.p) * pow(4, pr.p - 1, md.m) % md.m
 
@@ -713,10 +757,10 @@ _REGISTRY: tuple[CheckSpec, ...] = (
         CheckKind.AUXILIARY,
         "Fibonacci quotient as (2/5) times the alternating harmonic sum to floor(4p/5) mod p",
         _williams_lhs,
-        _williams_rhs,
+        _williams_sum,
         e=1,
         **_P_NOT_5_A1,
-        length=lambda pr: 4 * pr.p // 5,
+        length=_williams_sum.upper,
     ),
     _spec(
         "PANSUN",
@@ -942,11 +986,10 @@ _REGISTRY: tuple[CheckSpec, ...] = (
         "MORLEY",
         CheckKind.AUXILIARY,
         "Morley's congruence: C(p-1,(p-1)/2) equals (-1)^((p-1)/2) 4^(p-1) mod p^3",
-        _morley_lhs,
+        CentralBinomialSide(_p_half),
         _morley_rhs,
         e=3,
         **_P_GT_3_A1,
-        length=_p_half,
     ),
     _spec(
         "CONJ1_1N",

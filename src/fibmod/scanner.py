@@ -5,8 +5,9 @@ Work is partitioned by prime: all checks at one prime share one
 tables at each exponent), and per-prime row
 lists are merged in ascending prime order, so reports are byte-identical
 regardless of the worker count.  Before the primes are handed out, every
-constant-base sum side of the request is evaluated at all of them at
-once, and each prime's store starts with those values.
+constant-base sum side of the request, and every central binomial and
+alternating harmonic side, is evaluated at all of them at once, and each
+prime's store starts with those values.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import os
 import random
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import compress
 from json.encoder import encode_basestring_ascii as _json_str
 from math import isqrt
@@ -25,12 +26,14 @@ from operator import le, lt
 from typing import NamedTuple
 
 from ._version import __version__
-from .binomsums import _RATIOS, PrimeTables, batch_central_sums, sum_key
+from .binomsums import _RATIOS, PrimeTables
 from .checks import (
     DEFAULT_TERM_BUDGET,
     BudgetExceeded,
+    CentralBinomialSide,
     CheckError,
     CheckParams,
+    HarmonicSide,
     SumSide,
     Verdict,
     get_check,
@@ -230,15 +233,15 @@ def verdict_row(check_id: str, p: int, a: int, m: int | None, verdict: Verdict |
 def _batched_sides(ids: tuple[str, ...]) -> tuple[tuple[str, str], ...]:
     """(check id, "lhs" or "rhs") of each side of ``ids`` that ``scan``
     evaluates over all its primes at once: a ``SumSide`` with a constant
-    base and a walked weight.  The others, custom sides among them, stay
-    on the per-prime walk."""
+    base and a walked weight, a ``CentralBinomialSide`` or a
+    ``HarmonicSide``.  The others, custom sides among them, stay on the
+    per-prime walk."""
     return tuple(
         (cid, name)
         for cid in ids
         for name in ("lhs", "rhs")
-        if isinstance(side := getattr(get_check(cid), name), SumSide)
-        and isinstance(side.base, int)
-        and side.weight in _RATIOS
+        if isinstance(side := getattr(get_check(cid), name), (CentralBinomialSide, HarmonicSide))
+        or (isinstance(side, SumSide) and isinstance(side.base, int) and side.weight in _RATIOS)
     )
 
 
@@ -249,16 +252,16 @@ def _batched_sums(
 
     A side is evaluated only at the primes where ``run_check`` reads it
     (in the domain unless forced, and within the budget), and sides that
-    share a base, sign and weight share one ``batch_central_sums`` call.
-    None marks a sum left to the walk, or one ``run_check`` never reads.
-    One group's entries are alive at a time: only the values are kept.
+    differ only in their upper share one ``batch`` call.  None marks a
+    value left to the walk, or one ``run_check`` never reads.  One
+    group's entries are alive at a time: only the values are kept.
     """
     columns: list[list[int | None]] = [[None] * len(primes) for _ in sides]
-    groups: dict[tuple, list[int]] = {}
+    groups: dict[object, list[int]] = {}
     for j, (cid, name) in enumerate(sides):
         side = getattr(get_check(cid), name)
-        groups.setdefault((side.base, side.signed, side.weight), []).append(j)
-    for (base, signed, weight), members in groups.items():
+        groups.setdefault(replace(side, upper=None), []).append(j)
+    for group, members in groups.items():
         entries: list[tuple[int, int, int]] = []
         read: list[list[int]] = []  # per member, the indices of the primes it is read at
         for j in members:
@@ -271,7 +274,7 @@ def _batched_sums(
                 if force or (spec.domain(pr) and spec.length(pr) <= budget):
                     read[-1].append(i)
                     entries.append((p, upper(pr), spec.exponent(pr)))
-        values = iter(batch_central_sums(base, signed, weight, entries))
+        values = iter(group.batch(entries))
         for j, where in zip(members, read):
             column = columns[j]
             for i, s in zip(where, values):
@@ -287,8 +290,7 @@ def _prime_worker(task) -> list[Row]:
         if s is not None:
             spec = get_check(cid)
             side = getattr(spec, name)
-            pe = p ** spec.exponent(pr)
-            tables.sums[sum_key(side.base, side.upper(pr), pe, side.weight, side.signed)] = s
+            tables.sums[side.key(side.upper(pr), p ** spec.exponent(pr))] = s
     rows: list[Row] = []
     for cid in ids:
         spec = get_check(cid)

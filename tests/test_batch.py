@@ -1,14 +1,17 @@
-"""The scan's batched sums against the per-prime walk and an exact oracle.
+"""The scan's batched values against the per-prime walk and an exact oracle.
 
 ``batch_central_sums`` evaluates a constant-base sum at many primes at
 once by a remainder tree.  Every value it gives must equal
 ``_central_sum`` with a store of its own, and every entry it leaves out
-must be one of the cases that stay on the walk.  A scan that prefills
-its stores with these values must give the rows each check gives alone.
+must be one of the cases that stay on the walk; the same holds for the
+tree's central binomials and alternating harmonic sums.  A scan that
+prefills its stores with these values must give the rows each check
+gives alone.
 """
 
 import pickle
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -18,6 +21,10 @@ from fibmod.binomsums import (
     PrimeTables,
     WeightKind,
     _central_sum,
+    _residues_from_vu,
+    alternating_harmonic,
+    batch_alternating_harmonic,
+    batch_central_binomials,
     batch_central_sums,
 )
 from fibmod.checks import (
@@ -99,9 +106,47 @@ def test_batch_matches_the_fraction_oracle(weight):
 def test_batch_of_nothing():
     assert batch_central_sums(16, False, WeightKind.NONE, []) == []
     assert batch_central_sums(3, False, WeightKind.NONE, [(3, 1, 2)]) == [None]
+    assert batch_central_binomials([]) == batch_alternating_harmonic([]) == []
 
 
-# Every id with a batched side, plus the four custom sides that stay on the walk.
+def test_central_binomials_match_the_walk():
+    # MORLEY's C(p-1, (p-1)/2) mod p^3, mixed with other k and exponents.
+    entries = [(p, (p - 1) // 2, 3) for p in PRIMES] + [(p, p - 1, 1 + p % 3) for p in PRIMES]
+    got = batch_central_binomials(entries)
+    for (p, k, e), value in zip(entries, got):
+        assert value == _residues_from_vu(Modulus(p, e), k, PrimeTables())[k], (p, k, e)
+    assert batch_central_binomials([(7, 0, 2), (7, 7, 2), (7, 12, 1)]) == [None] * 3
+
+
+def test_alternating_harmonic_matches_the_walk():
+    # WILLIAMS's sum to floor(4p/5) mod p, mixed with other bounds and exponents.
+    entries = [(p, 4 * p // 5, 1) for p in PRIMES] + [(p, p - 1, 1 + p % 3) for p in PRIMES]
+    got = batch_alternating_harmonic(entries)
+    for (p, bound, e), value in zip(entries, got):
+        assert value == alternating_harmonic(bound, Modulus(p, e)), (p, bound, e)
+    assert batch_alternating_harmonic([(7, 0, 1), (7, 1, 1), (7, 7, 1)]) == [None] * 3
+
+
+def _fraction_mod(x, m):
+    return x.numerator * pow(x.denominator, -1, m) % m
+
+
+def test_tree_values_match_the_exact_oracle():
+    primes = sieve_primes(3, 41)
+    for e in (1, 2, 3):
+        binomials = batch_central_binomials([(p, k, e) for p in primes for k in range(1, p)])
+        sums = batch_alternating_harmonic([(p, b, e) for p in primes for b in range(2, p)])
+        want_binomials = [comb(2 * k, k) % p**e for p in primes for k in range(1, p)]
+        want_sums = [
+            _fraction_mod(sum(Fraction((-1) ** k, k) for k in range(1, b + 1)), p**e)
+            for p in primes
+            for b in range(2, p)
+        ]
+        assert binomials == want_binomials
+        assert sums == want_sums
+
+
+# Every id with a batched side, plus the two custom sides that stay on the walk.
 SCAN_IDS = (
     "T1_1", "T1_2", "C1_1_8", "C1_1_16", "PANSUN", "E4_4", "E4_5", "E4_6", "E4_7",
     "C1_2", "ADAMCHUK", "MORLEY", "WILLIAMS",
@@ -119,7 +164,13 @@ def _alone(cid, p, a, force):
 
 @pytest.mark.parametrize(
     "p_min, p_max, a_max, force",
-    [(3, 1500, 1, False), (3, 60, 2, False), (3, 400, 1, True), (3, 40, 2, True)],
+    [
+        (3, 1500, 1, False),
+        (3, 60, 2, False),
+        (3, 400, 1, True),
+        (3, 40, 2, True),
+        (9900, 10100, 1, False),
+    ],
 )
 def test_batched_scan_rows_equal_rows_alone(p_min, p_max, a_max, force):
     want = [
@@ -142,6 +193,19 @@ def test_batched_sides_skip_the_kernel(monkeypatch):
     monkeypatch.setattr(binomsums, "_sum_with_power", kernel)
     ids = ("T1_1", "T1_2", "C1_1_8", "C1_1_16", "PANSUN", "E4_4", "E4_5", "E4_6", "E4_7")
     report = scan(ScanRequest(ids, 7, 300))
+    assert {row.status for row in report.rows} == {"PASS"}
+
+
+def test_batched_values_skip_the_tables(monkeypatch):
+    # MORLEY's binomial and WILLIAMS's sum come from the batch; the stores
+    # must hold them under their readers' keys, or a table would be built.
+    def table(*args):
+        raise AssertionError("a batched value reached a table")
+
+    monkeypatch.setattr(binomsums, "_residues_from_vu", table)
+    monkeypatch.setattr(binomsums, "_inv_table", table)
+    report = scan(ScanRequest(("MORLEY", "WILLIAMS"), 7, 300))
+    assert len(report.rows) == 2 * len(sieve_primes(7, 300))
     assert {row.status for row in report.rows} == {"PASS"}
 
 

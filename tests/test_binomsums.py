@@ -10,6 +10,7 @@ from fibmod.binomsums import (
     WeightKind,
     _h2_prefix,
     alternating_harmonic,
+    batch_alternating_harmonic,
     central_binomial_stream,
     evaluate_sum,
     exact_identity_41,
@@ -136,6 +137,16 @@ def test_alternating_harmonic():
     assert type(alternating_harmonic(5, Modulus(7, 1))) is int
     with pytest.raises(NotInvertible):
         alternating_harmonic(7, Modulus(7, 1))
+
+
+def test_alternating_harmonic_refuses_a_negative_bound():
+    for bound in (-1, -3):
+        with pytest.raises(ValueError):
+            alternating_harmonic(bound, Modulus(7, 1))
+        with pytest.raises(ValueError):
+            alternating_harmonic(bound, Modulus(7, 1), PrimeTables())
+        with pytest.raises(ValueError):
+            batch_alternating_harmonic([(11, 5, 1), (7, bound, 1)])
 
 
 def test_power_over_square_sum():
