@@ -9,13 +9,13 @@ the special indices strip p-parts.  Every term is exact even past
 k = p/2, where the binomials pick up positive p-valuation.  Each weight
 but H2 is walked as its own term weight(k) C(2k,k) into a table of
 residues in a ``PrimeTables`` store, which every sum at that prime
-shares, and a sum runs Horner's rule over a prefix of it; the base
-costs one inversion total, and the store keeps the sum for any other
-check at that prime that asks for it.  A sum whose base does not depend
-on p is also given at many primes at once by ``batch_central_sums``, a
-remainder tree over 2x2 matrix products, which a scan uses in place of
-the walk where it can; the same tree gives a single C(2k,k) and the
-alternating harmonic sum at many primes.
+shares, and the store keeps each sum for any other check at that prime.
+A sum has three evaluators: for one sum, Horner's rule over a prefix of
+the walked table, at one inversion of the base; for one base at many
+primes, ``batch_central_sums``, a remainder tree over 2x2 matrix
+products (the same tree gives C(2k,k) and the alternating harmonic sum);
+for many bases at one prime, ``sums_at_bases``, a chirp-z transform over
+the Teichmüller points mod p^e.  A scan uses the last two where it can.
 
 Two identities are also provided in exact arbitrary-precision form, as
 independent oracles for the modular machinery.
@@ -25,7 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate, repeat
 from math import comb, prod
+from operator import mul
 from typing import Iterator
 
 from .modarith import (
@@ -410,6 +412,60 @@ def _tree(
             xd ** (h - 1),
         )
         descend(moduli(0, len(order)), 0, len(order), state, False)
+    return out
+
+
+def sums_at_bases(
+    bases: list[int], upper: int, modulus: Modulus, weights: list[WeightKind], tables: PrimeTables
+) -> list[dict[int, int]]:
+    """Per weight w, {b: ``_central_sum(b, upper, modulus, w, tables)``} for
+    every b of ``bases`` that p does not divide, by one transform per weight.
+
+    Those sums are T(x) = sum t_k x^k at x = 1/b.  With g a primitive root
+    mod p, w = g^(p^(e-1)) (its Teichmüller lift) has order N = p - 1 mod
+    p^e, and every unit is x = w^j (1 + eps) with g^j = x (mod p) and p | eps,
+    so T(x) = sum_{i<e} eps^i D_i(w^j) mod p^e, D_i(y) = sum_k C(k, i) t_k y^k.
+    The N values D_i(w^j) are a chirp-z transform (Bluestein, 1970): with
+    jk = C(j+k, 2) - C(j, 2) - C(k, 2) they are a correlation with the chirp
+    w^C(s, 2), one big-int product of Kronecker-packed slots (Harvey, J.
+    Symbolic Comput. 44 (2009)).  The tables, and their errors, are the walk's.
+    """
+    p, e, pe = modulus.p, modulus.e, modulus.m
+    n = p - 1
+    divisors = [q for q in range(2, p) if n % q == 0]
+    g = next(g for g in range(2, p + 1) if all(pow(g, n // q, p) != 1 for q in divisors))
+    lift = pow(g, p ** (e - 1), pe)
+    w = list(accumulate(repeat(lift, n - 1), lambda x, y: x * y % pe, initial=1))  # w^j, j < N
+    log = {x % p: j for j, x in enumerate(w)}
+    points = []  # per base: (b, j, [eps^i for i < e])
+    for b in bases:
+        if b % p:
+            x = pow(b, -1, pe)
+            j = log[x % p]
+            eps = (x * w[-j] - 1) % pe
+            points.append((b, j, [eps**i % pe for i in range(e)]))
+    width = (n * pe * pe).bit_length() // 8 + 1  # bytes per slot, which sums n products
+    unchirp = [w[-(k * (k - 1) // 2) % n] for k in range(n)]  # w^-C(k, 2)
+    chirp = b"".join(w[k * (k - 1) // 2 % n].to_bytes(width, "little") for k in range(2 * n - 1))
+    chirp = int.from_bytes(chirp, "little")
+    out = []
+    for weight in weights:
+        t = _residues_from_vu(modulus, upper, tables, weight)[: upper + 1]
+        rows = []  # per i, D_i(w^j) for j < N
+        for i in range(e):
+            a = [0] * n  # w^N = 1, so the coefficients fold mod N
+            for k, c in enumerate(t):
+                a[k % n] += comb(k, i) * c
+            packed = b"".join(
+                (c * u % pe).to_bytes(width, "little") for c, u in zip(a[::-1], unchirp[::-1])
+            )
+            buf = (int.from_bytes(packed, "little") * chirp).to_bytes((3 * n - 1) * width, "little")
+            rows.append([
+                int.from_bytes(buf[(n - 1 + j) * width : (n + j) * width], "little") * u % pe
+                for j, u in enumerate(unchirp)
+            ])
+        d = list(zip(*rows))
+        out.append({b: sum(map(mul, d[j], eps)) % pe for b, j, eps in points})
     return out
 
 

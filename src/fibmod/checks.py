@@ -231,8 +231,8 @@ class SumSide:
     """The side  sum_{k<=upper} weight(k) C(2k,k) / base^k,  or with
     base^k when ``signed`` (then p may divide the base).
 
-    ``base`` is a constant or read from the params; only a side with a
-    constant base and a walked weight is batched.
+    ``base`` is a constant, batched over primes with a walked weight, or
+    m (``_m``), whose unsigned sums a scan gives at all m of a prime.
     """
 
     base: int | Callable[[CheckParams], int]
@@ -317,18 +317,22 @@ def _t1_2_rhs(pr, md, tables):
 
 
 def _t2_main_rhs(pr, md, tables):
-    m, p = pr.m, pr.p
-    j = jacobi(m * (m - 4), p)
-    u, _ = lucas_uv_mod(LucasParams(4, m), entry_index(LucasParams(4, m), p), md)
-    mb = mbar(m, p, md.e)
-    return (j**pr.a + jacobi(-m, p) * j ** (pr.a - 1) * mb % md.m * u) % md.m
+    # Every symbol from (m/p) and ((m-4)/p), with (-1/p) = (-1)^((p-1)/2):
+    # (m(m-4)/p), (-m/p), and (4-m/p) = (16-4m/p), which picks the entry
+    # index p - (delta/p) of u(4, m) and mbar (1, 2 or 2/m, as in ``mbar``).
+    m, p, pe = pr.m, pr.p, md.m
+    jm, jm4, j1 = jacobi(m, p), jacobi(m - 4, p), (-1) ** (p // 2)
+    j, s4 = jm * jm4, j1 * jm4
+    u, _ = lucas_uv_mod(LucasParams(4, m), p - s4, md)
+    mb = 1 if s4 == 0 else 2 if s4 == 1 else 2 * pow(m, -1, pe) % pe
+    return (j**pr.a + j1 * jm * j ** (pr.a - 1) * mb % pe * u) % pe
 
 
 def _t2_cat_rhs(pr, md, tables):
     m, pe = pr.m, md.m
     s = _m_half_sum(pr, md, tables)
     inv2 = pow(2, -1, pe)
-    delta = 2 * pr.p * jacobi(-m, pr.p) if pr.a == 1 else 0
+    delta = 2 * pr.p * (-1) ** (pr.p // 2) * jacobi(m, pr.p) if pr.a == 1 else 0
     return ((4 - m) * inv2 % pe * s + m * inv2 - delta) % pe
 
 

@@ -4,9 +4,11 @@
 once by a remainder tree.  Every value it gives must equal
 ``_central_sum`` with a store of its own, and every entry it leaves out
 must be one of the cases that stay on the walk; the same holds for the
-tree's central binomials and alternating harmonic sums.  A scan that
-prefills its stores with these values must give the rows each check
-gives alone.
+tree's central binomials and alternating harmonic sums.
+``sums_at_bases`` evaluates the sums over many bases m at one prime by a
+transform, and must equal ``_central_sum`` at every base prime to p.  A
+scan that prefills its stores with these values must give the rows each
+check gives alone.
 """
 
 import pickle
@@ -26,6 +28,7 @@ from fibmod.binomsums import (
     batch_alternating_harmonic,
     batch_central_binomials,
     batch_central_sums,
+    sums_at_bases,
 )
 from fibmod.checks import (
     BudgetExceeded,
@@ -33,8 +36,17 @@ from fibmod.checks import (
     CheckParams,
     run_check,
 )
-from fibmod.modarith import Modulus
-from fibmod.scanner import ScanRequest, scan, sieve_primes, verdict_row
+from fibmod.modarith import Modulus, NegativeValuation
+from fibmod.scanner import (
+    AllSmall,
+    MList,
+    Sample,
+    ScanRequest,
+    _m_values,
+    scan,
+    sieve_primes,
+    verdict_row,
+)
 from fibmod.sequences import DomainError
 from test_sum_oracle import oracle
 
@@ -214,3 +226,97 @@ def test_weight_kind_hash_is_identity():
         assert hash(kind) == object.__hash__(kind)
         assert pickle.loads(pickle.dumps(kind)) is kind
         assert {kind: 1}[WeightKind(kind.value)] == 1
+
+
+M_WEIGHTS = [WeightKind.NONE, WeightKind.CATALAN, WeightKind.LINEAR_K]
+
+
+@pytest.mark.parametrize("p", sieve_primes(3, 61))
+def test_sums_at_bases_match_the_walk(p):
+    # Every base to 2p^2 at small p; past that a stride of p + 2, which
+    # still meets every residue class mod p, the multiples of p among them.
+    bases = list(range(-3, 2 * p * p + 1, 1 if p < 14 else p + 2))
+    for e in (1, 2, 3):
+        md = Modulus(p, e)
+        walk = PrimeTables()
+        for upper in sorted({0, 1, (p - 1) // 2, p - 1, (p * p - 1) // 2, p * p - 1}):
+            got = sums_at_bases(bases, upper, md, M_WEIGHTS, PrimeTables())
+            for weight, sums in zip(M_WEIGHTS, got):
+                assert list(sums) == [b for b in bases if b % p]
+                for b, s in sums.items():
+                    assert s == _central_sum(b, upper, md, weight, walk), (p, e, upper, weight, b)
+
+
+def test_sums_at_bases_share_the_store():
+    # The transform reads the tables a walk would build, and builds no other.
+    p, md = 31, Modulus(31, 2)
+    tables, walk = PrimeTables(), PrimeTables()
+    sums_at_bases([1, 2, 3], p - 1, md, M_WEIGHTS, tables)
+    _central_sum(2, p - 1, md, WeightKind.NONE, walk)
+    _central_sum(2, p - 1, md, WeightKind.CATALAN, walk)
+    _central_sum(2, p - 1, md, WeightKind.LINEAR_K, walk)
+    assert tables == walk and not tables.sums
+
+
+M_IDS = ("T2_MAIN", "T2_CAT", "BASIC_P", "L3_3", "P4_1A", "P4_1B")
+
+
+def _m_alone(cid, p, a, m, force):
+    """The row of one m-indexed check run with a fresh store."""
+    try:
+        verdict = run_check(cid, CheckParams(p=p, a=a, m=m, force=force), PrimeTables())
+    except (DomainError, BudgetExceeded, CheckError):
+        verdict = None
+    return verdict_row(cid, p, a, m, verdict)
+
+
+@pytest.mark.parametrize("force", [False, True])
+def test_m_scan_rows_equal_rows_alone(force):
+    # Multiples of p come from the list: 3, 5, 7, 9, 14 and 25.
+    policy = (AllSmall(), Sample(5, 1), MList((3, 5, 7, 9, 14, 25)))
+    want = [
+        _m_alone(cid, p, a, m, force)
+        for p in sieve_primes(3, 30)
+        for cid in sorted(M_IDS)
+        for a in (1, 2)
+        for m in _m_values(p, policy)
+    ]
+    for jobs in (1, 2):
+        request = ScanRequest(M_IDS, 3, 30, a_max=2, m_policy=policy, jobs=jobs, force=force)
+        assert scan(request).rows == want
+
+
+def test_t2_scan_skips_the_kernel(monkeypatch):
+    # Every sum of T2_MAIN and T2_CAT, T2_CAT's closed form included, comes
+    # from the transform; the kernel would raise.
+    def kernel(*args):
+        raise AssertionError("an m-indexed sum reached the kernel")
+
+    monkeypatch.setattr(binomsums, "_sum_with_power", kernel)
+    report = scan(ScanRequest(("T2_MAIN", "T2_CAT"), 3, 200, m_policy=(AllSmall(), Sample(5, 1))))
+    assert report.rows and {row.status for row in report.rows} == {"PASS"}
+
+
+def test_a_walk_that_raises_leaves_its_rows_to_raise(monkeypatch):
+    # A group whose table walk raises gets no values, so its rows raise in
+    # run_check as they do alone: SKIP where forced, an error where not.
+    walk = binomsums._residues_from_vu
+
+    def catalan_raises(modulus, upto, tables, weight=WeightKind.NONE):
+        if weight is WeightKind.CATALAN:
+            raise NegativeValuation("walk term went p-adically negative")
+        return walk(modulus, upto, tables, weight)
+
+    monkeypatch.setattr(binomsums, "_residues_from_vu", catalan_raises)
+    ids = ("T2_MAIN", "T2_CAT")
+    rows = scan(ScanRequest(ids, 3, 40, force=True)).rows
+    assert rows == [
+        _m_alone(cid, p, 1, m, True)
+        for p in sieve_primes(3, 40)
+        for cid in sorted(ids)
+        for m in range(1, p)
+    ]
+    assert {row.status for row in rows if row.check_id == "T2_CAT"} == {"SKIP"}
+    assert {row.status for row in rows if row.check_id == "T2_MAIN"} == {"PASS"}
+    with pytest.raises(CheckError):
+        scan(ScanRequest(ids, 3, 40))

@@ -17,9 +17,9 @@ from fibmod.checks import (
     run_check,
     run_conj11n_range,
 )
-from fibmod.modarith import Modulus, NotInvertible
+from fibmod.modarith import LucasParams, Modulus, NotInvertible, jacobi
 from fibmod.scanner import AllSmall, Sample, _m_values, sieve_primes
-from fibmod.sequences import DomainError, fibonacci_mod
+from fibmod.sequences import DomainError, entry_index, fibonacci_mod, lucas_uv_mod
 
 
 def test_registry_contents():
@@ -340,3 +340,38 @@ def test_records_are_immutable_tuples():
     }
     assert CheckParams(p=7) == (7, 1, None, None, None, None, False, 1 << 22)
     assert verdict.params is params and verdict.passed
+
+
+M_IDS = ("T2_MAIN", "T2_CAT", "BASIC_P", "L3_3", "P4_1A", "P4_1B")
+
+
+@pytest.mark.parametrize("cid", M_IDS)
+def test_forced_m_divisible_by_p_keeps_its_error(cid):
+    # The sum side raises first, so no closed form is reached at p | m.
+    for p in (3, 5, 7, 13):
+        for m in (p, 2 * p, p * p, 7 * p):
+            for a in (1, 2):
+                with pytest.raises(CheckError) as info:
+                    run_check(cid, CheckParams(p=p, a=a, m=m, force=True))
+                assert str(info.value) == f"{cid} at p={p}: base {m} is divisible by p = {p}"
+
+
+def test_t2_closed_forms_match_their_symbols():
+    # Each symbol of the T2 closed forms taken straight from jacobi.
+    for p in sieve_primes(3, 60):
+        for e in (1, 2, 3):
+            md, pe, tables = Modulus(p, e), p**e, PrimeTables()
+            for m in [*range(-5, 3 * p), p * p - 4, p * p + 4, 2 * p * p - 1]:
+                if m % p == 0:
+                    continue
+                ab = LucasParams(4, m)
+                u, _ = lucas_uv_mod(ab, entry_index(ab, p), md)
+                j = jacobi(m * (m - 4), p)
+                for a in (1, 2):
+                    s = _central_sum(m, (p**a - 1) // 2, md, WeightKind.NONE, tables)
+                    pr = CheckParams(p=p, a=a, m=m)
+                    want = (j**a + jacobi(-m, p) * j ** (a - 1) * mbar(m, p, e) * u) % pe
+                    assert checks._t2_main_rhs(pr, md, PrimeTables()) == want
+                    delta = 2 * p * jacobi(-m, p) if a == 1 else 0
+                    want = ((4 - m) * pow(2, -1, pe) * s + m * pow(2, -1, pe) - delta) % pe
+                    assert checks._t2_cat_rhs(pr, md, tables) == want
