@@ -183,12 +183,12 @@ def mbar(m: int, p: int, e: int) -> int:
     """
     if m % p == 0:
         raise NotInvertible(f"p = {p} divides m = {m}")
-    if (m - 4) % p == 0:
-        return 1
-    if jacobi(4 - m, p) == 1:
-        return 2
-    pe = p**e
-    return 2 * pow(m, -1, pe) % pe
+    return _mbar(m, jacobi(4 - m, p), p**e)
+
+
+def _mbar(m: int, s4: int, pe: int) -> int:
+    """``mbar`` from the Legendre symbol s4 = (4-m/p), 0 where p | m - 4."""
+    return 1 if s4 == 0 else 2 if s4 == 1 else 2 * pow(m, -1, pe) % pe
 
 
 def _s3(x: int) -> int:
@@ -319,13 +319,12 @@ def _t1_2_rhs(pr, md, tables):
 def _t2_main_rhs(pr, md, tables):
     # Every symbol from (m/p) and ((m-4)/p), with (-1/p) = (-1)^((p-1)/2):
     # (m(m-4)/p), (-m/p), and (4-m/p) = (16-4m/p), which picks the entry
-    # index p - (delta/p) of u(4, m) and mbar (1, 2 or 2/m, as in ``mbar``).
+    # index p - (delta/p) of u(4, m) and mbar.
     m, p, pe = pr.m, pr.p, md.m
     jm, jm4, j1 = jacobi(m, p), jacobi(m - 4, p), (-1) ** (p // 2)
     j, s4 = jm * jm4, j1 * jm4
     u, _ = lucas_uv_mod(LucasParams(4, m), p - s4, md)
-    mb = 1 if s4 == 0 else 2 if s4 == 1 else 2 * pow(m, -1, pe) % pe
-    return (j**pr.a + j1 * jm * j ** (pr.a - 1) * mb % pe * u) % pe
+    return (j**pr.a + j1 * jm * j ** (pr.a - 1) * _mbar(m, s4, pe) % pe * u) % pe
 
 
 def _t2_cat_rhs(pr, md, tables):
@@ -1142,6 +1141,12 @@ def check_request(check_id: str, params: CheckParams) -> CheckSpec:
     return spec
 
 
+def evaluates(spec: CheckSpec, params: CheckParams) -> bool:
+    """Whether ``run_check`` evaluates the sides of ``spec`` at ``params``:
+    where forced, or in the domain and within the budget."""
+    return params.force or (spec.domain(params) and spec.length(params) <= params.budget)
+
+
 def run_check(
     check_id: str,
     params: CheckParams,
@@ -1159,12 +1164,12 @@ def run_check(
     """
     spec = check_request(check_id, params)
     p = params.p
-    if not spec.domain(params) and not params.force:
-        raise DomainError(
-            f"params (p={p}, a={params.a}, m={params.m}, n={params.n}) are outside "
-            f"the domain of {check_id} [{spec.domain_label}]"
-        )
-    if spec.length(params) > params.budget and not params.force:
+    if not evaluates(spec, params):
+        if not spec.domain(params):
+            raise DomainError(
+                f"params (p={p}, a={params.a}, m={params.m}, n={params.n}) are outside "
+                f"the domain of {check_id} [{spec.domain_label}]"
+            )
         raise BudgetExceeded(
             f"{check_id} at p={p}, a={params.a} needs {spec.length(params)} terms, "
             f"budget is {params.budget}"

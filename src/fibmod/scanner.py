@@ -2,16 +2,15 @@
 
 Work is partitioned by prime: all checks at one prime share one
 ``PrimeTables`` store (the central-binomial residue tables and inverse
-tables at each exponent), and per-prime row
-lists are merged in ascending prime order, so reports are byte-identical
-regardless of the worker count.  A sum has three evaluators in
-``binomsums``: the walk plus Horner's rule for one sum, the remainder
-tree for one base at many primes, and the transform for many bases at
-one prime.  Before the primes are handed out, every constant-base sum
-side of the request, and every central binomial and alternating harmonic
-side, is evaluated at all of them at once by the tree; each worker then
-evaluates every sum over base m at its prime by the transform, before
-its rows.  Each prime's store starts with those values.
+tables at each exponent), and per-prime row lists are merged in
+ascending prime order, so reports are byte-identical regardless of the
+worker count.  ``binomsums`` has three sum evaluators: the walk plus
+Horner's rule for one sum, the tree for one base at many primes, and the
+transform for many bases at one prime.  Before the primes are handed
+out, the tree gives every constant-base sum side, central binomial and
+alternating harmonic side at all of them, and each prime's store starts
+with those values.  The store also holds the prime's m list, so its
+first sum over base m gives that sum at every m by the transform.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from operator import le, lt
 from typing import NamedTuple
 
 from ._version import __version__
-from .binomsums import _RATIOS, PrimeTables, WeightDomain, sum_key, sums_at_bases
+from .binomsums import _RATIOS, PrimeTables
 from .checks import (
     DEFAULT_TERM_BUDGET,
     BudgetExceeded,
@@ -40,11 +39,10 @@ from .checks import (
     HarmonicSide,
     SumSide,
     Verdict,
-    _m,
+    evaluates,
     get_check,
     run_check,
 )
-from .modarith import Modulus, NegativeValuation
 from .sequences import DomainError, fibonacci_quotient
 
 
@@ -277,7 +275,7 @@ def _batched_sums(
             read.append([])
             for i, p in enumerate(primes):
                 pr = CheckParams(p=p, force=force, budget=budget)
-                if force or (spec.domain(pr) and spec.length(pr) <= budget):
+                if evaluates(spec, pr):
                     read[-1].append(i)
                     entries.append((p, upper(pr), spec.exponent(pr)))
         values = iter(group.batch(entries))
@@ -288,47 +286,16 @@ def _batched_sums(
     return list(zip(*columns)) if sides else [()] * len(primes)
 
 
-def _prefill_m_sums(
-    p: int, ids: tuple[str, ...], a_max: int, ms: list[int], force: bool, budget: int,
-    tables: PrimeTables,
-) -> None:
-    """Put into ``tables.sums`` each sum over base m that a ``SumSide`` of
-    ``ids`` has, at every m of ``ms`` prime to p and every a where
-    ``run_check`` reads it, by ``sums_at_bases``; sides that share (upper, e)
-    share one call.  A group whose walk raises gets no values, so its rows
-    raise in ``run_check`` as they would alone.
-    """
-    coprime = [m for m in ms if m % p]
-    groups: dict[tuple[int, int], dict] = {}  # (upper, e): the weights, in order
-    for cid in ids if coprime else ():
-        spec = get_check(cid)
-        for a in range(1, a_max + 1):
-            # An m-indexed domain asks only that p not divide m.
-            pr = CheckParams(p=p, a=a, m=coprime[0], force=force, budget=budget)
-            if force or (spec.domain(pr) and spec.length(pr) <= budget):
-                for side in (spec.lhs, spec.rhs):
-                    if isinstance(side, SumSide) and side.base is _m and not side.signed:
-                        groups.setdefault((side.upper(pr), spec.exponent(pr)), {})[side.weight] = 0
-    for (upper, e), weights in groups.items():
-        try:
-            values = sums_at_bases(coprime, upper, Modulus(p, e), list(weights), tables)
-        except (WeightDomain, NegativeValuation):
-            continue
-        for weight, sums in zip(weights, values):
-            tables.sums.update({sum_key(m, upper, p**e, weight, False): s for m, s in sums.items()})
-
-
 def _prime_worker(task) -> list[Row]:
     p, ids, a_max, policies, budget, force, sides, sums = task
-    tables = PrimeTables()
+    ms = _m_values(p, policies) if any(get_check(cid).index == "m" for cid in ids) else []
+    tables = PrimeTables(m for m in ms if m % p)
     pr = CheckParams(p=p, force=force, budget=budget)
     for (cid, name), s in zip(sides, sums):
         if s is not None:
             spec = get_check(cid)
             side = getattr(spec, name)
             tables.sums[side.key(side.upper(pr), p ** spec.exponent(pr))] = s
-    ms = _m_values(p, policies) if any(get_check(cid).index == "m" for cid in ids) else []
-    _prefill_m_sums(p, ids, a_max, ms, force, budget, tables)
     rows: list[Row] = []
     for cid in ids:
         spec = get_check(cid)

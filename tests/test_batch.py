@@ -7,8 +7,8 @@ must be one of the cases that stay on the walk; the same holds for the
 tree's central binomials and alternating harmonic sums.
 ``sums_at_bases`` evaluates the sums over many bases m at one prime by a
 transform, and must equal ``_central_sum`` at every base prime to p.  A
-scan that prefills its stores with these values must give the rows each
-check gives alone.
+scan whose stores give these values must give the rows each check gives
+alone.
 """
 
 import pickle
@@ -236,13 +236,14 @@ def test_sums_at_bases_match_the_walk(p):
     # Every base to 2p^2 at small p; past that a stride of p + 2, which
     # still meets every residue class mod p, the multiples of p among them.
     bases = list(range(-3, 2 * p * p + 1, 1 if p < 14 else p + 2))
+    # One store per exponent, so the later sums reuse the kept setup.
     for e in (1, 2, 3):
         md = Modulus(p, e)
-        walk = PrimeTables()
+        tables, walk = PrimeTables(bases), PrimeTables()
         for upper in sorted({0, 1, (p - 1) // 2, p - 1, (p * p - 1) // 2, p * p - 1}):
-            got = sums_at_bases(bases, upper, md, M_WEIGHTS, PrimeTables())
-            for weight, sums in zip(M_WEIGHTS, got):
-                assert list(sums) == [b for b in bases if b % p]
+            for weight in M_WEIGHTS:
+                sums = sums_at_bases(md, upper, weight, tables)
+                assert sorted(sums) == [b for b in bases if b % p]
                 for b, s in sums.items():
                     assert s == _central_sum(b, upper, md, weight, walk), (p, e, upper, weight, b)
 
@@ -250,8 +251,9 @@ def test_sums_at_bases_match_the_walk(p):
 def test_sums_at_bases_share_the_store():
     # The transform reads the tables a walk would build, and builds no other.
     p, md = 31, Modulus(31, 2)
-    tables, walk = PrimeTables(), PrimeTables()
-    sums_at_bases([1, 2, 3], p - 1, md, M_WEIGHTS, tables)
+    tables, walk = PrimeTables([1, 2, 3]), PrimeTables()
+    for weight in M_WEIGHTS:
+        sums_at_bases(md, p - 1, weight, tables)
     _central_sum(2, p - 1, md, WeightKind.NONE, walk)
     _central_sum(2, p - 1, md, WeightKind.CATALAN, walk)
     _central_sum(2, p - 1, md, WeightKind.LINEAR_K, walk)
@@ -286,20 +288,38 @@ def test_m_scan_rows_equal_rows_alone(force):
         assert scan(request).rows == want
 
 
-def test_t2_scan_skips_the_kernel(monkeypatch):
-    # Every sum of T2_MAIN and T2_CAT, T2_CAT's closed form included, comes
-    # from the transform; the kernel would raise.
+def test_m_scan_skips_the_kernel(monkeypatch):
+    # Every sum over base m, those read inside closed forms and custom sides
+    # included, comes from the transform; the kernel would raise.
     def kernel(*args):
         raise AssertionError("an m-indexed sum reached the kernel")
 
     monkeypatch.setattr(binomsums, "_sum_with_power", kernel)
-    report = scan(ScanRequest(("T2_MAIN", "T2_CAT"), 3, 200, m_policy=(AllSmall(), Sample(5, 1))))
+    report = scan(ScanRequest(M_IDS, 3, 200, m_policy=(AllSmall(), Sample(5, 1))))
     assert report.rows and {row.status for row in report.rows} == {"PASS"}
 
 
+def test_a_sparse_m_scan_keeps_horner(monkeypatch):
+    # With fewer m than p - 1 at a prime, the transform would cost more than
+    # the Horner passes it replaces, so the rows keep Horner's rule.
+    def transform(*args):
+        raise AssertionError("a sparse m list reached the transform")
+
+    monkeypatch.setattr(binomsums, "sums_at_bases", transform)
+    policy = (Sample(5, 1), MList((3, 5, 7, 9, 14, 25)))
+    report = scan(ScanRequest(M_IDS, 17, 60, a_max=2, m_policy=policy))
+    assert report.rows == [
+        _m_alone(cid, p, a, m, False)
+        for p in sieve_primes(17, 60)
+        for cid in sorted(M_IDS)
+        for a in (1, 2)
+        for m in _m_values(p, policy)
+    ]
+
+
 def test_a_walk_that_raises_leaves_its_rows_to_raise(monkeypatch):
-    # A group whose table walk raises gets no values, so its rows raise in
-    # run_check as they do alone: SKIP where forced, an error where not.
+    # The transform walks the table first, so a walk that raises makes its
+    # rows raise as they do alone: SKIP where forced, an error where not.
     walk = binomsums._residues_from_vu
 
     def catalan_raises(modulus, upto, tables, weight=WeightKind.NONE):
