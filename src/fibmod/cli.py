@@ -3,7 +3,8 @@
 Exit codes: 0 when everything passes (conjecture counterexample
 candidates only warn), 1 when a theorem/lemma/auxiliary check fails or
 its arithmetic breaks (a forced evaluation dividing by p), 2 on usage
-errors and on a WSS checkpoint that cannot be resumed.
+errors, on a WSS checkpoint that cannot be resumed and on an OSError,
+such as an output or checkpoint file that cannot be written.
 """
 
 from __future__ import annotations
@@ -276,7 +277,7 @@ def main(argv: list[str] | None = None) -> int:
     except CheckError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (UsageError, CheckpointCorrupt) as exc:
+    except (UsageError, CheckpointCorrupt, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -22,7 +22,7 @@ import random
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
-from itertools import compress
+from itertools import compress, repeat
 from json.encoder import encode_basestring_ascii as _json_str
 from math import isqrt
 from operator import le, lt
@@ -485,10 +485,6 @@ class WssRecord(NamedTuple):
 
 
 CHECKPOINT_MAGIC = "wss-checkpoint v3"
-# Older versions still resume; the first write after such a resume
-# replaces the file with a v3 one.  v1 has no near line.
-CHECKPOINT_V2 = "wss-checkpoint v2"
-CHECKPOINT_V1 = "wss-checkpoint v1"
 CHECKPOINT_EVERY = 10_000
 _COMMIT = re.compile(r"commit last_prime=([0-9]+) records=([0-9]+)\n")
 _RECORD = re.compile(r"[0-9]+,-?[0-9]+")
@@ -500,19 +496,19 @@ def _near_text(near_threshold: int | None) -> str:
 
 
 def _write_checkpoint(
-    path: str, end: int | None, near: str, records: list[WssRecord], committed: int, last_prime: int
+    path: str, end: int | None, near: str, ps: list[int], qs: list[int], committed: int, last_prime: int
 ) -> int:
-    """Commit ``records[committed:]`` and ``last_prime`` to ``path``; return the file's new length.
+    """Commit the records ``(ps[i], qs[i])`` from ``committed`` on and ``last_prime`` to ``path``.
 
-    ``end`` is the length of the file up to its last commit line.  The
-    file is cut back to it, which drops a torn tail, and the new records
-    and a commit line are appended in one write, so each record is
-    written once.  With ``end`` None (no file yet, or a v1 or v2 file,
-    which hold no v3 commits, so ``committed`` is 0) a whole v3 file is
-    written to a temporary file and moved over ``path``.
+    Returns the file's new length.  ``end`` is the length of the file up
+    to its last commit line.  The file is cut back to it, which drops a
+    torn tail, and the new records and a commit line are appended in one
+    write, so each record is written once.  With ``end`` None (no file
+    yet, so ``committed`` is 0) the whole file is written to a temporary
+    file and moved over ``path``.
     """
-    text = "".join([f"{rec.p},{rec.quotient}\n" for rec in records[committed:]])
-    text += f"commit last_prime={last_prime} records={len(records)}\n"
+    text = "".join([f"{p},{q}\n" for p, q in zip(ps[committed:], qs[committed:])])
+    text += f"commit last_prime={last_prime} records={len(ps)}\n"
     if end is None:
         text = f"{CHECKPOINT_MAGIC}\nnear={near}\n{text}"
         tmp = path + ".tmp"
@@ -526,50 +522,25 @@ def _write_checkpoint(
     return end + len(text)
 
 
-def _read_checkpoint(path: str) -> tuple[int, str | None, list[WssRecord], int | None]:
-    """(last_prime, near, records, end) of a checkpoint; near is None for v1.
+def _read_checkpoint(path: str) -> tuple[int, str, list[int], list[int], int]:
+    """(last_prime, near, ps, qs, end) of a checkpoint; record i is ``(ps[i], qs[i])``.
 
-    ``end`` is the length of a v3 file up to its last commit line, or up
+    ``end`` is the length of the file up to its last commit line, or up
     to its header when it has none, which resumes from p = 7.  Records
     after that line are the torn tail of a killed run and are left out.
-    ``end`` is None for v1 and v2.  In every version each record must pass
-    ``_parse_records``, have a prime p and stay within the last_prime
-    that covers it.
+    Each record must pass ``_parse_records``, have a prime p and stay
+    within the last_prime of the commit that covers it.  A file whose
+    first line is not ``CHECKPOINT_MAGIC`` is refused.
     """
     try:
         with open(path, encoding="ascii", newline="") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise CheckpointCorrupt(f"cannot read checkpoint {path}: {exc}") from exc
-    if text.startswith(CHECKPOINT_MAGIC + "\n"):
-        return _read_v3(path, text)
-    # v1 and v2 hold no commits, so a last line without its newline is a record too.
-    if not text.endswith("\n"):
-        text += "\n"
-    lines = text.split("\n", 3)
-    if lines[0] not in (CHECKPOINT_V2, CHECKPOINT_V1):
-        raise CheckpointCorrupt(f"{path}: missing '{CHECKPOINT_MAGIC}' header")
-    if not lines[1].startswith("last_prime="):
-        raise CheckpointCorrupt(f"{path}: missing last_prime line")
-    try:
-        last_prime = int(lines[1].removeprefix("last_prime="))
-    except ValueError as exc:
-        raise CheckpointCorrupt(f"{path}: bad last_prime value") from exc
-    near = None
-    start = len(lines[0]) + len(lines[1]) + 2
-    if lines[0] == CHECKPOINT_V2:
-        near = _near_line(path, lines[2])
-        start += len(lines[2]) + 1
-    ps, qs = _parse_records(path, text, start, len(text), 6, near)
-    if ps and ps[-1] > last_prime:
-        i = bisect_right(ps, last_prime)
-        raise _corrupt(path, text, start, i, f"record past last_prime={last_prime}")
-    _refuse_composites(path, ps)
-    return last_prime, near, list(map(WssRecord, ps, qs)), None
-
-
-def _read_v3(path: str, text: str) -> tuple[int, str, list[WssRecord], int]:
-    start = len(CHECKPOINT_MAGIC) + 1
+    start = text.find("\n") + 1  # 0 when the file has one line
+    header = text[: start - 1] if start else text
+    if header != CHECKPOINT_MAGIC:
+        raise CheckpointCorrupt(f"{path}: header {header[:40]!r} is not {CHECKPOINT_MAGIC!r}")
     stop = text.find("\n", start)
     near = _near_line(path, text[start:stop] if stop > 0 else "")
     end = start = stop + 1
@@ -577,12 +548,12 @@ def _read_v3(path: str, text: str) -> tuple[int, str, list[WssRecord], int]:
     last_prime = floor = 6
     committed = 0
     ps: list[int] = []
-    records: list[WssRecord] = []
+    qs: list[int] = []
     while start < tail:
         stop = text.find("\ncommit", start - 1, tail) + 1 or tail  # the next commit line
         run_ps, run_qs = _parse_records(path, text, start, stop, floor, near)
         ps += run_ps
-        records += map(WssRecord, run_ps, run_qs)
+        qs += run_qs
         floor = ps[-1] if run_ps else floor
         if stop == tail:
             break
@@ -601,7 +572,8 @@ def _read_v3(path: str, text: str) -> tuple[int, str, list[WssRecord], int]:
         committed = count
         end = start = commit.end()
     _refuse_composites(path, ps)
-    return last_prime, near, records[:committed], end
+    del ps[committed:], qs[committed:]
+    return last_prime, near, ps, qs, end
 
 
 def _near_line(path: str, line: str) -> str:
@@ -612,7 +584,7 @@ def _near_line(path: str, line: str) -> str:
 
 
 def _parse_records(
-    path: str, text: str, start: int, stop: int, floor: int, near: str | None
+    path: str, text: str, start: int, stop: int, floor: int, near: str
 ) -> tuple[list[int], list[int]]:
     """(ps, qs) of the "p,q" record lines that make up ``text[start:stop]``.
 
@@ -638,7 +610,7 @@ def _parse_records(
         i = rising.index(False)
         below = ps[i - 1] if i else floor
         raise _corrupt(path, text, start, i, f"record p={ps[i]} is not above {below}")
-    cap = None if near in (None, "all") else int(near)
+    cap = None if near == "all" else int(near)
     bounds = [p // 2 for p in ps] if cap is None else [min(p // 2, cap) for p in ps]
     fits = list(map(le, map(abs, qs), bounds))
     if not all(fits):
@@ -679,46 +651,52 @@ def wss_search(
     """Scan primes 7 <= p <= limit for Wall-Sun-Sun primes and near misses.
 
     Computes F_{p-(p/5)} mod p^2 by the L_{2k} ladder and keeps records
-    with |quotient| <= near_threshold (all records when the threshold is
-    None).  When ``checkpoint_path`` is given, the records found since
-    the last commit are appended to the file with a new commit line
-    every ``checkpoint_every`` primes (at least 1) and at the end, and
-    the search resumes from the file's last commit if it already exists.
-    A file written under another threshold raises ``CheckpointCorrupt``:
-    its records would mix two selections.
+    with |quotient| <= near_threshold (at least 0; all records when the
+    threshold is None).  When ``checkpoint_path`` is given, the records
+    found since the last commit are appended to the file with a new
+    commit line every ``checkpoint_every`` primes (at least 1) and at the
+    end, and the search resumes from the file's last commit if it
+    already exists.  A file written under another threshold raises
+    ``CheckpointCorrupt``: its records would mix two selections.
     """
     if limit < 7:
         raise ValueError("limit must be at least 7")
+    if near_threshold is not None and near_threshold < 0:
+        raise ValueError(f"near_threshold must be >= 0, got {near_threshold}")
     if checkpoint_every < 1:
         raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
     start = 7
     near = _near_text(near_threshold)
-    records: list[WssRecord] = []
-    end = None  # length of the v3 file up to its last commit; None: no such file
+    ps: list[int] = []  # the records are (ps[i], qs[i]) until the return
+    qs: list[int] = []
+    end = None  # length of the file up to its last commit; None: no file yet
     if checkpoint_path and os.path.exists(checkpoint_path):
-        last_prime, recorded, records, end = _read_checkpoint(checkpoint_path)
-        if recorded is not None and recorded != near:
+        last_prime, recorded, ps, qs, end = _read_checkpoint(checkpoint_path)
+        if recorded != near:
             raise CheckpointCorrupt(
                 f"{checkpoint_path}: written with near={recorded}, resumed with near={near}"
             )
         # A checkpoint written under a larger limit may hold records past
         # this one; the file keeps them, the result does not.
-        records = [rec for rec in records if rec.p <= limit]
+        kept = bisect_right(ps, limit)
+        del ps[kept:], qs[kept:]
         start = max(last_prime + 1, 7)
-    committed = 0 if end is None else len(records)
+    committed = len(ps)
     pending = 0
     for p in sieve_primes(start, limit):
         q = fibonacci_quotient(p, 1)
         signed = q - p if q > p // 2 else q
         if near_threshold is None or abs(signed) <= near_threshold:
-            records.append(WssRecord(p, signed))
+            ps.append(p)
+            qs.append(signed)
         pending += 1
         if checkpoint_path and pending == checkpoint_every:
-            end = _write_checkpoint(checkpoint_path, end, near, records, committed, p)
-            committed, pending = len(records), 0
+            end = _write_checkpoint(checkpoint_path, end, near, ps, qs, committed, p)
+            committed, pending = len(ps), 0
     if checkpoint_path and pending:
-        _write_checkpoint(checkpoint_path, end, near, records, committed, p)
-    return records
+        _write_checkpoint(checkpoint_path, end, near, ps, qs, committed, p)
+    # tuple.__new__ skips WssRecord's Python-level __new__, a call per record.
+    return list(map(tuple.__new__, repeat(WssRecord), zip(ps, qs)))
 
 
 def render_wss_csv(records: list[WssRecord]) -> str:

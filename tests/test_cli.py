@@ -324,8 +324,22 @@ def test_wss_bad_checkpoint_is_a_usage_error(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
-    ckpt.write_text("wss-checkpoint v2\nlast_prime=97\nnear=0\n")
+    ckpt.write_text("wss-checkpoint v3\nnear=0\ncommit last_prime=97 records=0\n")
     code = main(["wss", "--limit", "200", "--checkpoint", str(ckpt), "--out", str(out)])
     assert code == 2
     assert "near=0" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["wss", "--limit", "100", "--out", "w.csv", "--checkpoint"],
+        ["scan", "--ids", "T1_1", "--pmin", "3", "--pmax", "13", "--out"],
+    ],
+)
+def test_unwritable_file_is_a_usage_error(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "missing/f"]) == 2  # no directory "missing"
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []

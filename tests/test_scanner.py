@@ -237,12 +237,17 @@ def test_wss_threshold_filters():
     assert near == [rec for rec in all_records if abs(rec.quotient) <= 10]
 
 
-def test_wss_limit_validation():
+def test_wss_limit_validation(tmp_path):
     with pytest.raises(ValueError):
         wss_search(5)
     for every in (0, -1):
         with pytest.raises(ValueError, match="checkpoint_every"):
             wss_search(100, checkpoint_every=every)
+    # A negative threshold is refused before a file its resume would refuse is written.
+    ckpt = tmp_path / "wss.ckpt"
+    with pytest.raises(ValueError, match="near_threshold"):
+        wss_search(100, near_threshold=-1, checkpoint_path=str(ckpt))
+    assert not ckpt.exists()
 
 
 def test_wss_refuses_a_quotient_p_does_not_divide(monkeypatch):
@@ -265,8 +270,10 @@ def test_wss_checkpoint_resume_identical(tmp_path):
     assert render_wss_csv(resumed) == render_wss_csv(fresh)
     assert partial == fresh[: len(partial)]
     # resuming a completed run is a no-op
+    before = ckpt.read_bytes()
     again = wss_search(50_000, checkpoint_path=str(ckpt))
     assert again == fresh
+    assert ckpt.read_bytes() == before
 
 
 def test_wss_resume_clips_to_the_limit(tmp_path):
@@ -326,6 +333,21 @@ def test_checkpoint_format(tmp_path):
         "wss-checkpoint v1\nlast_prime=1000003\n7,3\n1000001,0\n",  # 101 * 9901, a later segment
         "wss-checkpoint v1\nlast_prime=11\n7,-4\n",
         "wss-checkpoint v2\nlast_prime=11\nnear=3\n11,4\n",
+        # The defects of the v1 and v2 inputs above, in v3 files.
+        "wss-checkpoint v3\n",  # no near line
+        "wss-checkpoint v3\nnear=all\n7,3\ncommit last_prime=abc records=1\n",
+        "wss-checkpoint v3\nnear=all\n7,3\n11,\ncommit last_prime=11 records=2\n",  # empty quotient
+        "wss-checkpoint v3\nnear=all\n7,3,9\ncommit last_prime=7 records=1\n",  # three fields
+        "wss-checkpoint v3\nnear=-1\n7,3\ncommit last_prime=7 records=1\n",
+        "wss-checkpoint v3\nnear=\n",
+        "wss-checkpoint v3\nnear=all\n5,1\ncommit last_prime=7 records=1\n",  # p < 7
+        "wss-checkpoint v3\nnear=all\n11,5\n7,3\ncommit last_prime=11 records=2\n",  # a falling pair
+        "wss-checkpoint v3\nnear=all\n11,1\n7,3\n7,3\ncommit last_prime=11 records=3\n",
+        "wss-checkpoint v3\nnear=all\n7,3\n7,3\ncommit last_prime=7 records=2\n",  # a duplicate
+        "wss-checkpoint v3\nnear=all\n7,3\n49,0\ncommit last_prime=53 records=2\n",  # 7 * 7
+        # 101 * 9901, in a later sieve segment than 7
+        "wss-checkpoint v3\nnear=all\n7,3\n1000001,0\ncommit last_prime=1000003 records=2\n",
+        "wss-checkpoint v3\nnear=all\n7,-4\ncommit last_prime=7 records=1\n",  # |q| > p/2
     ],
 )
 def test_checkpoint_corrupt(tmp_path, content):
@@ -351,15 +373,26 @@ def test_checkpoint_records_its_threshold(tmp_path):
     assert resumed == wss_search(3000, near_threshold=0)
 
 
-def test_checkpoint_v1_still_resumes(tmp_path):
-    ckpt = tmp_path / "wss.ckpt"
-    wss_search(2000, checkpoint_path=str(ckpt))
-    lines = ckpt.read_text().splitlines()
-    assert lines[1] == "near=all"
-    ckpt.write_text("\n".join(["wss-checkpoint v1", "last_prime=1999"] + lines[2:-1]) + "\n")
-    assert _read_checkpoint(str(ckpt))[1] is None
-    assert wss_search(3000, checkpoint_path=str(ckpt)) == wss_search(3000)
-    assert ckpt.read_text().splitlines()[:2] == ["wss-checkpoint v3", "near=all"]
+@pytest.mark.parametrize("header", ["wss-checkpoint v1", "wss-checkpoint v2"])
+def test_checkpoint_v1_and_v2_are_refused(tmp_path, capsys, header):
+    from fibmod.cli import main
+
+    ckpt = tmp_path / "old.ckpt"
+    near = "near=all\n" if header.endswith("v2") else ""
+    old = f"{header}\nlast_prime=1999\n{near}" + "".join(
+        f"{rec.p},{rec.quotient}\n" for rec in wss_search(2000)
+    )
+    ckpt.write_text(old)
+    named = f"old.ckpt: header '{header}' is not 'wss-checkpoint v3'"
+    with pytest.raises(CheckpointCorrupt, match=named):
+        _read_checkpoint(str(ckpt))
+    with pytest.raises(CheckpointCorrupt, match=named):
+        wss_search(3000, checkpoint_path=str(ckpt))
+    out = tmp_path / "w.csv"
+    assert main(["wss", "--limit", "3000", "--checkpoint", str(ckpt), "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+    assert ckpt.read_text() == old
 
 
 def _assert_v3_holds(text, records, last_prime):
@@ -393,6 +426,7 @@ def test_checkpoint_appends_each_record_once(tmp_path, monkeypatch):
     monkeypatch.setattr(scanner, "_write_checkpoint", appending)
     fresh = wss_search(3000)
     assert wss_search(3000, checkpoint_path=str(ckpt), checkpoint_every=100) == fresh
+    assert not (tmp_path / "wss.ckpt.tmp").exists()
     text = ckpt.read_text()
     # one commit per 100 primes and one for the rest
     assert len(sizes) == -(-len(fresh) // 100) == text.count("commit ")
@@ -421,30 +455,13 @@ def test_checkpoint_torn_tail_is_dropped(tmp_path, tail, first_limit):
     before = ckpt.read_text()
     with open(ckpt, "a") as fh:
         fh.write(tail)
-    read_last_prime, _, read_records, _ = _read_checkpoint(str(ckpt))
-    assert (read_last_prime, read_records) == (last_prime, committed)
+    read_last_prime, _, read_ps, read_qs, _ = _read_checkpoint(str(ckpt))
+    assert (read_last_prime, list(zip(read_ps, read_qs))) == (last_prime, committed)
     fresh = wss_search(5000)
     assert wss_search(5000, checkpoint_path=str(ckpt), checkpoint_every=50) == fresh
     text = ckpt.read_text()
     assert text.startswith(before)
     _assert_v3_holds(text, fresh, 4999)
-
-
-def test_checkpoint_v2_upgrades_on_first_write(tmp_path):
-    ckpt = tmp_path / "wss.ckpt"
-    old = wss_search(2000)
-    v2 = "".join(
-        ["wss-checkpoint v2\nlast_prime=1999\nnear=all\n"]
-        + [f"{rec.p},{rec.quotient}\n" for rec in old]
-    )
-    ckpt.write_text(v2)
-    # A resume that processes no prime leaves the file as it is.
-    assert wss_search(1000, checkpoint_path=str(ckpt)) == wss_search(1000)
-    assert ckpt.read_text() == v2
-    fresh = wss_search(3000)
-    assert wss_search(3000, checkpoint_path=str(ckpt), checkpoint_every=50) == fresh
-    _assert_v3_holds(ckpt.read_text(), fresh, 2999)
-    assert not (tmp_path / "wss.ckpt.tmp").exists()
 
 
 def test_unforced_check_error_is_not_a_skip(monkeypatch, capsys):
