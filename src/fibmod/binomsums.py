@@ -4,12 +4,16 @@ The workhorse is a segment walk over a hypergeometric term t_k =
 p^v * unit whose ratio t_k / t_{k-1} is a product of linear factors
 a*k + b over another, such as (4k-2)/k for C(2k,k).  The ratio is a
 p-adic unit except where p divides a factor, so between those indices
-the valuation is fixed and a run of units is one comprehension; only
-the special indices strip p-parts.  Every term is exact even past
-k = p/2, where the binomials pick up positive p-valuation.  Each weight
-but H2 is walked as its own term weight(k) C(2k,k) into a table of
-residues in a ``PrimeTables`` store, which every sum at that prime
-shares, and the store keeps each sum for any other check at that prime.
+the valuation is fixed and a run of units costs one inversion, of the
+product of its denominators; only the special indices strip p-parts.
+Every term is exact even past k = p/2, where the binomials pick up
+positive p-valuation.  Each weight but H2 is walked as its own term
+weight(k) C(2k,k) into a table of residues in a ``PrimeTables`` store,
+which every sum at that prime shares, and the store keeps each sum for
+any other check at that prime.  The walk reads no inverse table: the
+store's inverses of 1..n serve only the H2 prefix,
+``alternating_harmonic``, ``power_over_square_sum`` and MT_26's closed
+form in ``checks``.
 A sum has three evaluators: for one sum, Horner's rule over a prefix of
 the walked table, at one inversion of the base; for one base at many
 primes, ``batch_central_sums``, a remainder tree over 2x2 matrix
@@ -89,7 +93,9 @@ class PrimeTables(dict):
 
     Each item maps ``(kind, p^e)`` to a list that only grows: ``kind`` is
     a ``WeightKind`` for the tables of weight(k) C(2k,k), ``"inv"`` for
-    the inverses of 1..n and ``"h2"`` for the H_k^(2) prefix.  A prime
+    the inverses of 1..n (built only for the H2 prefix,
+    ``alternating_harmonic``, ``power_over_square_sum`` and MT_26's closed
+    form; the walk needs none) and ``"h2"`` for the H_k^(2) prefix.  A prime
     power fixes its prime, so one store may also serve several primes.
     ``walk_ends`` keeps the walk's (v, unit) at the end of each walked
     table, so a longer request resumes the walk there.  ``sums`` keeps
@@ -114,7 +120,9 @@ class PrimeTables(dict):
 
 
 def _inv_table(p: int, pe: int, n: int, tables: PrimeTables) -> list[int]:
-    """Inverses of 1..n mod pe, n < p.
+    """Inverses of 1..n mod pe, n < p, for the sums whose terms are 1/k or
+    1/k^2: the H2 prefix, ``alternating_harmonic``, ``power_over_square_sum``
+    and MT_26's closed form in ``checks``.  ``_walk`` does not read it.
 
     Uses inv[i] = -(pe // i) * inv[pe mod i]: for 1 < i < p the remainder
     pe mod i is nonzero and smaller than i, so the recurrence is well
@@ -141,7 +149,7 @@ _RATIOS = {
 
 
 def _walk(
-    modulus: Modulus, ratio: tuple, k_lo: int, k_hi: int, v: int, u: int, tables: PrimeTables
+    modulus: Modulus, ratio: tuple, k_lo: int, k_hi: int, v: int, u: int
 ) -> Iterator[tuple[int, list[int]]]:
     """Runs (v, units) of a hypergeometric term t_k = p^v * unit for k_lo..k_hi.
 
@@ -150,27 +158,29 @@ def _walk(
     tuple of (a, b) for a*k + b; over k_lo..k_hi the numerator factors
     are nonzero and the denominator factors positive.  The ratio is a
     p-adic unit except where p divides a factor, so between those special
-    indices the valuation is fixed and a run of units is one
-    comprehension.  Only a special index strips p-parts and moves v.
+    indices the valuation is fixed and a run of units is two
+    comprehensions with one inversion (Montgomery, Math. Comp. 48 (1987)):
+    with n_i and d_i the run's numerators and denominators and D the
+    product of all d_i, the i-th unit is (u/D) n_1..n_i d_{i+1}..d_last.
+    So the walk reads no inverse table; ``_inv_table`` serves the 1/k and
+    1/k^2 sums alone.  Only a special index strips p-parts and moves v.
     Units stay exact for every k, also past p and while v >= e, so the
     walk can resume anywhere.
     """
     p, pe = modulus.p, modulus.m
     nums, dens = ratio
-    # Only denominators below p are read from the inverse table.
-    inv = _inv_table(p, pe, min(max(a * k_hi + b for a, b in dens), p - 1), tables)
     roots = {-b * pow(a, -1, p) % p for a, b in nums + dens}  # p | a*k + b iff k = root mod p
     special = sorted({s for r in roots for s in range(k_lo + (r - k_lo) % p, k_hi + 1, p)})
     k = k_lo
     for s in special + [k_hi + 1]:
         if s > k:
             ns = _product([range(a * k + b, a * s + b, a) for a, b in nums])
-            if all(a * (s - 1) + b < p for a, b in dens):
-                invs = _product([inv[a * k + b : a * s + b : a] for a, b in dens])
-            else:
-                ds = _product([range(a * k + b, a * s + b, a) for a, b in dens])
-                invs = [pow(d, -1, pe) for d in ds]
-            yield v, [(u := u * n * i % pe) for n, i in zip(ns, invs)]
+            ds = _product([range(a * k + b, a * s + b, a) for a, b in dens])
+            d = 1
+            suffix = [d] + [(d := d * x % pe) for x in ds[:0:-1]]  # d_{i+1}..d_last, reversed
+            u = u * pow(d * ds[0], -1, pe) % pe
+            # The last suffix is 1, so u ends as the run's last unit.
+            yield v, [(u := u * n % pe) * x % pe for n, x in zip(ns, reversed(suffix))]
         if s > k_hi:
             return
         num, den = (prod([a * s + b for a, b in factors]) for factors in ratio)
@@ -196,9 +206,12 @@ def _product(columns: list) -> list[int] | range:
 
 
 def _cb_vu(modulus: Modulus, upto: int, tables: PrimeTables) -> list[tuple[int, int]]:
-    """Factored central binomials: (v_p, unit) of C(2k,k) for k = 0..upto."""
+    """Factored central binomials: (v_p, unit) of C(2k,k) for k = 0..upto.
+
+    The walk reads nothing from ``tables``; its callers pass their store.
+    """
     vu = [(0, 1)]
-    for v, us in _walk(modulus, _RATIOS[WeightKind.NONE][1], 1, upto, 0, 1, tables):
+    for v, us in _walk(modulus, _RATIOS[WeightKind.NONE][1], 1, upto, 0, 1):
         vu.extend([(v, x) for x in us])
     return vu
 
@@ -223,7 +236,7 @@ def _residues_from_vu(
     if not res:
         res.extend([t % pe for t in head])
         ends[weight, pe] = (0, head[-1] % pe)
-    for v, us in _walk(modulus, ratio, len(res), upto, *ends[weight, pe], tables):
+    for v, us in _walk(modulus, ratio, len(res), upto, *ends[weight, pe]):
         if v == 0:
             res.extend(us)
         elif v < e:

@@ -387,7 +387,7 @@ def _l2_1_lhs(pr, md, tables):
     out = [0]  # both binomials are 1 at k = 0
     xk = 1
     # binom(n+k, 2k) = binom(n+k-1, 2k-2) (k+n)(n+1-k) / ((2k)(2k-1)).
-    for v, us in _walk(md, (((1, n), (-1, n + 1)), ((2, 0), (2, -1))), 1, n, 0, 1, tables):
+    for v, us in _walk(md, (((1, n), (-1, n + 1)), ((2, 0), (2, -1))), 1, n, 0, 1):
         pv = p**v if v < e else 0
         for u in us:
             xk = xk * x % pe

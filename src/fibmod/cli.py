@@ -4,7 +4,9 @@ Exit codes: 0 when everything passes (conjecture counterexample
 candidates only warn), 1 when a theorem/lemma/auxiliary check fails or
 its arithmetic breaks (a forced evaluation dividing by p), 2 on usage
 errors, on a WSS checkpoint that cannot be resumed and on an OSError,
-such as an output or checkpoint file that cannot be written.
+such as an output or checkpoint file that cannot be written.  An output
+or checkpoint path in a missing directory is refused before any work
+starts.
 """
 
 from __future__ import annotations
@@ -225,6 +227,20 @@ def _execute_check(cmd: CheckCommand) -> int:
     return _exit_code(set() if v is None or v.passed else {cmd.id})
 
 
+def _check_output_path(flag: str, path: str | None) -> None:
+    """Refuse a file path whose directory is missing, before any work starts.
+
+    The file itself is not opened, so an existing ``--out`` keeps its
+    bytes until the run is done.
+    """
+    if path:
+        parent = os.path.dirname(path) or "."
+        if not os.path.isdir(parent):
+            raise UsageError(f"{flag} {path}: no directory {parent}")
+        if os.path.isdir(path):
+            raise UsageError(f"{flag} {path} is a directory")
+
+
 def _write_or_print(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="ascii") as fh:
@@ -234,6 +250,7 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 
 def _execute_scan(cmd: ScanCommand) -> int:
+    _check_output_path("--out", cmd.out)
     report = scan(cmd.request)
     text = render_csv(report) if cmd.format == "csv" else render_jsonl(report)
     _write_or_print(text, cmd.out)
@@ -241,6 +258,8 @@ def _execute_scan(cmd: ScanCommand) -> int:
 
 
 def _execute_wss(cmd: WssCommand) -> int:
+    _check_output_path("--out", cmd.out)
+    _check_output_path("--checkpoint", cmd.checkpoint)
     records = wss_search(cmd.limit, cmd.near, cmd.checkpoint)
     _write_or_print(render_wss_csv(records), cmd.out)
     hits = [rec for rec in records if rec.quotient == 0]

@@ -15,6 +15,7 @@ first sum over base m gives that sum at every m by the transform.
 
 from __future__ import annotations
 
+import gc
 import json
 import multiprocessing
 import os
@@ -696,7 +697,16 @@ def wss_search(
     if checkpoint_path and pending:
         _write_checkpoint(checkpoint_path, end, near, ps, qs, committed, p)
     # tuple.__new__ skips WssRecord's Python-level __new__, a call per record.
-    return list(map(tuple.__new__, repeat(WssRecord), zip(ps, qs)))
+    # Each record is a tracked tuple subclass, and every full collection
+    # would rescan the growing list; records of ints form no cycle, so the
+    # collector is paused while they are built.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return list(map(tuple.__new__, repeat(WssRecord), zip(ps, qs)))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def render_wss_csv(records: list[WssRecord]) -> str:

@@ -1,14 +1,18 @@
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
 
 from fibmod.binomsums import (
+    _RATIOS,
     PrimeTables,
     SumSpec,
     WeightDomain,
     WeightKind,
     _h2_prefix,
+    _residues_from_vu,
+    _walk,
     alternating_harmonic,
     batch_alternating_harmonic,
     central_binomial_stream,
@@ -22,6 +26,7 @@ from fibmod.binomsums import (
 from fibmod.modarith import (
     LucasParams,
     Modulus,
+    NegativeValuation,
     NotInvertible,
     ZeroInput,
     padic_normalize,
@@ -220,3 +225,71 @@ def test_floor_multiple_is_exact_integer_division():
     for num, den in ((5, 6), (4, 5), (3, 5), (7, 10), (9, 10)):
         for v in range(1, 2000, 17):
             assert floor_multiple(num, den, v) == (num * v) // den
+
+
+# Each walked term as an exact function of k, beside its ratio in _RATIOS.
+_WALKED_TERMS = {
+    WeightKind.NONE: lambda k: Fraction(comb(2 * k, k)),
+    WeightKind.CATALAN: lambda k: Fraction(comb(2 * k, k), k + 1),
+    WeightKind.LINEAR_K: lambda k: Fraction(k * comb(2 * k, k)),
+    WeightKind.INV_2KM1: lambda k: Fraction(comb(2 * k, k), 2 * k - 1),
+    WeightKind.INV_2KM1_SQ: lambda k: Fraction(comb(2 * k, k), (2 * k - 1) ** 2),
+}
+
+
+def _fraction_vu(t: Fraction, md: Modulus) -> tuple[int, int]:
+    """(valuation, unit mod p^e) of a nonzero fraction."""
+    num, den = (padic_normalize(x, md) for x in (t.numerator, t.denominator))
+    return num.valuation - den.valuation, num.unit * pow(den.unit, -1, md.m) % md.m
+
+
+def _assert_walk_is_exact(md, ratio, k_lo, k_hi, vu, term):
+    """The walk from (v, u) at k_lo - 1 gives term(k) for k_lo..k_hi, and
+    raises NegativeValuation exactly at the first term that is not p-integral."""
+    want = [_fraction_vu(term(k), md) for k in range(k_lo, k_hi + 1)]
+    got = []
+    try:
+        for v, us in _walk(md, ratio, k_lo, k_hi, *vu):
+            got.extend((v, u) for u in us)
+    except NegativeValuation:
+        assert want[len(got)][0] < 0, (md, k_lo + len(got))
+    else:
+        assert len(got) == len(want)
+    assert got == want[: len(got)], md
+
+
+@pytest.mark.parametrize("e", [1, 2, 3])
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_walk_matches_exact_terms(p, e):
+    # Past 2p + 3 the runs cross multiples of p and the denominators pass p.
+    md = Modulus(p, e)
+    for weight, (head, ratio) in _RATIOS.items():
+        term = _WALKED_TERMS[weight]
+        assert [term(k) for k in range(len(head))] == list(head)
+        _assert_walk_is_exact(md, ratio, len(head), 2 * p + 3, (0, head[-1]), term)
+    # L2_1's binom(n+k, 2k), n = (p^a-1)/2, to n >= 2p + 3.
+    n = next(n for n in ((p**a - 1) // 2 for a in range(2, 5)) if n >= 2 * p + 3)
+    ratio = (((1, n), (-1, n + 1)), ((2, 0), (2, -1)))
+    _assert_walk_is_exact(md, ratio, 1, n, (0, 1), lambda k: Fraction(comb(n + k, 2 * k)))
+
+
+@pytest.mark.parametrize("e", [1, 2, 3])
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_walk_resumed_from_a_stored_end_matches_exact_terms(p, e):
+    md = Modulus(p, e)
+    for weight, (head, ratio) in _RATIOS.items():
+        tables = PrimeTables()
+        # The 1/(2k-1) tables stop at (p-1)/2; the others resume past p.
+        upto = (p - 1) // 2 if weight in (WeightKind.INV_2KM1, WeightKind.INV_2KM1_SQ) else p + 1
+        _residues_from_vu(md, upto, tables, weight)
+        vu = tables.walk_ends[weight, md.m]
+        assert vu == _fraction_vu(_WALKED_TERMS[weight](upto), md)
+        _assert_walk_is_exact(md, ratio, upto + 1, 2 * p + 3, vu, _WALKED_TERMS[weight])
+
+
+@pytest.mark.parametrize("weight", [WeightKind.NONE, WeightKind.INV_2KM1_SQ])
+def test_a_walked_table_builds_no_inverse_table(weight):
+    tables = PrimeTables()
+    for p in (3, 13, 101):
+        _residues_from_vu(Modulus(p, 2), (p - 1) // 2, tables, weight)
+    assert tables and not any(kind == "inv" for kind, _ in tables)

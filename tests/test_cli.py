@@ -343,3 +343,36 @@ def test_unwritable_file_is_a_usage_error(tmp_path, monkeypatch, capsys, argv):
     assert main([*argv, "missing/f"]) == 2  # no directory "missing"
     assert capsys.readouterr().err.startswith("error: ")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, work",
+    [
+        (["scan", "--ids", "T1_1", "--pmin", "3", "--pmax", "13", "--out", "missing/o.csv"], "scan"),
+        (["scan", "--ids", "T1_1", "--pmin", "3", "--pmax", "13", "--out", "."], "scan"),
+        (["wss", "--limit", "100", "--out", "missing/o.csv"], "wss_search"),
+        (["wss", "--limit", "100", "--checkpoint", "missing/c.ckpt"], "wss_search"),
+        (["wss", "--limit", "100", "--out", "o.csv", "--checkpoint", "missing/c"], "wss_search"),
+    ],
+)
+def test_a_bad_output_path_is_refused_before_any_work(tmp_path, monkeypatch, capsys, argv, work):
+    monkeypatch.chdir(tmp_path)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, work, no_work)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and ("missing" in err or "directory" in err)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_bad_checkpoint_path_leaves_an_existing_out_file_alone(tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    out.write_text("earlier report\n")
+    argv = ["wss", "--limit", "100", "--out", str(out), "--checkpoint", str(tmp_path / "no" / "c")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: --checkpoint ")
+    assert out.read_text() == "earlier report\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["o.csv"]

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from dataclasses import replace
@@ -222,6 +224,17 @@ def test_wss_examples():
     assert by_p[11] == 5  # F_10 = 55 = 5 * 11
     assert sorted(by_p) == [p for p in sieve_primes(7, 100)]
     assert wss_search(100, near_threshold=0) == []
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_wss_leaves_the_collector_as_it_found_it(enabled):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert wss_search(100)[:2] == [(7, 3), (11, 5)]
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_wss_signed_representative():
