@@ -205,11 +205,8 @@ def _product(columns: list) -> list[int] | range:
     return first
 
 
-def _cb_vu(modulus: Modulus, upto: int, tables: PrimeTables) -> list[tuple[int, int]]:
-    """Factored central binomials: (v_p, unit) of C(2k,k) for k = 0..upto.
-
-    The walk reads nothing from ``tables``; its callers pass their store.
-    """
+def _cb_vu(modulus: Modulus, upto: int) -> list[tuple[int, int]]:
+    """Factored central binomials: (v_p, unit) of C(2k,k) for k = 0..upto."""
     vu = [(0, 1)]
     for v, us in _walk(modulus, _RATIOS[WeightKind.NONE][1], 1, upto, 0, 1):
         vu.extend([(v, x) for x in us])
@@ -289,7 +286,7 @@ def _sum_with_power(
 
 def central_binomial_stream(modulus: Modulus, max_k: int) -> Iterator[PadicFactored]:
     """Yield C(2k,k) in factored form for k = 0..max_k."""
-    for v, u in _cb_vu(modulus, max_k, PrimeTables()):
+    for v, u in _cb_vu(modulus, max_k):
         yield PadicFactored(modulus, v, u)
 
 

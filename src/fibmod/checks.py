@@ -1214,7 +1214,7 @@ def run_conj11n_range(n_max: int, budget: int = DEFAULT_TERM_BUDGET) -> list[Ver
     e_top = max(_conj11n_valuation(n) + 2 for n in range(n_max + 1))
     top = Modulus(3, e_top)
     pe_top = top.m
-    vu = _cb_vu(top, n_max, PrimeTables())
+    vu = _cb_vu(top, n_max)
     inv16 = pow(16, -1, pe_top)
     verdicts = []
     s = 0

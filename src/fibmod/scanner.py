@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import gc
 import json
-import multiprocessing
 import os
 import random
 import re
@@ -44,7 +43,7 @@ from .checks import (
     get_check,
     run_check,
 )
-from .sequences import DomainError, fibonacci_quotient
+from .sequences import DomainError, fibonacci_quotients
 
 
 class CheckpointCorrupt(Exception):
@@ -335,6 +334,9 @@ def scan(request: ScanRequest) -> Report:
     ]
     rows: list[Row] = []
     if request.jobs > 1 and len(tasks) > 1:
+        # Imported here, since only a pool needs it: wss and check never fork.
+        import multiprocessing
+
         with multiprocessing.Pool(processes=request.jobs) as pool:
             for chunk in pool.imap(_prime_worker, tasks, chunksize=4):
                 rows.extend(chunk)
@@ -651,9 +653,11 @@ def wss_search(
 ) -> list[WssRecord]:
     """Scan primes 7 <= p <= limit for Wall-Sun-Sun primes and near misses.
 
-    Computes F_{p-(p/5)} mod p^2 by the L_{2k} ladder and keeps records
-    with |quotient| <= near_threshold (at least 0; all records when the
-    threshold is None).  When ``checkpoint_path`` is given, the records
+    Computes F_{p-(p/5)} mod p^2 by ``fibonacci_quotients``: one L_{2k}
+    ladder per block of primes, modulo the product of their squares,
+    then a step of small exact Fibonacci numbers from each prime's index
+    to the next.  Keeps records with |quotient| <= near_threshold (at
+    least 0; all records when the threshold is None).  When ``checkpoint_path`` is given, the records
     found since the last commit are appended to the file with a new
     commit line every ``checkpoint_every`` primes (at least 1) and at the
     end, and the search resumes from the file's last commit if it
@@ -684,8 +688,8 @@ def wss_search(
         start = max(last_prime + 1, 7)
     committed = len(ps)
     pending = 0
-    for p in sieve_primes(start, limit):
-        q = fibonacci_quotient(p, 1)
+    primes = sieve_primes(start, limit)
+    for p, q in zip(primes, fibonacci_quotients(primes)):
         signed = q - p if q > p // 2 else q
         if near_threshold is None or abs(signed) <= near_threshold:
             ps.append(p)

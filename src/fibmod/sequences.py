@@ -4,10 +4,14 @@ u_n and v_n satisfy x_{n+1} = A*x_n - B*x_{n-1} with u_0 = 0, u_1 = 1 and
 v_0 = 2, v_1 = A.  Fibonacci and Lucas numbers are the (A, B) = (1, -1)
 instance.  The quotient maps (Fibonacci quotient, Fermat quotient) divide
 a provably p-divisible value by p exactly, working at one extra exponent
-of precision so no big-integer arithmetic is ever needed.
+of precision so no big-integer arithmetic is ever needed.  Over a run of
+primes, ``fibonacci_quotients`` shares one ladder among a block of them.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator, Sequence
+from math import prod
 
 from .modarith import LucasParams, Modulus, NotInvertible, jacobi
 
@@ -109,6 +113,51 @@ def fibonacci_quotient(p: int, e: int) -> int:
     if f % p:
         raise NotDivisible(f"F_{idx} is not divisible by {p}")
     return f // p
+
+
+# Primes per ladder in ``fibonacci_quotients``.  Each step reduces mod the
+# product of the block's squares, so a larger block makes every step
+# dearer: 8 to 16 primes per block measured flat, 64 or more lost.
+_WSS_BLOCK = 12
+
+
+def fibonacci_quotients(ps: Sequence[int]) -> Iterator[int]:
+    """Yield ``fibonacci_quotient(p, 1)`` for each p of rising primes ``ps``, p >= 7.
+
+    The primes are taken ``_WSS_BLOCK`` at a time, with P the product of
+    their squares.  One ladder gives (a, b) = (F_n, F_{n+1}) mod P at the
+    first index n; each next index n + g (g >= 0) is reached by
+
+        (F_{n+g}, F_{n+g+1}) = (F_{g-1} a + F_g b, F_g a + F_{g+1} b)
+
+    with small exact Fibonacci numbers, and F_n mod p^2 is a % p^2.
+    Divisibility by p is asserted for every prime, as in
+    ``fibonacci_quotient``.
+    """
+    if ps and ps[0] < 7:
+        raise ValueError(f"primes must be >= 7, got {ps[0]}")
+    fib = [0, 1, 1]  # F_0, F_1, ... extended as wider gaps appear
+    for i in range(0, len(ps), _WSS_BLOCK):
+        block = ps[i : i + _WSS_BLOCK]
+        squares = [p * p for p in block]
+        P = prod(squares)
+        n = block[0] - _LEGENDRE_MOD5[block[0] % 5]
+        a, b = _fib_pair_mod(n, P)
+        for p, p2 in zip(block, squares):
+            idx = p - _LEGENDRE_MOD5[p % 5]
+            g = idx - n
+            if g:
+                if g < 0:
+                    raise ValueError(f"primes must rise, got {p} after index {n}")
+                while len(fib) <= g + 1:
+                    fib.append(fib[-1] + fib[-2])
+                f0, f1, f2 = fib[g - 1], fib[g], fib[g + 1]
+                a, b = (f0 * a + f1 * b) % P, (f1 * a + f2 * b) % P
+                n = idx
+            f = a % p2
+            if f % p:
+                raise NotDivisible(f"F_{idx} is not divisible by {p}")
+            yield f // p
 
 
 def fermat_quotient(b: int, p: int, e: int) -> int:

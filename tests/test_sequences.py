@@ -5,12 +5,15 @@ import pytest
 from fibmod.modarith import LucasParams, Modulus, NotInvertible, jacobi
 from fibmod.scanner import sieve_primes, wss_search
 from fibmod.sequences import (
+    _WSS_BLOCK,
     DomainError,
+    NotDivisible,
     _fib_pair_mod,
     entry_index,
     fermat_quotient,
     fibonacci_mod,
     fibonacci_quotient,
+    fibonacci_quotients,
     lucas_uv_mod,
 )
 
@@ -198,3 +201,43 @@ def test_wss_quotients_match_exact_values():
     for rec in records:
         exact = fib[rec.p - jacobi(rec.p, 5)] // rec.p % rec.p
         assert rec.quotient % rec.p == exact and abs(rec.quotient) <= rec.p // 2, rec
+
+
+def test_fibonacci_quotients_match_the_per_prime_map():
+    ps = sieve_primes(7, 2 * 10**5)
+    assert list(fibonacci_quotients(ps)) == [fibonacci_quotient(p, 1) for p in ps]
+
+
+@pytest.mark.parametrize("length", [1, _WSS_BLOCK - 1, _WSS_BLOCK, _WSS_BLOCK + 1, 3 * _WSS_BLOCK + 5])
+@pytest.mark.parametrize("first", [0, 1, 7, 1000, 9000])
+def test_fibonacci_quotients_of_any_length_from_any_start(first, length):
+    # A resume hands over the primes from the one after its last commit.
+    ps = sieve_primes(7, 10**5)[first : first + length]
+    assert list(fibonacci_quotients(ps)) == [fibonacci_quotient(p, 1) for p in ps]
+
+
+def test_fibonacci_quotients_at_a_twin_pair_with_one_index():
+    # 17 and 19 both have index 18, and F_18 = 2584 = 17 * 152 = 19 * 136.
+    assert 17 - jacobi(17, 5) == 19 - jacobi(19, 5) == 18
+    assert list(fibonacci_quotients([17, 19])) == [152 % 17, 136 % 19]
+    assert list(fibonacci_quotients([7, 11, 13, 17, 19, 23])) == [
+        fibonacci_quotient(p, 1) for p in (7, 11, 13, 17, 19, 23)
+    ]
+
+
+def test_fibonacci_quotients_assert_every_prime():
+    # 15 is not prime and F_15 = 610 is not divisible by it; it sits
+    # inside the first block, after three primes that pass.
+    quotients = fibonacci_quotients([7, 11, 13, 15, 17])
+    assert [next(quotients) for _ in range(3)] == [3, 5, fibonacci_quotient(13, 1)]
+    with pytest.raises(NotDivisible, match="by 15$"):
+        next(quotients)
+
+
+def test_fibonacci_quotients_refuse_small_or_falling_primes():
+    assert list(fibonacci_quotients([])) == []
+    for ps in ([5, 7], [3]):
+        with pytest.raises(ValueError, match=">= 7"):
+            list(fibonacci_quotients(ps))
+    with pytest.raises(ValueError, match="rise"):
+        list(fibonacci_quotients([11, 7]))

@@ -97,7 +97,7 @@ def test_tables_in_one_call(case):
         want = max(bound, len(_RATIOS[weight][0]) - 1)
         assert got == _residues(p, md.m, want, weight), (p, e, bound, weight)
     want = _factored(p, md.m, upper)
-    assert _cb_vu(md, upper, PrimeTables()) == want
+    assert _cb_vu(md, upper) == want
     assert [(t.valuation, t.unit) for t in central_binomial_stream(md, upper)] == want
 
 
@@ -126,7 +126,7 @@ def test_tables_extended_through_one_cache(case):
             bound = min(upper, _max_upper(p, weight))
             got = _residues_from_vu(md, bound, shared, weight)
             assert got[: bound + 1] == _residues(p, md.m, bound, weight), (p, pieces, weight)
-        assert _cb_vu(md, upper, shared) == _factored(p, md.m, upper)
+        assert _cb_vu(md, upper) == _factored(p, md.m, upper)
     # After every extension the tables equal ones built in a single call.
     for e, upper in pieces:
         md = Modulus(p, e)
