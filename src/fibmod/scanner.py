@@ -657,12 +657,13 @@ def wss_search(
     ladder per block of primes, modulo the product of their squares,
     then a step of small exact Fibonacci numbers from each prime's index
     to the next.  Keeps records with |quotient| <= near_threshold (at
-    least 0; all records when the threshold is None).  When ``checkpoint_path`` is given, the records
-    found since the last commit are appended to the file with a new
-    commit line every ``checkpoint_every`` primes (at least 1) and at the
-    end, and the search resumes from the file's last commit if it
-    already exists.  A file written under another threshold raises
-    ``CheckpointCorrupt``: its records would mix two selections.
+    least 0; all records when the threshold is None).  When
+    ``checkpoint_path`` is given, the records found since the last
+    commit are appended to the file with a new commit line every
+    ``checkpoint_every`` primes (at least 1) and at the end, and the
+    search resumes from the file's last commit if it already exists.  A
+    file written under another threshold raises ``CheckpointCorrupt``:
+    its records would mix two selections.
     """
     if limit < 7:
         raise ValueError("limit must be at least 7")

@@ -148,7 +148,7 @@ def fibonacci_quotients(ps: Sequence[int]) -> Iterator[int]:
             g = idx - n
             if g:
                 if g < 0:
-                    raise ValueError(f"primes must rise, got {p} after index {n}")
+                    raise ValueError(f"primes must rise: {p} has index {idx}, below {n}")
                 while len(fib) <= g + 1:
                     fib.append(fib[-1] + fib[-2])
                 f0, f1, f2 = fib[g - 1], fib[g], fib[g + 1]

@@ -2,7 +2,7 @@
 
 Usage (from the repository root):
 
-    python3 tools/pairs.py --parent HEAD~1 --pr 16 --workload wss_all --pairs 10
+    python3 tools/pairs.py --parent HEAD~1 --out BENCH_16.json --workload wss_all --pairs 10
     python3 tools/pairs.py --check BENCH_16.json
 
 The parent is the committed tree of ``--parent``, unpacked by
@@ -148,8 +148,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--check", metavar="FILE", help="validate a BENCH file and exit")
     parser.add_argument("--parent", default="HEAD~1", help="git revision of the parent (default HEAD~1)")
-    parser.add_argument("--pr", help="the file is BENCH_<pr>.json at the repository root")
-    parser.add_argument("--out", help="the file to write instead of BENCH_<pr>.json")
+    parser.add_argument("--out", help="the BENCH_<pr>.json file to write")
     parser.add_argument("--workload", action="append", help="repeat for several workloads")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=int, default=30, help="passed to perfbench/run.py")
@@ -160,13 +159,12 @@ def main(argv: list[str] | None = None) -> int:
         for line in problems:
             print(f"{ns.check}: {line}", file=sys.stderr)
         return 1 if problems else 0
-    if not ns.workload or ns.pairs < 1 or not (ns.pr or ns.out):
-        parser.error("give --workload, --pairs >= 1 and --pr or --out")
-    out = ns.out or os.path.join(ROOT, f"BENCH_{ns.pr}.json")
+    if not ns.workload or ns.pairs < 1 or not ns.out:
+        parser.error("give --out, --workload and --pairs >= 1")
     directions = _directions()
     parent = _git("rev-parse", "--verify", f"{ns.parent}^{{commit}}")
     change = _git("rev-parse", "HEAD") + ("+dirty" if _git("status", "--porcelain", "--untracked-files=no") else "")
-    doc = _load(out) if os.path.exists(out) else {}
+    doc = _load(ns.out) if os.path.exists(ns.out) else {}
     doc["host"] = {"python": platform.python_version(), "cpus": os.cpu_count(), "machine": platform.machine()}
     doc.setdefault("workloads", {})
     with tempfile.TemporaryDirectory() as tmp:
@@ -182,7 +180,7 @@ def main(argv: list[str] | None = None) -> int:
                 "metrics": summarize(runs, directions),
                 "runs": runs,
             }
-    with open(out, "w", encoding="utf-8") as fh:
+    with open(ns.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
     for workload in ns.workload:
