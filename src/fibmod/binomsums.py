@@ -16,7 +16,7 @@ store's inverses of 1..n serve only the H2 prefix,
 form in ``checks``.
 A sum has three evaluators: for one sum, Horner's rule over a prefix of
 the walked table, at one inversion of the base; for one base at many
-primes, ``batch_central_sums``, a remainder tree over 2x2 matrix
+primes, ``batch_sums``, a remainder tree over 2x2 matrix
 products (the same tree gives C(2k,k) and the alternating harmonic sum);
 for many bases at one prime, ``sums_at_bases``, a chirp-z transform over
 the Teichmüller points mod p^e.  A scan uses the last two where it can.
@@ -27,7 +27,6 @@ independent oracles for the modular machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, repeat
 from math import comb, prod
@@ -40,7 +39,6 @@ from .modarith import (
     NegativeValuation,
     NotInvertible,
     PadicFactored,
-    ResidueClass,
     ZeroInput,
 )
 
@@ -67,20 +65,6 @@ class WeightKind(Enum):
     # its name in Python on each lookup.  Members are singletons (also
     # when unpickled), so identity is their equality and their hash.
     __hash__ = object.__hash__
-
-
-@dataclass(frozen=True)
-class SumSpec:
-    """A weighted sum  sum_{k=0}^{upper} weight(k) C(2k,k) / base^k  mod p^e."""
-
-    base: int
-    upper: int
-    weight: WeightKind
-    modulus: Modulus
-
-    def __post_init__(self) -> None:
-        if self.upper < 0:
-            raise ValueError("upper bound must be nonnegative")
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +275,8 @@ def central_binomial_stream(modulus: Modulus, max_k: int) -> Iterator[PadicFacto
 
 
 def sum_key(base: int, upper: int, pe: int, weight: WeightKind, signed: bool) -> tuple:
-    """The key of a finished sum in ``PrimeTables.sums``: ``_central_sum``
-    reads and writes it, and a scan fills it from ``batch_central_sums``."""
+    """The key of a finished sum in ``PrimeTables.sums``: ``central_sum``
+    reads and writes it, and a scan fills it from ``batch_sums``."""
     return weight, pe, base, upper, signed
 
 
@@ -315,26 +299,31 @@ def central_binomial(k: int, modulus: Modulus, tables: PrimeTables) -> int:
     return c
 
 
-def _central_sum(
+def central_sum(
     base: int,
     upper: int,
     modulus: Modulus,
-    weight: WeightKind,
-    tables: PrimeTables | None,
+    weight: WeightKind = WeightKind.NONE,
+    *,
     signed: bool = False,
+    tables: PrimeTables | None = None,
 ) -> int:
-    """sum_{k=0}^{upper} weight(k) C(2k,k) x^k mod p^e, where x is the
-    base when ``signed`` and its inverse otherwise.
+    """sum_{k=0}^{upper} weight(k) C(2k,k) x^k mod p^e, a residue in
+    [0, p^e), where x is the base when ``signed`` and its inverse otherwise.
 
-    The base is inverted once and applied by Horner's rule.  A single
-    term never inverts, so the base may then be anything; otherwise an
-    unsigned sum raises ``NotInvertible`` when p divides the base.  The
-    store's ``sums`` answers a sum it has seen; failures are not kept.
+    A negative upper raises ``ValueError``.  An unsigned base is inverted
+    once, so p dividing it raises ``NotInvertible`` unless upper is 0; a
+    signed base is not inverted, so p may divide it.  x is applied by
+    Horner's rule.  Sums that share ``tables`` share their residue tables,
+    and the store's ``sums`` answers a sum it has seen; failures are not
+    kept.
     An unsigned sum over one of the store's ``bases`` is instead given at
     all of them by ``sums_at_bases`` when there are at least p - 1: the
     transform computes all p - 1 points, and to p = 10^4 costs under half
     as many Horner passes but up to 400 times one.
     """
+    if upper < 0:
+        raise ValueError(f"upper bound must be nonnegative, got {upper}")
     p, pe = modulus.p, modulus.m
     tables = PrimeTables() if tables is None else tables
     key = sum_key(base, upper, pe, weight, signed)
@@ -491,10 +480,10 @@ def sums_at_bases(
     return {b: sum(map(mul, d[j], eps)) % pe for b, j, eps in points}
 
 
-def batch_central_sums(
+def batch_sums(
     base: int, signed: bool, weight: WeightKind, entries: list[tuple[int, int, int]]
 ) -> list[int | None]:
-    """``_central_sum(base, upper, Modulus(p, e), weight, ..., signed)`` for
+    """``central_sum(base, upper, Modulus(p, e), weight, signed=signed)`` for
     each (p, upper, e) of ``entries`` at once, by ``_tree`` with x = base
     when ``signed`` and 1/base otherwise; None for an entry left to the
     walk.
@@ -541,30 +530,6 @@ def batch_alternating_harmonic(entries: list[tuple[int, int, int]]) -> list[int 
     if any(bound < 0 for _, bound, _ in entries):
         raise ValueError("alternating harmonic bound must be nonnegative")
     return [None if r is None else r[0] for r in _tree(_HARMONIC, -1, 1, entries)]
-
-
-def evaluate_sum(spec: SumSpec, tables: PrimeTables | None = None) -> ResidueClass:
-    """Evaluate  sum_{k=0}^{upper} weight(k) C(2k,k) inv(base)^k  mod p^e.
-
-    Sums that share ``tables`` share their residue tables.
-    """
-    md = spec.modulus
-    return ResidueClass(md, _central_sum(spec.base, spec.upper, md, spec.weight, tables))
-
-
-def signed_central_sum(
-    s: int,
-    upper: int,
-    modulus: Modulus,
-    weight: WeightKind = WeightKind.NONE,
-    tables: PrimeTables | None = None,
-) -> ResidueClass:
-    """sum_{k=0}^{upper} s^k weight(k) C(2k,k) mod p^e.
-
-    The positive-power twin of ``evaluate_sum``: s^k needs no inversion,
-    so s may be divisible by p.
-    """
-    return ResidueClass(modulus, _central_sum(s, upper, modulus, weight, tables, signed=True))
 
 
 def alternating_harmonic(bound: int, modulus: Modulus, tables: PrimeTables | None = None) -> int:

@@ -23,21 +23,22 @@ from .binomsums import (
     WeightDomain,
     WeightKind,
     _cb_vu,
-    _central_sum,
     _inv_table,
     _residues_from_vu,
     _walk,
     alternating_harmonic,
     batch_alternating_harmonic,
     batch_central_binomials,
-    batch_central_sums,
+    batch_sums,
     central_binomial,
+    central_sum,
     floor_multiple,
     power_over_square_sum,
     sum_key,
     value_key,
 )
 from .modarith import (
+    MODULUS_BOUND,
     LucasParams,
     Modulus,
     NegativeValuation,
@@ -219,11 +220,11 @@ def _conj11n_valuation(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-# A side below is a frozen record that ``scan`` can evaluate over all its
-# primes at once: ``batch`` gives its value at each (p, upper, e) of a
-# list (None where it is left to the walk), and ``key`` the store key
-# under which the per-prime call reads that value.  ``_spec`` takes
-# ``upper`` as the check's length.
+# A side below is a frozen record that ``scan`` evaluates over all its
+# primes at once where ``batches`` holds: ``batch`` gives its value at
+# each (p, upper, e) of a list (None where it is left to the walk), and
+# ``key`` the store key under which the per-prime call reads that value.
+# ``_spec`` takes ``upper`` as the check's length.
 
 
 @dataclass(frozen=True, slots=True)
@@ -240,12 +241,16 @@ class SumSide:
     weight: WeightKind = WeightKind.NONE
     signed: bool = False
 
+    @property
+    def batches(self) -> bool:
+        return isinstance(self.base, int) and self.weight is not WeightKind.H2
+
     def __call__(self, pr, md, tables):
         b = self.base(pr) if callable(self.base) else self.base
-        return _central_sum(b, self.upper(pr), md, self.weight, tables, self.signed)
+        return central_sum(b, self.upper(pr), md, self.weight, signed=self.signed, tables=tables)
 
     def batch(self, entries):
-        return batch_central_sums(self.base, self.signed, self.weight, entries)
+        return batch_sums(self.base, self.signed, self.weight, entries)
 
     def key(self, upper, pe):
         return sum_key(self.base, upper, pe, self.weight, self.signed)
@@ -256,6 +261,7 @@ class CentralBinomialSide:
     """The side C(2k,k) at k = upper."""
 
     upper: Callable[[CheckParams], int]
+    batches = True
 
     def __call__(self, pr, md, tables):
         return central_binomial(self.upper(pr), md, tables)
@@ -274,6 +280,7 @@ class HarmonicSide:
     upper: Callable[[CheckParams], int]
     num: int
     den: int
+    batches = True
 
     def __call__(self, pr, md, tables):
         pe = md.m
@@ -1124,9 +1131,9 @@ def check_request(check_id: str, params: CheckParams) -> CheckSpec:
     """The spec of ``check_id`` once the request is well formed.
 
     Raises ``UnknownCheckId`` for an id not in the registry, and
-    ``DomainError`` when p is not an odd prime, a < 1, n < 0, or the
-    parameter the check is indexed by is missing: no check runs there,
-    forced or not.
+    ``DomainError`` when p is not an odd prime, a < 1, n < 0, the
+    parameter the check is indexed by is missing, or p^e reaches the
+    ``Modulus`` bound: no check runs there, forced or not.
     """
     spec = get_check(check_id)
     p = params.p
@@ -1138,6 +1145,9 @@ def check_request(check_id: str, params: CheckParams) -> CheckSpec:
         raise DomainError(f"n must be >= 0, got {params.n}")
     if spec.index is not None and getattr(params, spec.index) is None:
         raise DomainError(f"check {check_id} requires parameter {spec.index}")
+    e = spec.exponent(params)
+    if p**e >= MODULUS_BOUND:
+        raise DomainError(f"{check_id} needs p^e = {p}^{e}, past the 2^62 modulus bound")
     return spec
 
 

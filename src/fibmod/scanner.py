@@ -29,20 +29,18 @@ from operator import le, lt
 from typing import NamedTuple
 
 from ._version import __version__
-from .binomsums import _RATIOS, PrimeTables
+from .binomsums import PrimeTables
 from .checks import (
     DEFAULT_TERM_BUDGET,
     BudgetExceeded,
-    CentralBinomialSide,
     CheckError,
     CheckParams,
-    HarmonicSide,
-    SumSide,
     Verdict,
     evaluates,
     get_check,
     run_check,
 )
+from .modarith import MODULUS_BOUND, is_prime
 from .sequences import DomainError, fibonacci_quotients
 
 
@@ -140,8 +138,10 @@ class ScanRequest:
     refused on construction: ``UnknownCheckId`` for an unknown id, and
     ``ValueError`` for no ids, an n-indexed id (a scan never sets n, so
     every one of its rows would be a SKIP), ``p_min > p_max``, no m
-    policy, or ``a_max``, ``jobs`` or ``budget`` below 1.  The policies
-    refuse themselves when they select no m.
+    policy, ``a_max``, ``jobs`` or ``budget`` below 1, or an id whose
+    modulus p^e at the range's largest odd prime and ``a_max`` reaches
+    the ``Modulus`` bound.  The policies refuse themselves when they
+    select no m.
     """
 
     check_ids: tuple[str, ...]
@@ -169,6 +169,15 @@ class ScanRequest:
         for name in ("a_max", "jobs", "budget"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for cid in self.check_ids:
+            e = get_check(cid).exponent(CheckParams(p=self.p_max, a=self.a_max))
+            if self.p_max**e >= MODULUS_BOUND:
+                odd = (p for p in range(self.p_max, self.p_min - 1, -1) if p > 2 and is_prime(p))
+                top = next(odd, 0)
+                if top**e >= MODULUS_BOUND:
+                    raise ValueError(
+                        f"{cid} needs p^e = {top}^{e} at a = {self.a_max}, past the 2^62 modulus bound"
+                    )
 
 
 class Row(NamedTuple):
@@ -236,16 +245,14 @@ def verdict_row(check_id: str, p: int, a: int, m: int | None, verdict: Verdict |
 
 def _batched_sides(ids: tuple[str, ...]) -> tuple[tuple[str, str], ...]:
     """(check id, "lhs" or "rhs") of each side of ``ids`` that ``scan``
-    evaluates over all its primes at once: a ``SumSide`` with a constant
-    base and a walked weight, a ``CentralBinomialSide`` or a
-    ``HarmonicSide``.  The others, custom sides among them, stay on the
+    evaluates over all its primes at once: a side record whose
+    ``batches`` holds.  The others, custom sides among them, stay on the
     per-prime walk."""
     return tuple(
         (cid, name)
         for cid in ids
         for name in ("lhs", "rhs")
-        if isinstance(side := getattr(get_check(cid), name), (CentralBinomialSide, HarmonicSide))
-        or (isinstance(side, SumSide) and isinstance(side.base, int) and side.weight in _RATIOS)
+        if getattr(getattr(get_check(cid), name), "batches", False)
     )
 
 
@@ -337,7 +344,7 @@ def scan(request: ScanRequest) -> Report:
         # Imported here, since only a pool needs it: wss and check never fork.
         import multiprocessing
 
-        with multiprocessing.Pool(processes=request.jobs) as pool:
+        with multiprocessing.Pool(processes=min(request.jobs, len(tasks))) as pool:
             for chunk in pool.imap(_prime_worker, tasks, chunksize=4):
                 rows.extend(chunk)
     else:

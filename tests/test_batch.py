@@ -1,12 +1,12 @@
 """The scan's batched values against the per-prime walk and an exact oracle.
 
-``batch_central_sums`` evaluates a constant-base sum at many primes at
+``batch_sums`` evaluates a constant-base sum at many primes at
 once by a remainder tree.  Every value it gives must equal
-``_central_sum`` with a store of its own, and every entry it leaves out
+``central_sum`` with a store of its own, and every entry it leaves out
 must be one of the cases that stay on the walk; the same holds for the
 tree's central binomials and alternating harmonic sums.
 ``sums_at_bases`` evaluates the sums over many bases m at one prime by a
-transform, and must equal ``_central_sum`` at every base prime to p.  A
+transform, and must equal ``central_sum`` at every base prime to p.  A
 scan whose stores give these values must give the rows each check gives
 alone.
 """
@@ -22,18 +22,23 @@ from fibmod.binomsums import (
     _RATIOS,
     PrimeTables,
     WeightKind,
-    _central_sum,
     _residues_from_vu,
     alternating_harmonic,
     batch_alternating_harmonic,
     batch_central_binomials,
-    batch_central_sums,
+    batch_sums,
+    central_sum,
     sums_at_bases,
 )
 from fibmod.checks import (
     BudgetExceeded,
+    CentralBinomialSide,
     CheckError,
     CheckParams,
+    HarmonicSide,
+    SumSide,
+    get_check,
+    list_checks,
     run_check,
 )
 from fibmod.modarith import Modulus, NegativeValuation
@@ -42,6 +47,7 @@ from fibmod.scanner import (
     MList,
     Sample,
     ScanRequest,
+    _batched_sides,
     _m_values,
     scan,
     sieve_primes,
@@ -88,14 +94,14 @@ def test_batch_matches_the_walk(weight):
     batched = 0
     for signed in (False, True):
         for base in BASES:
-            got = batch_central_sums(base, signed, weight, entries)
+            got = batch_sums(base, signed, weight, entries)
             assert len(got) == len(entries)
             for (p, upper, e), value in zip(entries, got):
                 if _left_out(weight, base, signed, p, upper):
                     assert value is None, (base, signed, p, upper)
                     continue
                 tables = stores.setdefault((p, e), PrimeTables())
-                want = _central_sum(base, upper, Modulus(p, e), weight, tables, signed)
+                want = central_sum(base, upper, Modulus(p, e), weight, signed=signed, tables=tables)
                 assert value == want, (base, signed, p, upper, e)
                 batched += 1
     assert batched > len(entries)
@@ -106,7 +112,7 @@ def test_batch_matches_the_fraction_oracle(weight):
     entries = _entries(sieve_primes(3, 41)) + [(5, 0, 2), (7, 1, 3), (3, 2, 4)]
     for signed in (False, True):
         for base in BASES + (-16, -1, 1, 105):
-            got = batch_central_sums(base, signed, weight, entries)
+            got = batch_sums(base, signed, weight, entries)
             for (p, upper, e), value in zip(entries, got):
                 if _left_out(weight, base, signed, p, upper):
                     assert value is None
@@ -116,8 +122,8 @@ def test_batch_matches_the_fraction_oracle(weight):
 
 
 def test_batch_of_nothing():
-    assert batch_central_sums(16, False, WeightKind.NONE, []) == []
-    assert batch_central_sums(3, False, WeightKind.NONE, [(3, 1, 2)]) == [None]
+    assert batch_sums(16, False, WeightKind.NONE, []) == []
+    assert batch_sums(3, False, WeightKind.NONE, [(3, 1, 2)]) == [None]
     assert batch_central_binomials([]) == batch_alternating_harmonic([]) == []
 
 
@@ -198,7 +204,7 @@ def test_batched_scan_rows_equal_rows_alone(p_min, p_max, a_max, force):
 
 def test_batched_sides_skip_the_kernel(monkeypatch):
     # Every sum of these checks at a = 1 comes from the batch; the stores
-    # must hold it under _central_sum's key, or the kernel would run.
+    # must hold it under central_sum's key, or the kernel would run.
     def kernel(*args):
         raise AssertionError("a batched sum reached the kernel")
 
@@ -219,6 +225,22 @@ def test_batched_values_skip_the_tables(monkeypatch):
     report = scan(ScanRequest(("MORLEY", "WILLIAMS"), 7, 300))
     assert len(report.rows) == 2 * len(sieve_primes(7, 300))
     assert {row.status for row in report.rows} == {"PASS"}
+
+
+def test_batched_sides_are_the_constant_base_records():
+    # scan reads each side's own ``batches``: a constant-base SumSide with a
+    # walked weight, a CentralBinomialSide or a HarmonicSide, and nothing else.
+    ids = tuple(spec.id for spec in list_checks())
+    want = {
+        (cid, name)
+        for cid in ids
+        for name in ("lhs", "rhs")
+        if isinstance(side := getattr(get_check(cid), name), (CentralBinomialSide, HarmonicSide))
+        or (isinstance(side, SumSide) and isinstance(side.base, int) and side.weight in _RATIOS)
+    }
+    assert set(_batched_sides(ids)) == want
+    assert ("L2_3A", "lhs") not in want and ("T2_MAIN", "lhs") not in want  # H2, base m
+    assert ("MORLEY", "lhs") in want and ("WILLIAMS", "rhs") in want
 
 
 def test_weight_kind_hash_is_identity():
@@ -245,7 +267,7 @@ def test_sums_at_bases_match_the_walk(p):
                 sums = sums_at_bases(md, upper, weight, tables)
                 assert sorted(sums) == [b for b in bases if b % p]
                 for b, s in sums.items():
-                    assert s == _central_sum(b, upper, md, weight, walk), (p, e, upper, weight, b)
+                    assert s == central_sum(b, upper, md, weight, tables=walk), (p, e, upper, weight, b)
 
 
 def test_sums_at_bases_share_the_store():
@@ -254,9 +276,9 @@ def test_sums_at_bases_share_the_store():
     tables, walk = PrimeTables([1, 2, 3]), PrimeTables()
     for weight in M_WEIGHTS:
         sums_at_bases(md, p - 1, weight, tables)
-    _central_sum(2, p - 1, md, WeightKind.NONE, walk)
-    _central_sum(2, p - 1, md, WeightKind.CATALAN, walk)
-    _central_sum(2, p - 1, md, WeightKind.LINEAR_K, walk)
+    central_sum(2, p - 1, md, WeightKind.NONE, tables=walk)
+    central_sum(2, p - 1, md, WeightKind.CATALAN, tables=walk)
+    central_sum(2, p - 1, md, WeightKind.LINEAR_K, tables=walk)
     assert tables == walk and not tables.sums
 
 

@@ -7,7 +7,6 @@ import pytest
 from fibmod.binomsums import (
     _RATIOS,
     PrimeTables,
-    SumSpec,
     WeightDomain,
     WeightKind,
     _h2_prefix,
@@ -16,12 +15,11 @@ from fibmod.binomsums import (
     alternating_harmonic,
     batch_alternating_harmonic,
     central_binomial_stream,
-    evaluate_sum,
+    central_sum,
     exact_identity_41,
     exact_lagrange,
     floor_multiple,
     power_over_square_sum,
-    signed_central_sum,
 )
 from fibmod.modarith import (
     LucasParams,
@@ -69,20 +67,20 @@ def test_vanishing_tail():
 
 
 def test_evaluate_sum_examples():
-    got = evaluate_sum(SumSpec(-16, 1, WeightKind.NONE, Modulus(3, 3)))
-    assert got.value == 11  # 1 - 2/16 = 1 - 2*17 (mod 27)
-    got = evaluate_sum(SumSpec(8, 2, WeightKind.NONE, Modulus(5, 2)))
-    assert got.value == 24
-    got = evaluate_sum(SumSpec(123456, 0, WeightKind.NONE, Modulus(7, 2)))
-    assert got.value == 1  # single term, base never inverted
-    got = evaluate_sum(SumSpec(7, 0, WeightKind.NONE, Modulus(7, 2)))
-    assert got.value == 1  # even a base divisible by p
-    got = evaluate_sum(SumSpec(16, 1, WeightKind.CATALAN, Modulus(3, 2)))
-    assert got.value == 5  # 1 + inv(16) = 1 + 4 (mod 9)
-    got = evaluate_sum(SumSpec(16, 2, WeightKind.INV_2KM1_SQ, Modulus(5, 2)))
-    assert got.value == 12
-    got = evaluate_sum(SumSpec(2, 4, WeightKind.LINEAR_K, Modulus(5, 2)))
-    assert got.value == 4  # exact sum 29 = 4 (mod 25)
+    got = central_sum(-16, 1, Modulus(3, 3))
+    assert got == 11  # 1 - 2/16 = 1 - 2*17 (mod 27)
+    got = central_sum(8, 2, Modulus(5, 2))
+    assert got == 24
+    got = central_sum(123456, 0, Modulus(7, 2))
+    assert got == 1  # single term, base never inverted
+    got = central_sum(7, 0, Modulus(7, 2))
+    assert got == 1  # even a base divisible by p
+    got = central_sum(16, 1, Modulus(3, 2), WeightKind.CATALAN)
+    assert got == 5  # 1 + inv(16) = 1 + 4 (mod 9)
+    got = central_sum(16, 2, Modulus(5, 2), WeightKind.INV_2KM1_SQ)
+    assert got == 12
+    got = central_sum(2, 4, Modulus(5, 2), WeightKind.LINEAR_K)
+    assert got == 4  # exact sum 29 = 4 (mod 25)
 
 
 def test_evaluate_sum_brute_force():
@@ -96,8 +94,8 @@ def test_evaluate_sum_brute_force():
         base = rng.choice([m for m in range(-20, 21) if m and m % p])
         exact = sum(comb(2 * k, k) * base ** (upper - k) for k in range(upper + 1))
         expected = exact * pow(pow(base, upper, md.m), -1, md.m) % md.m
-        got = evaluate_sum(SumSpec(base, upper, WeightKind.NONE, md))
-        assert got.value == expected, (p, e, upper, base)
+        got = central_sum(base, upper, md)
+        assert got == expected, (p, e, upper, base)
 
 
 def test_catalan_weight_handles_p_dividing_k_plus_1():
@@ -107,32 +105,35 @@ def test_catalan_weight_handles_p_dividing_k_plus_1():
         upper = 3 * p
         exact = sum(comb(2 * k, k) // (k + 1) * 2 ** (upper - k) for k in range(upper + 1))
         expected = exact * pow(pow(2, upper, md.m), -1, md.m) % md.m
-        got = evaluate_sum(SumSpec(2, upper, WeightKind.CATALAN, md))
-        assert got.value == expected
+        got = central_sum(2, upper, md, WeightKind.CATALAN)
+        assert got == expected
 
 
 def test_evaluate_sum_errors():
     with pytest.raises(NotInvertible):
-        evaluate_sum(SumSpec(10, 3, WeightKind.NONE, Modulus(5, 2)))
+        central_sum(10, 3, Modulus(5, 2))
     with pytest.raises(WeightDomain):
-        evaluate_sum(SumSpec(16, 6, WeightKind.INV_2KM1_SQ, Modulus(7, 2)))
+        central_sum(16, 6, Modulus(7, 2), WeightKind.INV_2KM1_SQ)
     with pytest.raises(WeightDomain):
-        evaluate_sum(SumSpec(16, 7, WeightKind.H2, Modulus(7, 1)))
+        central_sum(16, 7, Modulus(7, 1), WeightKind.H2)
+    for signed in (False, True):
+        with pytest.raises(ValueError, match="nonnegative"):
+            central_sum(3, -1, Modulus(7, 2), signed=signed)
 
 
 def test_signed_sum_examples():
-    got = signed_central_sum(-1, 2, Modulus(3, 3))
-    assert got.value == 5  # 1 - 2 + 6
-    got = signed_central_sum(-1, 2, Modulus(3, 1), WeightKind.H2)
-    assert got.value == 1  # 0 - 2*1 + 6*H_2 = -2 (mod 3)
-    got = signed_central_sum(-2, 4, Modulus(5, 1), WeightKind.H2)
-    assert got.value == 1  # matches (2/3) q_5(2)^2 = 4 * 4 = 1 (mod 5)
+    got = central_sum(-1, 2, Modulus(3, 3), signed=True)
+    assert got == 5  # 1 - 2 + 6
+    got = central_sum(-1, 2, Modulus(3, 1), WeightKind.H2, signed=True)
+    assert got == 1  # 0 - 2*1 + 6*H_2 = -2 (mod 3)
+    got = central_sum(-2, 4, Modulus(5, 1), WeightKind.H2, signed=True)
+    assert got == 1  # matches (2/3) q_5(2)^2 = 4 * 4 = 1 (mod 5)
 
 
 def test_signed_sum_accepts_base_divisible_by_p():
-    got = signed_central_sum(5, 4, Modulus(5, 2))
+    got = central_sum(5, 4, Modulus(5, 2), signed=True)
     exact = sum(comb(2 * k, k) * 5**k for k in range(5))
-    assert got.value == exact % 25
+    assert got == exact % 25
 
 
 def test_alternating_harmonic():

@@ -3,7 +3,7 @@ from dataclasses import replace
 import pytest
 
 import fibmod.checks as checks
-from fibmod.binomsums import PrimeTables, WeightKind, _central_sum
+from fibmod.binomsums import PrimeTables, central_sum
 from fibmod.checks import (
     BudgetExceeded,
     CheckError,
@@ -205,14 +205,13 @@ def test_c1_2_forms_agree():
 
 def test_t1_1_cross_checks_h2_relation():
     # For a = 1 the half-range sum minus F_p is -(5/8)(p/5) F^2 mod p^3.
-    from fibmod.binomsums import SumSpec, WeightKind, evaluate_sum
     from fibmod.modarith import jacobi
 
     for p in sieve_primes(3, 200):
         if p == 5:
             continue
         md = Modulus(p, 3)
-        s = evaluate_sum(SumSpec(-16, (p - 1) // 2, WeightKind.NONE, md)).value
+        s = central_sum(-16, (p - 1) // 2, md)
         sign = jacobi(p, 5)
         f_p = fibonacci_mod(p, md.m)
         f_entry = fibonacci_mod(p - sign, md.m)
@@ -303,8 +302,8 @@ def test_sum_memo_keeps_keys_apart():
     for base in (2, 3, -16, 5):
         for upper in (2, 3):
             for signed in (False, True):
-                got = _central_sum(base, upper, md, WeightKind.NONE, shared, signed)
-                assert got == _central_sum(base, upper, md, WeightKind.NONE, None, signed)
+                got = central_sum(base, upper, md, signed=signed, tables=shared)
+                assert got == central_sum(base, upper, md, signed=signed)
     assert len(shared.sums) == 4 * 2 * 2
     # The keys must matter: signed and unsigned differ here, and so do the uppers.
     sums = {key[2:]: value for key, value in shared.sums.items()}
@@ -316,7 +315,7 @@ def test_sum_memo_does_not_keep_failures():
     tables = PrimeTables()
     for _ in range(2):
         with pytest.raises(NotInvertible):
-            _central_sum(14, 3, Modulus(7, 2), WeightKind.NONE, tables)
+            central_sum(14, 3, Modulus(7, 2), tables=tables)
         with pytest.raises(CheckError):
             run_check("T2_MAIN", CheckParams(p=7, m=14, force=True), tables)
     assert not tables.sums
@@ -368,7 +367,7 @@ def test_t2_closed_forms_match_their_symbols():
                 u, _ = lucas_uv_mod(ab, entry_index(ab, p), md)
                 j = jacobi(m * (m - 4), p)
                 for a in (1, 2):
-                    s = _central_sum(m, (p**a - 1) // 2, md, WeightKind.NONE, tables)
+                    s = central_sum(m, (p**a - 1) // 2, md, tables=tables)
                     pr = CheckParams(p=p, a=a, m=m)
                     want = (j**a + jacobi(-m, p) * j ** (a - 1) * mbar(m, p, e) * u) % pe
                     assert checks._t2_main_rhs(pr, md, PrimeTables()) == want

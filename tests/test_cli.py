@@ -113,16 +113,51 @@ _T2_SCAN = ["scan", "--ids", "T2_MAIN", "--pmin", "3", "--pmax", "7"]
             ValueError,
             _T2_SCAN + ["--m-policy", ""],
         ),
+        # p^e past the 2^62 bound of Modulus, also where the row would be a SKIP.
+        (
+            partial(run_check, "L2_2B", CheckParams(p=46349)),
+            DomainError,
+            ["check", "--id", "L2_2B", "--p", "46349"],
+        ),
+        (
+            partial(run_check, "T2_MAIN", CheckParams(p=3037000507, m=3)),
+            DomainError,
+            ["check", "--id", "T2_MAIN", "--p", "3037000507", "--m", "3"],
+        ),
+        (
+            partial(ScanRequest, ("L2_2B",), 46300, 46400),
+            ValueError,
+            ["scan", "--ids", "L2_2B", "--pmin", "46300", "--pmax", "46400"],
+        ),
+        (
+            partial(ScanRequest, ("P4_1A",), 46300, 46400, a_max=3),
+            ValueError,
+            ["scan", "--ids", "P4_1A", "--pmin", "46300", "--pmax", "46400", "--amax", "3"],
+        ),
     ],
     ids=[
         "budget=0", "a_max=0", "jobs=0", "pmin>pmax", "no-ids", "n<0",
         "sample-count<1", "empty-m-list", "no-m-policy",
+        "check-modulus-bound", "check-modulus-bound-over-budget", "scan-modulus-bound",
+        "scan-modulus-bound-at-a-max",
     ],
 )
-def test_library_and_cli_refuse_the_same_requests(library_call, error, argv):
+def test_library_and_cli_refuse_the_same_requests(library_call, error, argv, capsys):
     with pytest.raises(error):
         library_call()
     assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_the_modulus_bound_is_read_at_the_largest_prime_and_a_max():
+    assert run_check("L2_2B", CheckParams(p=46337)).passed  # 46337^4 < 2^62 <= 46349^4
+    with pytest.raises(ValueError, match="46349\\^4"):
+        ScanRequest(("L2_2B",), 46300, 46349)
+    ScanRequest(("L2_2B",), 46300, 46348)  # no prime in 46338..46348
+    ScanRequest(("L2_2B",), 46341, 46348)  # no prime at all
+    ScanRequest(("P4_1A",), 46300, 46400, a_max=2)  # p^(a+1) = p^3
 
 
 def test_stray_value_error_is_not_a_usage_error(monkeypatch):

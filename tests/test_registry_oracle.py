@@ -1,0 +1,140 @@
+"""An exact oracle for both sides of the constant-base sum checks.
+
+For T1_1, T1_2, C1_1_8, C1_1_16, PANSUN, E4_4 to E4_7 and the five
+CONJ1_2_* ids, both sides are evaluated here from the formulas in the
+registry's descriptions, with no ``PrimeTables`` and no fibmod
+arithmetic: the lhs sum_{k<=n} weight(k) C(2k,k) x^k as a ``Fraction``
+with ``math.comb``, the rhs with Fibonacci numbers from the integer
+recurrence and Legendre symbols by Euler's criterion.  Both are reduced
+mod p^e and compared, as values and not only as a PASS, with
+``run_check`` on a fresh store and with the rows of a scan, whose store
+the batch tree seeds.  So a wrong sum that the closed form happens to
+share, or a wrong closed form that the sum happens to match, shows here.
+"""
+
+from fractions import Fraction
+from math import comb
+
+import pytest
+
+from fibmod.checks import CheckParams, get_check, run_check
+from fibmod.scanner import ScanRequest, scan, sieve_primes
+
+# (p, a) points: odd p <= 41 at a = 1 and odd p <= 13 at a = 2.
+POINTS = [(p, 1) for p in sieve_primes(3, 41)] + [(p, 2) for p in sieve_primes(3, 13)]
+
+
+def legendre(q: int, p: int) -> int:
+    """(q/p) for an odd prime p, by Euler's criterion."""
+    r = pow(q % p, (p - 1) // 2, p)
+    return -1 if r == p - 1 else r
+
+
+def fib(n: int) -> int:
+    f, g = 0, 1
+    for _ in range(n):
+        f, g = g, f + g
+    return f
+
+
+def central(base: int, upper: int, weight=lambda k: 1, signed: bool = False) -> Fraction:
+    """sum_{k<=upper} weight(k) C(2k,k) x^k, x = base if signed else 1/base."""
+    x = Fraction(base) if signed else Fraction(1, base)
+    return sum((weight(k) * comb(2 * k, k) * x**k for k in range(upper + 1)), Fraction(0))
+
+
+def _linear(k: int) -> int:
+    return k
+
+
+def _t1_1(p, a):
+    q, s = p**a, legendre(p, 5) ** a
+    return central(-16, (q - 1) // 2), s * (1 + Fraction(fib(q - s), 2))
+
+
+def _t1_2(p, a):
+    q = p**a
+    t = 2 ** (q - 1) - 1
+    return central(-32, (q - 1) // 2), legendre(2, p) ** a * (1 + Fraction(t, 6) - Fraction(t * t, 8))
+
+
+def _pansun(p, a):
+    q, s = p**a, legendre(p, 5) ** a
+    return central(-1, q - 1, signed=True), s * (1 - 2 * fib(q - s))
+
+
+# id -> (exponent e, both sides at (p, a) as exact rationals).
+SIDES = {
+    "T1_1": (3, _t1_1),
+    "T1_2": (3, _t1_2),
+    "C1_1_8": (2, lambda p, a: (central(8, (p**a - 1) // 2), legendre(2, p) ** a)),
+    "C1_1_16": (2, lambda p, a: (central(16, (p**a - 1) // 2), legendre(3, p) ** a)),
+    "PANSUN": (3, _pansun),
+    "E4_4": (2, lambda p, a: (central(2, p - 1, _linear), p - legendre(-1, p))),
+    "E4_5": (2, lambda p, a: (central(3, p - 1, _linear), 2 * p - 2 * legendre(p, 3))),
+    "E4_6": (
+        2,
+        lambda p, a: (
+            central(8, (p - 1) // 2, _linear),
+            legendre(2, p) * Fraction(1 - legendre(-1, p) * p, 2),
+        ),
+    ),
+    "E4_7": (
+        2,
+        lambda p, a: (
+            central(16, (p - 1) // 2, _linear),
+            Fraction(legendre(3, p) - legendre(-1, p) * p, 6),
+        ),
+    ),
+    "CONJ1_2_I": (2, lambda p, a: (central(16, 5 * p**a // 6), legendre(3, p) ** a)),
+    "CONJ1_2_II_45": (
+        2,
+        lambda p, a: (central(-1, 4 * p**a // 5, signed=True), legendre(5, p) ** a),
+    ),
+    "CONJ1_2_II_35": (
+        2,
+        lambda p, a: (central(-1, 3 * p**a // 5, signed=True), legendre(5, p) ** a),
+    ),
+    "CONJ1_2_III_710": (2, lambda p, a: (central(-16, 7 * p**a // 10), legendre(5, p) ** a)),
+    "CONJ1_2_III_910": (2, lambda p, a: (central(-16, 9 * p**a // 10), legendre(5, p) ** a)),
+}
+
+
+def residue(x, pe: int) -> int:
+    x = Fraction(x)
+    return x.numerator * pow(x.denominator, -1, pe) % pe
+
+
+def oracle(cid: str, p: int, a: int) -> tuple[int, int, int]:
+    """(e, lhs mod p^e, rhs mod p^e) of ``cid`` at (p, a)."""
+    e, sides = SIDES[cid]
+    lhs, rhs = sides(p, a)
+    return e, residue(lhs, p**e), residue(rhs, p**e)
+
+
+def _in_domain(cid: str, p: int, a: int) -> bool:
+    return get_check(cid).domain(CheckParams(p=p, a=a))
+
+
+@pytest.mark.parametrize("cid", list(SIDES))
+def test_run_check_matches_the_oracle(cid):
+    seen = 0
+    for p, a in POINTS:
+        if not _in_domain(cid, p, a):
+            continue
+        v = run_check(cid, CheckParams(p=p, a=a))
+        assert (v.modulus.e, v.lhs.value, v.rhs.value) == oracle(cid, p, a), (p, a)
+        seen += 1
+    assert seen >= 5
+
+
+@pytest.mark.parametrize("p_max, a_max", [(41, 1), (13, 2)])
+def test_scan_rows_match_the_oracle(p_max, a_max):
+    rows = scan(ScanRequest(tuple(SIDES), 3, p_max, a_max=a_max)).rows
+    assert len(rows) == len(SIDES) * len(sieve_primes(3, p_max)) * a_max
+    for row in rows:
+        if not _in_domain(row.check_id, row.p, row.a):
+            assert row.status == "SKIP", row
+            continue
+        got = (row.exponent, row.lhs, row.rhs)
+        assert got == oracle(row.check_id, row.p, row.a), row

@@ -168,6 +168,31 @@ def test_scan_deterministic_across_jobs():
     assert render_jsonl(r1) == render_jsonl(r4)
 
 
+def test_scan_starts_no_more_workers_than_primes(monkeypatch):
+    import multiprocessing
+
+    started = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, func, tasks, chunksize=1):
+            return map(func, tasks)
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    alone = scan(ScanRequest(check_ids=("T1_1",), p_min=3, p_max=7)).rows
+    for jobs, processes in ((64, 3), (2, 2)):
+        assert scan(ScanRequest(check_ids=("T1_1",), p_min=3, p_max=7, jobs=jobs)).rows == alone
+        assert started.pop() == processes
+
+
 def test_render_csv_shape():
     report = scan(ScanRequest(check_ids=("T1_1",), p_min=3, p_max=13))
     text = render_csv(report)

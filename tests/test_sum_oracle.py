@@ -14,13 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibmod.binomsums import (
-    PrimeTables,
-    SumSpec,
-    WeightKind,
-    evaluate_sum,
-    signed_central_sum,
-)
+from fibmod.binomsums import PrimeTables, WeightKind, central_sum
 from fibmod.modarith import Modulus, NotInvertible
 
 PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
@@ -71,13 +65,12 @@ def sum_cases(draw):
 @given(sum_cases(), st.integers(-60, 60))
 def test_evaluate_sum_matches_oracle(case, base):
     md, kind, upper = case
-    spec = SumSpec(base, upper, kind, md)
     if upper > 0 and base % md.p == 0:
         with pytest.raises(NotInvertible):
-            evaluate_sum(spec)
+            central_sum(base, upper, md, kind)
         return
     x = Fraction(1, base) if upper > 0 else Fraction(1)
-    assert evaluate_sum(spec).value == oracle(kind, x, upper, md)
+    assert central_sum(base, upper, md, kind) == oracle(kind, x, upper, md)
 
 
 @settings(max_examples=300, deadline=None)
@@ -86,8 +79,8 @@ def test_signed_sum_matches_oracle(case, s, multiple_of_p):
     md, kind, upper = case
     if multiple_of_p:
         s *= md.p  # s = 0 (mod p): no inversion is ever needed
-    got = signed_central_sum(s, upper, md, kind)
-    assert got.value == oracle(kind, Fraction(s), upper, md)
+    got = central_sum(s, upper, md, kind, signed=True)
+    assert got == oracle(kind, Fraction(s), upper, md)
 
 
 @settings(max_examples=100, deadline=None)
@@ -105,8 +98,8 @@ def test_shared_cache_matches_fresh_cache(case, base, fractions):
     uppers = sorted({top * f >> 16 for f in fractions} | {top}, reverse=True)
     cache = PrimeTables()
     for upper in uppers + uppers[::-1]:
-        spec = SumSpec(base, upper, kind, md)
-        assert evaluate_sum(spec, cache) == evaluate_sum(spec, PrimeTables())
-        shared = signed_central_sum(base, upper, md, kind, cache)
-        assert shared == signed_central_sum(base, upper, md, kind, PrimeTables())
+        shared = central_sum(base, upper, md, kind, tables=cache)
+        assert shared == central_sum(base, upper, md, kind, tables=PrimeTables())
+        shared = central_sum(base, upper, md, kind, signed=True, tables=cache)
+        assert shared == central_sum(base, upper, md, kind, signed=True, tables=PrimeTables())
 
