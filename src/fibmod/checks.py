@@ -43,7 +43,6 @@ from .modarith import (
     Modulus,
     NegativeValuation,
     NotInvertible,
-    ResidueClass,
     ZeroInput,
     is_prime,
     jacobi,
@@ -105,16 +104,18 @@ class CheckParams(NamedTuple):
 class Verdict(NamedTuple):
     """Outcome of one check: both sides, and how badly they disagree.
 
-    ``defect_valuation`` is min(v_p(lhs - rhs), e); the check passes
-    exactly when it equals the modulus exponent e.  A tuple, like
-    ``CheckParams``; it compares equal to the plain tuple of its fields.
+    ``lhs`` and ``rhs`` are ints in [0, p^e), taken at the worst position
+    of a termwise check.  ``defect_valuation`` is min(v_p(lhs - rhs), e);
+    the check passes exactly when it equals the modulus exponent e.  A
+    tuple, like ``CheckParams``; it compares equal to the plain tuple of
+    its fields.
     """
 
     check_id: str
     params: CheckParams
     modulus: Modulus
-    lhs: ResidueClass
-    rhs: ResidueClass
+    lhs: int
+    rhs: int
     defect_valuation: int
     passed: bool
 
@@ -305,7 +306,6 @@ _m_full_k_sum = SumSide(_m, _full, WeightKind.LINEAR_K)
 _h2_alt_sum = SumSide(-1, _p_full, WeightKind.H2, signed=True)
 _h2_neg2_sum = SumSide(-2, _p_full, WeightKind.H2, signed=True)
 
-_c1_2_sum = SumSide(16, _p_half, WeightKind.INV_2KM1_SQ)
 _adamchuk_sum = SumSide(1, lambda pr: 2 * pr.p // 3, signed=True)
 _williams_sum = HarmonicSide(lambda pr: 4 * pr.p // 5, 2, 5)
 
@@ -344,11 +344,6 @@ def _t2_cat_rhs(pr, md, tables):
 
 def _c1_1_8_rhs(pr, md, tables):
     return jacobi(2, pr.p) ** pr.a % md.m
-
-
-def _c1_2_lhs(pr, md, tables):
-    s = _c1_2_sum(pr, md, tables)
-    return [s, s]
 
 
 def _c1_2_rhs(pr, md, tables):
@@ -443,7 +438,7 @@ def _l2_2a_rhs(pr, md, tables):
     return s2 * (pow(2, pa, pe) + 1) % pe * pow(denom, -1, pe) % pe
 
 
-def l2_2a_displayed_rhs(p: int, a: int = 1, e: int = 3) -> ResidueClass:
+def l2_2a_displayed_rhs(p: int, a: int = 1, e: int = 3) -> int:
     """The uncorrected closed form with numerator 2^(p^a+1).
 
     Kept for documentation: it disagrees with both the corrected form and
@@ -454,7 +449,7 @@ def l2_2a_displayed_rhs(p: int, a: int = 1, e: int = 3) -> ResidueClass:
     pa, pe = p**a, md.m
     s2 = jacobi(2, p) ** a
     denom = 3 * pow(2, (pa - 1) // 2, pe) % pe
-    return ResidueClass(md, s2 * pow(2, pa + 1, pe) * pow(denom, -1, pe))
+    return s2 * pow(2, pa + 1, pe) * pow(denom, -1, pe) % pe
 
 
 def _l2_2b_lhs(pr, md, tables):
@@ -747,11 +742,10 @@ _REGISTRY: tuple[CheckSpec, ...] = (
         CheckKind.THEOREM,
         "sum of C(2k,k)/((2k-1)^2 16^k) equals (-1/p)(3(p/3)+1)/4 mod p^2, "
         "cross-checked against the mod-12 case table",
-        _c1_2_lhs,
+        SumSide(16, _p_half, WeightKind.INV_2KM1_SQ),
         _c1_2_rhs,
         e=2,
         **_P_GT_3_A1,
-        length=_c1_2_sum.upper,
     ),
     _spec(
         "BASIC_P",
@@ -1103,10 +1097,14 @@ def get_check(check_id: str) -> CheckSpec:
 
 
 def _compare(lhs, rhs, md: Modulus) -> tuple[int, int, int]:
-    """Defect valuation plus the (lhs, rhs) pair at the worst position."""
+    """Defect valuation plus the (lhs, rhs) pair at the worst position.
+
+    A side is an int or a list of ints; an int is compared with every
+    entry of a list on the other side.
+    """
     p, e, pe = md.p, md.e, md.m
-    lhs_list = lhs if isinstance(lhs, list) else [lhs]
-    rhs_list = rhs if isinstance(rhs, list) else [rhs]
+    lhs_list = lhs if isinstance(lhs, list) else [lhs] * (len(rhs) if isinstance(rhs, list) else 1)
+    rhs_list = rhs if isinstance(rhs, list) else [rhs] * len(lhs_list)
     if len(lhs_list) != len(rhs_list):
         raise CheckError("side evaluators disagree on arity")
     worst = e
@@ -1127,13 +1125,20 @@ def _compare(lhs, rhs, md: Modulus) -> tuple[int, int, int]:
     return worst, worst_pair[0], worst_pair[1]
 
 
+def _verdict(check_id: str, params: CheckParams, md: Modulus, lhs, rhs) -> Verdict:
+    defect, l, r = _compare(lhs, rhs, md)
+    return Verdict(check_id, params, md, l % md.m, r % md.m, defect, defect == md.e)
+
+
 def check_request(check_id: str, params: CheckParams) -> CheckSpec:
     """The spec of ``check_id`` once the request is well formed.
 
     Raises ``UnknownCheckId`` for an id not in the registry, and
-    ``DomainError`` when p is not an odd prime, a < 1, n < 0, the
-    parameter the check is indexed by is missing, or p^e reaches the
-    ``Modulus`` bound: no check runs there, forced or not.
+    ``DomainError`` when p is not an odd prime, a < 1, n < 0, or the
+    parameter the check is indexed by is missing: no check runs there,
+    forced or not.  It also raises ``DomainError`` when p^e reaches the
+    ``Modulus`` bound at a request that ``evaluates``; elsewhere the
+    request is a SKIP, and its sides are never evaluated.
     """
     spec = get_check(check_id)
     p = params.p
@@ -1146,7 +1151,7 @@ def check_request(check_id: str, params: CheckParams) -> CheckSpec:
     if spec.index is not None and getattr(params, spec.index) is None:
         raise DomainError(f"check {check_id} requires parameter {spec.index}")
     e = spec.exponent(params)
-    if p**e >= MODULUS_BOUND:
+    if p**e >= MODULUS_BOUND and evaluates(spec, params):
         raise DomainError(f"{check_id} needs p^e = {p}^{e}, past the 2^62 modulus bound")
     return spec
 
@@ -1198,16 +1203,7 @@ def run_check(
         ValueError,  # a raw pow(x, -1, m) or a missing case on a forced evaluation
     ) as exc:
         raise CheckError(f"{check_id} at p={p}: {exc}") from exc
-    defect, l, r = _compare(lhs, rhs, md)
-    return Verdict(
-        check_id=check_id,
-        params=params,
-        modulus=md,
-        lhs=ResidueClass(md, l),
-        rhs=ResidueClass(md, r),
-        defect_valuation=defect,
-        passed=defect == md.e,
-    )
+    return _verdict(check_id, params, md, lhs, rhs)
 
 
 def run_conj11n_range(n_max: int, budget: int = DEFAULT_TERM_BUDGET) -> list[Verdict]:
@@ -1218,7 +1214,7 @@ def run_conj11n_range(n_max: int, budget: int = DEFAULT_TERM_BUDGET) -> list[Ver
     with per-n ``run_check`` calls is pinned by tests.  A negative
     ``n_max`` is refused as ``check_request`` refuses a negative n.
     """
-    check_request("CONJ1_1N", CheckParams(p=3, n=n_max))
+    check_request("CONJ1_1N", CheckParams(p=3, n=n_max, budget=budget))
     if n_max > budget:
         raise BudgetExceeded(f"n_max = {n_max} exceeds budget {budget}")
     e_top = max(_conj11n_valuation(n) + 2 for n in range(n_max + 1))
@@ -1240,16 +1236,5 @@ def run_conj11n_range(n_max: int, budget: int = DEFAULT_TERM_BUDGET) -> list[Ver
         unit = pow((2 * n + 1) // 3 ** _v3(2 * n + 1), 2, md.m) * u % md.m
         target = 1 if n % 3 == 0 else 4
         rhs = (unit * 3**vm if vm < e_n else 0) * target % md.m
-        defect, l, r = _compare(lhs, rhs, md)
-        verdicts.append(
-            Verdict(
-                check_id="CONJ1_1N",
-                params=CheckParams(p=3, n=n, budget=budget),
-                modulus=md,
-                lhs=ResidueClass(md, l),
-                rhs=ResidueClass(md, r),
-                defect_valuation=defect,
-                passed=defect == e_n,
-            )
-        )
+        verdicts.append(_verdict("CONJ1_1N", CheckParams(p=3, n=n, budget=budget), md, lhs, rhs))
     return verdicts

@@ -1,9 +1,8 @@
 """Residue arithmetic modulo odd prime powers.
 
 Everything in this module is exact integer arithmetic: the modulus p^e,
-Jacobi symbols, and the two value types of the public edge, a canonical
-residue in [0, p^e) and a factored integer p^v * u.  Inside the package
-residues are plain ints in [0, p^e).  All values are immutable after
+Jacobi symbols, and the factored integer p^v * u of the public edge.
+Residues are plain ints in [0, p^e).  All values are immutable after
 construction and all operations are pure, so they can be shared freely
 across worker processes.
 """
@@ -105,33 +104,6 @@ class Modulus:
         return f"Modulus({self.p}^{self.e})"
 
 
-class ResidueClass:
-    """A canonical residue in [0, m) under a fixed odd prime power m.
-
-    The value type of the public edge (``Verdict`` sides and the
-    documented sums); arithmetic inside the package runs on plain ints.
-    """
-
-    __slots__ = ("modulus", "value")
-
-    def __init__(self, modulus: Modulus, value: int) -> None:
-        self.modulus = modulus
-        self.value = value % modulus.m
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, ResidueClass):
-            return self.modulus == other.modulus and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.modulus.m
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.modulus, self.value))
-
-    def __repr__(self) -> str:
-        return f"{self.value} (mod {self.modulus.p}^{self.modulus.e})"
-
-
 @dataclass(frozen=True)
 class LucasParams:
     """Parameters (A, B) of the Lucas recurrence x_{n+1} = A*x_n - B*x_{n-1}."""
@@ -164,11 +136,11 @@ class PadicFactored:
         self.valuation = valuation
         self.unit = u
 
-    def to_residue(self) -> ResidueClass:
+    def to_residue(self) -> int:
         md = self.modulus
         if self.valuation >= md.e:
-            return ResidueClass(md, 0)
-        return ResidueClass(md, self.unit * md.p**self.valuation)
+            return 0
+        return self.unit * md.p**self.valuation % md.m
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PadicFactored):

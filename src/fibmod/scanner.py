@@ -40,7 +40,7 @@ from .checks import (
     get_check,
     run_check,
 )
-from .modarith import MODULUS_BOUND, is_prime
+from .modarith import MODULUS_BOUND
 from .sequences import DomainError, fibonacci_quotients
 
 
@@ -81,6 +81,16 @@ def sieve_primes(lo: int, hi: int) -> list[int]:
         high = min(low + _SEGMENT, hi + 1)
         out.extend(compress(range(low, high), _segment_mask(low, high, base)))
     return out
+
+
+def _primes_down(lo: int, hi: int):
+    """The primes in [lo, hi] for lo >= 2, descending, sieved one segment
+    at a time, so a caller that stops early sieves no further."""
+    base = _small_primes(isqrt(hi)) if hi >= lo else []
+    while hi >= lo:
+        low = max(lo, hi + 1 - _SEGMENT)
+        yield from reversed(list(compress(range(low, hi + 1), _segment_mask(low, hi + 1, base))))
+        hi = low - 1
 
 
 def _segment_mask(low: int, high: int, base: list[int]) -> bytearray:
@@ -138,10 +148,10 @@ class ScanRequest:
     refused on construction: ``UnknownCheckId`` for an unknown id, and
     ``ValueError`` for no ids, an n-indexed id (a scan never sets n, so
     every one of its rows would be a SKIP), ``p_min > p_max``, no m
-    policy, ``a_max``, ``jobs`` or ``budget`` below 1, or an id whose
-    modulus p^e at the range's largest odd prime and ``a_max`` reaches
-    the ``Modulus`` bound.  The policies refuse themselves when they
-    select no m.
+    policy, ``a_max``, ``jobs`` or ``budget`` below 1, or an id that
+    ``evaluates`` at some odd prime of the range and a <= ``a_max`` where
+    its modulus p^e reaches the ``Modulus`` bound.  The policies refuse
+    themselves when they select no m.
     """
 
     check_ids: tuple[str, ...]
@@ -170,14 +180,20 @@ class ScanRequest:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         for cid in self.check_ids:
-            e = get_check(cid).exponent(CheckParams(p=self.p_max, a=self.a_max))
-            if self.p_max**e >= MODULUS_BOUND:
-                odd = (p for p in range(self.p_max, self.p_min - 1, -1) if p > 2 and is_prime(p))
-                top = next(odd, 0)
-                if top**e >= MODULUS_BOUND:
-                    raise ValueError(
-                        f"{cid} needs p^e = {top}^{e} at a = {self.a_max}, past the 2^62 modulus bound"
-                    )
+            spec = get_check(cid)
+            # m = 1 stands in for every m: that domain asks only gcd(m, p) = 1.
+            m = 1 if spec.index == "m" else None
+            for a in range(1, self.a_max + 1):
+                e = spec.exponent(CheckParams(p=self.p_max, a=a))
+                if self.p_max**e < MODULUS_BOUND:
+                    continue
+                for p in _primes_down(max(self.p_min, 3), self.p_max):
+                    if p**e < MODULUS_BOUND:
+                        break
+                    if evaluates(spec, CheckParams(p, a, m, force=self.force, budget=self.budget)):
+                        raise ValueError(
+                            f"{cid} needs p^e = {p}^{e} at a = {a}, past the 2^62 modulus bound"
+                        )
 
 
 class Row(NamedTuple):
@@ -236,8 +252,8 @@ def verdict_row(check_id: str, p: int, a: int, m: int | None, verdict: Verdict |
         a,
         m,
         verdict.modulus.e,
-        verdict.lhs.value,
-        verdict.rhs.value,
+        verdict.lhs,
+        verdict.rhs,
         verdict.defect_valuation,
         "PASS" if verdict.passed else "FAIL",
     )

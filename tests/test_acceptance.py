@@ -295,15 +295,15 @@ def test_criterion_10_conjectures():
     verdicts = run_conj11n_range(5000)
     ok = all(v.passed for v in verdicts) and len(verdicts) == 5001
     spot = run_check("CONJ1_1N", CheckParams(p=3, n=1))
-    ok = ok and spot.passed and spot.lhs.value // 9 * pow(2, -1, 9) % 9 == 4
+    ok = ok and spot.passed and spot.lhs // 9 * pow(2, -1, 9) % 9 == 4
     for n in range(0, 2500, 97):  # per-n evaluator agrees with the bulk pass
         single = run_check("CONJ1_1N", CheckParams(p=3, n=n))
         ok = ok and single.passed == verdicts[n].passed
-        ok = ok and single.lhs.value == verdicts[n].lhs.value
+        ok = ok and single.lhs == verdicts[n].lhs
     for a in range(1, 8):
         ok = ok and run_check("CONJ1_1A", CheckParams(p=3, a=a)).passed
     spot_a = run_check("CONJ1_1A", CheckParams(p=3, a=1))
-    ok = ok and spot_a.lhs.value // 9 % 27 == 17  # -10 mod 27
+    ok = ok and spot_a.lhs // 9 % 27 == 17  # -10 mod 27
     conj_ids = (
         "CONJ1_2_I",
         "CONJ1_2_II_45",

@@ -164,7 +164,7 @@ def test_tree_values_match_the_exact_oracle():
         assert sums == want_sums
 
 
-# Every id with a batched side, plus the two custom sides that stay on the walk.
+# Every id with a batched side, plus ADAMCHUK, whose custom side stays on the walk.
 SCAN_IDS = (
     "T1_1", "T1_2", "C1_1_8", "C1_1_16", "PANSUN", "E4_4", "E4_5", "E4_6", "E4_7",
     "C1_2", "ADAMCHUK", "MORLEY", "WILLIAMS",
@@ -209,7 +209,7 @@ def test_batched_sides_skip_the_kernel(monkeypatch):
         raise AssertionError("a batched sum reached the kernel")
 
     monkeypatch.setattr(binomsums, "_sum_with_power", kernel)
-    ids = ("T1_1", "T1_2", "C1_1_8", "C1_1_16", "PANSUN", "E4_4", "E4_5", "E4_6", "E4_7")
+    ids = ("T1_1", "T1_2", "C1_1_8", "C1_1_16", "C1_2", "PANSUN", "E4_4", "E4_5", "E4_6", "E4_7")
     report = scan(ScanRequest(ids, 7, 300))
     assert {row.status for row in report.rows} == {"PASS"}
 
@@ -241,6 +241,7 @@ def test_batched_sides_are_the_constant_base_records():
     assert set(_batched_sides(ids)) == want
     assert ("L2_3A", "lhs") not in want and ("T2_MAIN", "lhs") not in want  # H2, base m
     assert ("MORLEY", "lhs") in want and ("WILLIAMS", "rhs") in want
+    assert ("C1_2", "lhs") in want and ("ADAMCHUK", "lhs") not in want  # ADAMCHUK: custom
 
 
 def test_weight_kind_hash_is_identity():

@@ -215,7 +215,7 @@ def test_binomial_reduction_mod_p():
             inv4 = pow(-4 % p, -1, p)
             x = 1
             for k, term in enumerate(central_binomial_stream(md, n)):
-                assert term.to_residue().value * x % p == comb(n, k) % p, (p, a, k)
+                assert term.to_residue() * x % p == comb(n, k) % p, (p, a, k)
                 x = x * inv4 % p
 
 

@@ -52,14 +52,14 @@ def test_unknown_id():
 
 def test_t1_1_spot():
     v = run_check("T1_1", CheckParams(p=7))
-    assert (v.lhs.value, v.rhs.value) == (160, 160)
+    assert (v.lhs, v.rhs) == (160, 160)
     assert v.passed and v.defect_valuation == 3
     assert v.modulus == Modulus(7, 3)
 
 
 def test_pansun_spot():
     v = run_check("PANSUN", CheckParams(p=3))
-    assert (v.lhs.value, v.rhs.value) == (5, 5)
+    assert (v.lhs, v.rhs) == (5, 5)
     assert v.passed
 
 
@@ -68,23 +68,23 @@ def test_l2_3a_anomaly_pinned():
     with pytest.raises(DomainError):
         run_check("L2_3A", CheckParams(p=3))
     v = run_check("L2_3A", CheckParams(p=3, force=True))
-    assert (v.lhs.value, v.rhs.value) == (1, 2)
+    assert (v.lhs, v.rhs) == (1, 2)
     assert not v.passed
     assert v.defect_valuation == 0
 
 
 def test_c1_1_8_spot():
     v = run_check("C1_1_8", CheckParams(p=5))
-    assert (v.lhs.value, v.rhs.value) == (24, 24)  # (2/5) = -1 = 24 (mod 25)
+    assert (v.lhs, v.rhs) == (24, 24)  # (2/5) = -1 = 24 (mod 25)
     assert v.passed
 
 
 def test_l2_2a_corrected_vs_displayed():
     v = run_check("L2_2A", CheckParams(p=5))
-    assert (v.lhs.value, v.rhs.value) == (91, 91)
+    assert (v.lhs, v.rhs) == (91, 91)
     assert v.passed
     # The uncorrected closed form disagrees with direct computation.
-    assert l2_2a_displayed_rhs(5).value == 78
+    assert l2_2a_displayed_rhs(5) == 78
 
 
 def test_mbar_examples():
@@ -133,6 +133,7 @@ def test_check_error_wraps_arithmetic():
 def test_every_forced_check_gives_a_verdict_or_a_known_error(p, a):
     # A forced evaluation outside a domain may break, but only as an error
     # the scanner turns into a SKIP row, never as a bare KeyError or the like.
+    # Each verdict holds its sides as ints in [0, p^e).
     for spec in list_checks():
         for m, n in [(1, 0), (2, 1), (4, 3), (6, 4), (p, 9), (p + 4, 12), (-3, 2)]:
             params = CheckParams(p=p, a=a, m=m, n=n, force=True)
@@ -141,6 +142,8 @@ def test_every_forced_check_gives_a_verdict_or_a_known_error(p, a):
             except (CheckError, DomainError, BudgetExceeded):
                 continue
             assert verdict.check_id == spec.id
+            assert type(verdict.lhs) is int and type(verdict.rhs) is int
+            assert 0 <= verdict.lhs < verdict.modulus.m and 0 <= verdict.rhs < verdict.modulus.m
 
 
 def test_forced_c1_2_at_3_is_a_check_error():
@@ -152,7 +155,7 @@ def test_forced_c1_2_at_3_is_a_check_error():
 def test_forced_conjecture_candidate():
     v = run_check("ADAMCHUK", CheckParams(p=5, force=True))
     assert not v.passed
-    assert (v.lhs.value, v.rhs.value) == (3, 0)
+    assert (v.lhs, v.rhs) == (3, 0)
 
 
 def test_downward_consistency():
@@ -197,6 +200,19 @@ def test_defect_valuation_grading(monkeypatch):
     assert v.defect_valuation == 2
 
 
+def test_compare_broadcasts_a_scalar_side():
+    # An int side meets every entry of a list side, as the repeated list would.
+    md = Modulus(7, 2)
+    for scalar, side in [(3, [3, 10, 3]), (5, [5, 5]), (1, [2, 8]), (4, [4])]:
+        repeated = [scalar] * len(side)
+        assert checks._compare(scalar, side, md) == checks._compare(repeated, side, md)
+        assert checks._compare(side, scalar, md) == checks._compare(side, repeated, md)
+    assert checks._compare(3, [3, 10, 3], md) == (1, 3, 10)
+    for lhs, rhs in [([1, 2], [1, 2, 3]), ([1, 2, 3], [1, 2])]:
+        with pytest.raises(CheckError, match="arity"):
+            checks._compare(lhs, rhs, md)
+
+
 def test_c1_2_forms_agree():
     for p in sieve_primes(5, 300):
         v = run_check("C1_2", CheckParams(p=p))
@@ -222,9 +238,9 @@ def test_t1_1_cross_checks_h2_relation():
 
 def test_lucas_parameterized_checks():
     v = run_check("L3_2", CheckParams(p=7, A=3, B=2))
-    assert v.passed and v.lhs.value == 29
+    assert v.passed and v.lhs == 29
     v = run_check("V_CONG_A", CheckParams(p=11, A=-6, B=9))
-    assert v.passed and v.lhs.value == 5
+    assert v.passed and v.lhs == 5
     # Defaults are the Fibonacci parameters.
     assert run_check("V_CONG_A", CheckParams(p=11)).passed
     with pytest.raises(DomainError):
@@ -236,8 +252,8 @@ def test_conj11n_spot_value():
     v = run_check("CONJ1_1N", CheckParams(p=3, n=1))
     assert v.passed
     assert v.modulus == Modulus(3, 4)
-    assert v.lhs.value == 72
-    q = v.lhs.value // 9 * pow(2, -1, 9) % 9
+    assert v.lhs == 72
+    q = v.lhs // 9 * pow(2, -1, 9) % 9
     assert q == 4
 
 
@@ -245,8 +261,8 @@ def test_conj11a_spot_value():
     # a = 1: sum/9 = 1/8 = 17 = -10 (mod 27).
     v = run_check("CONJ1_1A", CheckParams(p=3, a=1))
     assert v.passed
-    assert v.lhs.value == 153  # 9 * 17 (mod 3^5)
-    assert v.lhs.value // 9 % 27 == 17
+    assert v.lhs == 153  # 9 * 17 (mod 3^5)
+    assert v.lhs // 9 % 27 == 17
 
 
 def test_conj11n_range_agrees_with_run_check():
@@ -257,8 +273,8 @@ def test_conj11n_range_agrees_with_run_check():
         bulk = verdicts[n]
         assert bulk.passed == single.passed
         assert bulk.modulus == single.modulus
-        assert bulk.lhs.value == single.lhs.value
-        assert bulk.rhs.value == single.rhs.value
+        assert bulk.lhs == single.lhs
+        assert bulk.rhs == single.rhs
 
 
 def test_shared_cache_is_consistent():
@@ -272,8 +288,8 @@ def test_shared_cache_is_consistent():
                     fresh = run_check(cid, CheckParams(p=p, m=m, n=4))
                 except (DomainError, BudgetExceeded, CheckError):
                     continue
-                assert with_cache.lhs.value == fresh.lhs.value, (cid, p, m)
-                assert with_cache.rhs.value == fresh.rhs.value, (cid, p, m)
+                assert with_cache.lhs == fresh.lhs, (cid, p, m)
+                assert with_cache.rhs == fresh.rhs, (cid, p, m)
 
 
 def _t2_m_values(p):

@@ -4,7 +4,7 @@ from functools import partial
 import pytest
 
 from fibmod import cli
-from fibmod.checks import CheckParams, run_check
+from fibmod.checks import BudgetExceeded, CheckParams, run_check
 from fibmod.cli import (
     CheckCommand,
     ListChecksCommand,
@@ -16,7 +16,7 @@ from fibmod.cli import (
     parse_args,
     render_args,
 )
-from fibmod.scanner import AllSmall, MList, Sample, ScanRequest
+from fibmod.scanner import AllSmall, MList, Sample, ScanRequest, scan
 from fibmod.sequences import DomainError
 
 
@@ -113,16 +113,17 @@ _T2_SCAN = ["scan", "--ids", "T2_MAIN", "--pmin", "3", "--pmax", "7"]
             ValueError,
             _T2_SCAN + ["--m-policy", ""],
         ),
-        # p^e past the 2^62 bound of Modulus, also where the row would be a SKIP.
+        # p^e past the 2^62 bound of Modulus where a row would evaluate:
+        # in the domain and within the budget, or forced.
         (
             partial(run_check, "L2_2B", CheckParams(p=46349)),
             DomainError,
             ["check", "--id", "L2_2B", "--p", "46349"],
         ),
         (
-            partial(run_check, "T2_MAIN", CheckParams(p=3037000507, m=3)),
+            partial(run_check, "T2_MAIN", CheckParams(p=3037000507, m=3, force=True)),
             DomainError,
-            ["check", "--id", "T2_MAIN", "--p", "3037000507", "--m", "3"],
+            ["check", "--id", "T2_MAIN", "--p", "3037000507", "--m", "3", "--force"],
         ),
         (
             partial(ScanRequest, ("L2_2B",), 46300, 46400),
@@ -130,16 +131,16 @@ _T2_SCAN = ["scan", "--ids", "T2_MAIN", "--pmin", "3", "--pmax", "7"]
             ["scan", "--ids", "L2_2B", "--pmin", "46300", "--pmax", "46400"],
         ),
         (
-            partial(ScanRequest, ("P4_1A",), 46300, 46400, a_max=3),
+            partial(ScanRequest, ("P4_1A",), 46300, 46400, a_max=3, force=True),
             ValueError,
-            ["scan", "--ids", "P4_1A", "--pmin", "46300", "--pmax", "46400", "--amax", "3"],
+            ["scan", "--ids", "P4_1A", "--pmin", "46300", "--pmax", "46400", "--amax", "3", "--force"],
         ),
     ],
     ids=[
         "budget=0", "a_max=0", "jobs=0", "pmin>pmax", "no-ids", "n<0",
         "sample-count<1", "empty-m-list", "no-m-policy",
-        "check-modulus-bound", "check-modulus-bound-over-budget", "scan-modulus-bound",
-        "scan-modulus-bound-at-a-max",
+        "check-modulus-bound", "check-modulus-bound-forced-over-budget", "scan-modulus-bound",
+        "scan-modulus-bound-forced-at-a-max",
     ],
 )
 def test_library_and_cli_refuse_the_same_requests(library_call, error, argv, capsys):
@@ -158,6 +159,26 @@ def test_the_modulus_bound_is_read_at_the_largest_prime_and_a_max():
     ScanRequest(("L2_2B",), 46300, 46348)  # no prime in 46338..46348
     ScanRequest(("L2_2B",), 46341, 46348)  # no prime at all
     ScanRequest(("P4_1A",), 46300, 46400, a_max=2)  # p^(a+1) = p^3
+
+
+def test_the_modulus_bound_refuses_only_rows_that_evaluate(capsys):
+    # Past the bound, a domain or budget SKIP stays a SKIP and builds no
+    # Modulus (which would raise); forced, the request is refused.
+    with pytest.raises(DomainError, match="outside the domain"):
+        run_check("CONJ1_1A", CheckParams(p=10007))
+    with pytest.raises(BudgetExceeded):
+        run_check("T2_MAIN", CheckParams(p=3037000507, m=3))
+    assert main(["check", "--id", "CONJ1_1A", "--p", "10007"]) == 0
+    assert capsys.readouterr().out.endswith("\nCONJ1_1A,10007,1,,,,,,SKIP\n")
+    assert main(["check", "--id", "CONJ1_1A", "--p", "10007", "--force"]) == 2
+    assert main(["scan", "--ids", "CONJ1_1A", "--pmin", "3", "--pmax", "10000", "--jobs", "1"]) == 0
+    assert capsys.readouterr().out.endswith("# summary: CONJ1_1A pass=1 fail=0 skip=1227\n")
+    # The rows of at most 1,000 terms pass; the others are budget SKIPs,
+    # p^(a+1) past the bound at a >= 11 among them.
+    p4 = partial(ScanRequest, ("P4_1A",), 3, 50, a_max=12, m_policy=(MList((2,)),), budget=1000)
+    assert scan(p4()).summary == {"P4_1A": {"pass": 35, "fail": 0, "skip": 133}}
+    with pytest.raises(ValueError, match="47\\^12 at a = 11"):
+        p4(force=True)
 
 
 def test_stray_value_error_is_not_a_usage_error(monkeypatch):

@@ -1,12 +1,12 @@
 """An exact oracle for both sides of the constant-base sum checks.
 
-For T1_1, T1_2, C1_1_8, C1_1_16, PANSUN, E4_4 to E4_7 and the five
-CONJ1_2_* ids, both sides are evaluated here from the formulas in the
-registry's descriptions, with no ``PrimeTables`` and no fibmod
-arithmetic: the lhs sum_{k<=n} weight(k) C(2k,k) x^k as a ``Fraction``
-with ``math.comb``, the rhs with Fibonacci numbers from the integer
-recurrence and Legendre symbols by Euler's criterion.  Both are reduced
-mod p^e and compared, as values and not only as a PASS, with
+For T1_1, T1_2, C1_1_8, C1_1_16, C1_2, PANSUN, ADAMCHUK, E4_4 to E4_7
+and the five CONJ1_2_* ids, both sides are evaluated here from the
+formulas in the registry's descriptions, with no ``PrimeTables`` and no
+fibmod arithmetic: the lhs sum_{k<=n} weight(k) C(2k,k) x^k as a
+``Fraction`` with ``math.comb``, the rhs with Fibonacci numbers from the
+integer recurrence and Legendre symbols by Euler's criterion.  Both are
+reduced mod p^e and compared, as values and not only as a PASS, with
 ``run_check`` on a fresh store and with the rows of a scan, whose store
 the batch tree seeds.  So a wrong sum that the closed form happens to
 share, or a wrong closed form that the sum happens to match, shows here.
@@ -63,13 +63,29 @@ def _pansun(p, a):
     return central(-1, q - 1, signed=True), s * (1 - 2 * fib(q - s))
 
 
+def _c1_2(p, a):
+    # Both right sides must agree; a passing row shows the last pair, whose
+    # rhs is the mod-12 case table's.
+    lhs = central(16, (p - 1) // 2, lambda k: Fraction(1, (2 * k - 1) ** 2))
+    closed = legendre(-1, p) * Fraction(3 * legendre(p, 3) + 1, 4)
+    table = {1: 1, 5: Fraction(-1, 2), 7: -1, 11: Fraction(1, 2)}[p % 12]
+    assert residue(closed, p * p) == residue(table, p * p), p
+    return lhs, table
+
+
+def _adamchuk(p, a):
+    return sum(comb(2 * k, k) for k in range(1, 2 * p // 3 + 1)), 0
+
+
 # id -> (exponent e, both sides at (p, a) as exact rationals).
 SIDES = {
     "T1_1": (3, _t1_1),
     "T1_2": (3, _t1_2),
     "C1_1_8": (2, lambda p, a: (central(8, (p**a - 1) // 2), legendre(2, p) ** a)),
     "C1_1_16": (2, lambda p, a: (central(16, (p**a - 1) // 2), legendre(3, p) ** a)),
+    "C1_2": (2, _c1_2),
     "PANSUN": (3, _pansun),
+    "ADAMCHUK": (2, _adamchuk),
     "E4_4": (2, lambda p, a: (central(2, p - 1, _linear), p - legendre(-1, p))),
     "E4_5": (2, lambda p, a: (central(3, p - 1, _linear), 2 * p - 2 * legendre(p, 3))),
     "E4_6": (
@@ -123,7 +139,7 @@ def test_run_check_matches_the_oracle(cid):
         if not _in_domain(cid, p, a):
             continue
         v = run_check(cid, CheckParams(p=p, a=a))
-        assert (v.modulus.e, v.lhs.value, v.rhs.value) == oracle(cid, p, a), (p, a)
+        assert (v.modulus.e, v.lhs, v.rhs) == oracle(cid, p, a), (p, a)
         seen += 1
     assert seen >= 5
 
