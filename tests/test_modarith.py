@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fibmod.checks import BudgetExceeded, CheckError, CheckParams, list_checks, run_check
 from fibmod.modarith import (
     BadDenominator,
     Modulus,
@@ -13,6 +14,7 @@ from fibmod.modarith import (
     jacobi,
     padic_normalize,
 )
+from fibmod.sequences import DomainError
 
 ODD_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 101, 9973]
 
@@ -140,3 +142,17 @@ def test_padic_to_residue_saturates_at_exponent():
     assert PadicFactored(md, 2, 1).to_residue() == 0
     assert PadicFactored(md, 1, 3).to_residue() == 15
 
+
+def test_residue_arithmetic_is_closed():
+    # Every side reaches its verdict as a plain int, reduced into [0, p^e).
+    for spec in list_checks():
+        for p in (3, 5, 7, 13):
+            for a in (1, 2):
+                for m, n in [(1, 0), (2, 1), (p + 4, 12)]:
+                    params = CheckParams(p=p, a=a, m=m, n=n, force=True)
+                    try:
+                        v = run_check(spec.id, params)
+                    except (CheckError, DomainError, BudgetExceeded):
+                        continue
+                    assert type(v.lhs) is int and type(v.rhs) is int
+                    assert 0 <= v.lhs < v.modulus.m and 0 <= v.rhs < v.modulus.m
