@@ -84,17 +84,19 @@ class PrimeTables(dict):
     ``walk_ends`` keeps the walk's (v, unit) at the end of each walked
     table, so a longer request resumes the walk there.  ``sums`` keeps
     each finished sum under (weight, p^e, base as given, upper, signed),
-    so checks at one prime that share a sum compute it once, and the
-    values of ``central_binomial`` and ``alternating_harmonic`` under
-    ``value_key``.  ``bases`` are the bases, prime to p, whose sums a scan
-    at one prime asks for, and ``points`` keeps ``sums_at_bases``' setup
-    over them at each p^e.
+    so checks at one prime that share a sum compute it once.  ``sides``
+    holds the side values a scan gives before the rows run, under (check
+    id, ``"lhs"`` or ``"rhs"``, ``CheckParams``); ``run_check`` reads a
+    side there first.  ``bases`` are the bases, prime to p, whose sums a
+    scan at one prime asks for, and ``points`` keeps ``sums_at_bases``'
+    setup over them at each p^e.
     """
 
     def __init__(self, bases: Iterable[int] = ()) -> None:
         super().__init__()
         self.walk_ends: dict[tuple[WeightKind, int], tuple[int, int]] = {}
         self.sums: dict[tuple, int] = {}
+        self.sides: dict[tuple, int] = {}
         self.bases = frozenset(bases)
         self.points: dict[int, tuple] = {}
 
@@ -274,31 +276,6 @@ def central_binomial_stream(modulus: Modulus, max_k: int) -> Iterator[PadicFacto
         yield PadicFactored(modulus, v, u)
 
 
-def sum_key(base: int, upper: int, pe: int, weight: WeightKind, signed: bool) -> tuple:
-    """The key of a finished sum in ``PrimeTables.sums``: ``central_sum``
-    reads and writes it, and a scan fills it from ``batch_sums``."""
-    return weight, pe, base, upper, signed
-
-
-def value_key(name: str, upper: int, pe: int) -> tuple:
-    """The key in ``PrimeTables.sums`` of a value that is not a central sum:
-    ``"central_binomial"`` C(2k,k) at k = upper, or ``"alternating_harmonic"``
-    to the bound upper.  Its reader and a scan's prefill both build it here."""
-    return name, pe, upper
-
-
-def central_binomial(k: int, modulus: Modulus, tables: PrimeTables) -> int:
-    """C(2k,k) mod p^e, the last entry of the walked table to k.
-
-    The store's ``sums`` answers a k it has seen, under ``value_key``.
-    """
-    key = value_key("central_binomial", k, modulus.m)
-    c = tables.sums.get(key)
-    if c is None:
-        c = tables.sums[key] = _residues_from_vu(modulus, k, tables)[k]
-    return c
-
-
 def central_sum(
     base: int,
     upper: int,
@@ -326,11 +303,11 @@ def central_sum(
         raise ValueError(f"upper bound must be nonnegative, got {upper}")
     p, pe = modulus.p, modulus.m
     tables = PrimeTables() if tables is None else tables
-    key = sum_key(base, upper, pe, weight, signed)
+    key = weight, pe, base, upper, signed
     s = tables.sums.get(key)
     if s is None and not signed and base in tables.bases and len(tables.bases) >= p - 1:
         for b, v in sums_at_bases(modulus, upper, weight, tables).items():
-            tables.sums[sum_key(b, upper, pe, weight, False)] = v
+            tables.sums[weight, pe, b, upper, False] = v
         s = tables.sums.get(key)
     if s is None:
         x = base
@@ -509,9 +486,9 @@ def batch_sums(
 
 
 def batch_central_binomials(entries: list[tuple[int, int, int]]) -> list[int | None]:
-    """``central_binomial(k, Modulus(p, e))``, the last term of ``_tree``'s
-    walk of C(2k,k) at x = 1, for each (p, k, e) of ``entries`` at once;
-    None for k = 0 (below the head) or k >= p, which stay on the walk."""
+    """C(2k,k) mod p^e, the last term of ``_tree``'s walk of C(2k,k) at
+    x = 1, for each (p, k, e) of ``entries`` at once; None for k = 0
+    (below the head) or k >= p, which stay on the walk."""
     return [None if r is None else r[1] for r in _tree(_RATIOS[WeightKind.NONE], 1, 1, entries)]
 
 
@@ -533,22 +510,15 @@ def batch_alternating_harmonic(entries: list[tuple[int, int, int]]) -> list[int 
 
 
 def alternating_harmonic(bound: int, modulus: Modulus, tables: PrimeTables | None = None) -> int:
-    """sum_{k=1}^{bound} (-1)^k / k mod p^e, for 0 <= bound < p.
-
-    The store's ``sums`` answers a bound it has seen, under ``value_key``.
-    """
+    """sum_{k=1}^{bound} (-1)^k / k mod p^e, for 0 <= bound < p, by two
+    slice sums over the store's inverse table."""
     p, pe = modulus.p, modulus.m
     if bound < 0:
         raise ValueError(f"alternating harmonic bound must be nonnegative, got {bound}")
     if bound >= p:
         raise NotInvertible(f"bound {bound} reaches a multiple of p = {p}")
-    tables = PrimeTables() if tables is None else tables
-    key = value_key("alternating_harmonic", bound, pe)
-    h = tables.sums.get(key)
-    if h is None:
-        tab = _inv_table(p, pe, bound, tables)
-        h = tables.sums[key] = (sum(tab[2 : bound + 1 : 2]) - sum(tab[1 : bound + 1 : 2])) % pe
-    return h
+    tab = _inv_table(p, pe, bound, PrimeTables() if tables is None else tables)
+    return (sum(tab[2 : bound + 1 : 2]) - sum(tab[1 : bound + 1 : 2])) % pe
 
 
 def power_over_square_sum(

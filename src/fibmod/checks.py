@@ -30,12 +30,9 @@ from .binomsums import (
     batch_alternating_harmonic,
     batch_central_binomials,
     batch_sums,
-    central_binomial,
     central_sum,
     floor_multiple,
     power_over_square_sum,
-    sum_key,
-    value_key,
 )
 from .modarith import (
     MODULUS_BOUND,
@@ -223,8 +220,8 @@ def _conj11n_valuation(n: int) -> int:
 
 # A side below is a frozen record that ``scan`` evaluates over all its
 # primes at once where ``batches`` holds: ``batch`` gives its value at
-# each (p, upper, e) of a list (None where it is left to the walk), and
-# ``key`` the store key under which the per-prime call reads that value.
+# each (p, upper, e) of a list (None where it is left to the per-prime
+# call), and the scan hands each value to its row in ``PrimeTables.sides``.
 # ``_spec`` takes ``upper`` as the check's length.
 
 
@@ -253,9 +250,6 @@ class SumSide:
     def batch(self, entries):
         return batch_sums(self.base, self.signed, self.weight, entries)
 
-    def key(self, upper, pe):
-        return sum_key(self.base, upper, pe, self.weight, self.signed)
-
 
 @dataclass(frozen=True, slots=True)
 class CentralBinomialSide:
@@ -265,13 +259,11 @@ class CentralBinomialSide:
     batches = True
 
     def __call__(self, pr, md, tables):
-        return central_binomial(self.upper(pr), md, tables)
+        k = self.upper(pr)
+        return _residues_from_vu(md, k, tables)[k]
 
     def batch(self, entries):
         return batch_central_binomials(entries)
-
-    def key(self, upper, pe):
-        return value_key("central_binomial", upper, pe)
 
 
 @dataclass(frozen=True, slots=True)
@@ -289,10 +281,12 @@ class HarmonicSide:
         return self.num * pow(self.den, -1, pe) * h % pe
 
     def batch(self, entries):
-        return batch_alternating_harmonic(entries)
-
-    def key(self, upper, pe):
-        return value_key("alternating_harmonic", upper, pe)
+        # None also where p divides den, so that row's own call raises.
+        return [
+            None if h is None or self.den % p == 0 else self.num * pow(self.den, -1, pe) * h % pe
+            for (p, _, e), h in zip(entries, batch_alternating_harmonic(entries))
+            for pe in [p**e]
+        ]
 
 
 # Sums over the free parameter m, shared by several checks and closed forms.
@@ -1175,7 +1169,9 @@ def run_check(
     sum is longer than the term budget, and ``CheckError`` when the
     arithmetic itself cannot proceed (for example a forced evaluation
     that divides by p).  Checks run with one ``tables`` store share
-    their residue tables; without one, the check gets a fresh store.
+    their residue tables; without one, the check gets a fresh store.  A
+    side that the store's ``sides`` holds for this check and ``params``
+    is read from there instead of evaluated.
     """
     spec = check_request(check_id, params)
     p = params.p
@@ -1191,9 +1187,14 @@ def run_check(
         )
     md = Modulus(p, spec.exponent(params))
     tables = PrimeTables() if tables is None else tables
+    given = tables.sides
     try:
-        lhs = spec.lhs(params, md, tables)
-        rhs = spec.rhs(params, md, tables)
+        lhs = given.get((check_id, "lhs", params)) if given else None
+        if lhs is None:
+            lhs = spec.lhs(params, md, tables)
+        rhs = given.get((check_id, "rhs", params)) if given else None
+        if rhs is None:
+            rhs = spec.rhs(params, md, tables)
     except (
         NotInvertible,
         NegativeValuation,
@@ -1210,9 +1211,11 @@ def run_conj11n_range(n_max: int, budget: int = DEFAULT_TERM_BUDGET) -> list[Ver
     """Verdicts of CONJ1_1N for every n in 0..n_max, in one stream pass.
 
     All sums share a single accumulation at the largest needed 3-adic
-    precision; each n is then compared at its own exponent.  Agreement
-    with per-n ``run_check`` calls is pinned by tests.  A negative
-    ``n_max`` is refused as ``check_request`` refuses a negative n.
+    precision; each n is then compared at its own exponent.  The closed
+    side takes C(2n,n) exactly, as C(2n-2,n-1) (4n-2)/n, not from the
+    sum's stream.  Agreement with per-n ``run_check`` calls is pinned by
+    tests.  A negative ``n_max`` is refused as ``check_request`` refuses
+    a negative n.
     """
     check_request("CONJ1_1N", CheckParams(p=3, n=n_max, budget=budget))
     if n_max > budget:
@@ -1225,16 +1228,12 @@ def run_conj11n_range(n_max: int, budget: int = DEFAULT_TERM_BUDGET) -> list[Ver
     verdicts = []
     s = 0
     xk = 1
-    for n in range(n_max + 1):
-        v, u = vu[n]
+    c = 1
+    for n, (v, u) in enumerate(vu):
         s = (s + (u * 3**v if v < e_top else 0) * xk) % pe_top
         xk = xk * inv16 % pe_top
-        e_n = _conj11n_valuation(n) + 2
-        md = Modulus(3, e_n)
-        lhs = s % md.m
-        vm = 2 * _v3(2 * n + 1) + v
-        unit = pow((2 * n + 1) // 3 ** _v3(2 * n + 1), 2, md.m) * u % md.m
-        target = 1 if n % 3 == 0 else 4
-        rhs = (unit * 3**vm if vm < e_n else 0) * target % md.m
-        verdicts.append(_verdict("CONJ1_1N", CheckParams(p=3, n=n, budget=budget), md, lhs, rhs))
+        c = c * (4 * n - 2) // n if n else 1
+        md = Modulus(3, _conj11n_valuation(n) + 2)
+        rhs = (2 * n + 1) ** 2 * c % md.m * (1 if n % 3 == 0 else 4) % md.m
+        verdicts.append(_verdict("CONJ1_1N", CheckParams(p=3, n=n, budget=budget), md, s, rhs))
     return verdicts

@@ -9,8 +9,9 @@ Horner's rule for one sum, the tree for one base at many primes, and the
 transform for many bases at one prime.  Before the primes are handed
 out, the tree gives every constant-base sum side, central binomial and
 alternating harmonic side at all of them, and each prime's store starts
-with those values.  The store also holds the prime's m list, so its
-first sum over base m gives that sum at every m by the transform.
+with those values in its ``sides``, keyed by the row that reads them.
+The store also holds the prime's m list, so its first sum over base m
+gives that sum at every m by the transform.
 """
 
 from __future__ import annotations
@@ -56,25 +57,15 @@ class CheckpointCorrupt(Exception):
 _SEGMENT = 1 << 17
 
 
-def _small_primes(limit: int) -> list[int]:
-    if limit < 2:
-        return []
-    mask = bytearray([1]) * (limit + 1)
-    mask[0] = mask[1] = 0
-    for i in range(2, isqrt(limit) + 1):
-        if mask[i]:
-            mask[i * i :: i] = bytes(len(range(i * i, limit + 1, i)))
-    return [i for i in range(limit + 1) if mask[i]]
-
-
 def sieve_primes(lo: int, hi: int) -> list[int]:
     """All primes in [lo, hi], ascending, by a segmented sieve.
 
     Memory stays O(sqrt(hi) + segment) no matter how wide the range is.
+    The base primes to sqrt(hi) come from the same sieve.
     """
     if hi < 2 or hi < lo:
         return []
-    base = _small_primes(isqrt(hi))
+    base = sieve_primes(2, isqrt(hi))
     out: list[int] = []
     lo = max(lo, 2)
     for low in range(lo, hi + 1, _SEGMENT):
@@ -86,7 +77,7 @@ def sieve_primes(lo: int, hi: int) -> list[int]:
 def _primes_down(lo: int, hi: int):
     """The primes in [lo, hi] for lo >= 2, descending, sieved one segment
     at a time, so a caller that stops early sieves no further."""
-    base = _small_primes(isqrt(hi)) if hi >= lo else []
+    base = sieve_primes(2, isqrt(hi)) if hi >= lo else []
     while hi >= lo:
         low = max(lo, hi + 1 - _SEGMENT)
         yield from reversed(list(compress(range(low, hi + 1), _segment_mask(low, hi + 1, base))))
@@ -280,8 +271,9 @@ def _batched_sums(
     A side is evaluated only at the primes where ``run_check`` reads it
     (in the domain unless forced, and within the budget), and sides that
     differ only in their upper share one ``batch`` call.  None marks a
-    value left to the walk, or one ``run_check`` never reads.  One
-    group's entries are alive at a time: only the values are kept.
+    value that its row evaluates itself, or one ``run_check`` never
+    reads.  One group's entries are alive at a time: only the values are
+    kept.
     """
     columns: list[list[int | None]] = [[None] * len(primes) for _ in sides]
     groups: dict[object, list[int]] = {}
@@ -316,9 +308,7 @@ def _prime_worker(task) -> list[Row]:
     pr = CheckParams(p=p, force=force, budget=budget)
     for (cid, name), s in zip(sides, sums):
         if s is not None:
-            spec = get_check(cid)
-            side = getattr(spec, name)
-            tables.sums[side.key(side.upper(pr), p ** spec.exponent(pr))] = s
+            tables.sides[cid, name, pr] = s
     rows: list[Row] = []
     for cid in ids:
         spec = get_check(cid)
@@ -657,7 +647,7 @@ def _refuse_composites(path: str, ps: list[int]) -> None:
 
     The records rise, so one sieve segment checks every record in it.
     """
-    base = _small_primes(isqrt(ps[-1])) if ps else []
+    base = sieve_primes(2, isqrt(ps[-1])) if ps else []
     i = 0
     while i < len(ps):
         low, j = ps[i], bisect_left(ps, ps[i] + _SEGMENT, i)

@@ -300,6 +300,7 @@ def test_criterion_10_conjectures():
         single = run_check("CONJ1_1N", CheckParams(p=3, n=n))
         ok = ok and single.passed == verdicts[n].passed
         ok = ok and single.lhs == verdicts[n].lhs
+        ok = ok and single.rhs == verdicts[n].rhs
     for a in range(1, 8):
         ok = ok and run_check("CONJ1_1A", CheckParams(p=3, a=a)).passed
     spot_a = run_check("CONJ1_1A", CheckParams(p=3, a=1))

@@ -17,10 +17,11 @@ from math import comb
 
 import pytest
 
-from fibmod import binomsums
+from fibmod import binomsums, checks
 from fibmod.binomsums import (
     _RATIOS,
     PrimeTables,
+    WeightDomain,
     WeightKind,
     _residues_from_vu,
     alternating_harmonic,
@@ -37,11 +38,12 @@ from fibmod.checks import (
     CheckParams,
     HarmonicSide,
     SumSide,
+    evaluates,
     get_check,
     list_checks,
     run_check,
 )
-from fibmod.modarith import Modulus, NegativeValuation
+from fibmod.modarith import ModArithError, Modulus, NegativeValuation
 from fibmod.scanner import (
     AllSmall,
     MList,
@@ -225,6 +227,46 @@ def test_batched_values_skip_the_tables(monkeypatch):
     report = scan(ScanRequest(("MORLEY", "WILLIAMS"), 7, 300))
     assert len(report.rows) == 2 * len(sieve_primes(7, 300))
     assert {row.status for row in report.rows} == {"PASS"}
+
+
+def test_morley_binomials_skip_the_walk(monkeypatch):
+    # MORLEY's side reads the walk through the checks module's own name,
+    # which the test above does not patch.
+    def table(*args):
+        raise AssertionError("a batched binomial reached the walk")
+
+    monkeypatch.setattr(checks, "_residues_from_vu", table)
+    report = scan(ScanRequest(("MORLEY",), 7, 300))
+    assert {row.status for row in report.rows} == {"PASS"}
+
+
+def test_batch_gives_the_side_value():
+    # A batched side's value is its own per-prime value with a fresh store,
+    # or None, and None wherever that per-prime call raises.
+    ids = tuple(spec.id for spec in list_checks() if spec.index != "n")
+    for cid, name in _batched_sides(ids):
+        spec = get_check(cid)
+        side = getattr(spec, name)
+        params = [CheckParams(p=p) for p in sieve_primes(3, 200)]
+        params = [pr for pr in params if evaluates(spec, pr)]
+        params += [CheckParams(p=3, force=True), CheckParams(p=5, force=True)]
+        entries = [(pr.p, side.upper(pr), spec.exponent(pr)) for pr in params]
+        values = side.batch(entries)
+        assert any(value is not None for value in values), (cid, name)
+        for pr, (p, _, e), value in zip(params, entries, values):
+            try:
+                want = side(pr, Modulus(p, e), PrimeTables())
+            except (ModArithError, WeightDomain, ValueError):
+                want = None
+            assert value is None or value == want, (cid, name, pr)
+
+
+def test_a_given_side_is_read_only_by_its_row():
+    tables = PrimeTables()
+    tables.sides["T1_1", "lhs", CheckParams(p=7)] = 5
+    assert run_check("T1_1", CheckParams(p=7), tables).lhs == 5
+    for params in (CheckParams(p=7, a=2), CheckParams(p=11), CheckParams(p=7, force=True)):
+        assert run_check("T1_1", params, tables) == run_check("T1_1", params, PrimeTables())
 
 
 def test_batched_sides_are_the_constant_base_records():

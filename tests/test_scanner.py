@@ -16,7 +16,6 @@ from fibmod.scanner import (
     Sample,
     ScanRequest,
     _read_checkpoint,
-    _small_primes,
     _sample_values,
     render_csv,
     render_jsonl,
@@ -37,15 +36,17 @@ def test_sieve_examples():
     assert sieve_primes(10, 5) == []
 
 
-def test_sieve_against_simple():
-    def simple(n):
-        flags = bytearray([1]) * (n + 1)
-        flags[0] = flags[1] = 0
-        for i in range(2, int(n**0.5) + 1):
-            if flags[i]:
-                flags[i * i :: i] = bytes(len(range(i * i, n + 1, i)))
-        return [i for i in range(n + 1) if flags[i]]
+def simple(n):
+    """The primes to n by a plain sieve, independent of the code under test."""
+    flags = bytearray([1]) * (n + 1)
+    flags[0] = flags[1] = 0
+    for i in range(2, int(n**0.5) + 1):
+        if flags[i]:
+            flags[i * i :: i] = bytes(len(range(i * i, n + 1, i)))
+    return [i for i in range(n + 1) if flags[i]]
 
+
+def test_sieve_against_simple():
     assert sieve_primes(1, 10**4) == simple(10**4)
     # segment-boundary crossing window
     lo, hi = (1 << 17) - 50, (1 << 17) + 50
@@ -64,7 +65,7 @@ def test_sieve_against_simple():
     ],
 )
 def test_sieve_matches_small_primes(lo, hi):
-    assert sieve_primes(lo, hi) == [p for p in _small_primes(hi) if p >= lo]
+    assert sieve_primes(lo, hi) == [p for p in simple(hi) if p >= lo]
 
 
 def test_scan_t1_1_rows():
