@@ -38,7 +38,6 @@ from .modarith import (
     Modulus,
     NegativeValuation,
     NotInvertible,
-    PadicFactored,
     ZeroInput,
 )
 
@@ -270,10 +269,9 @@ def _sum_with_power(
 # ---------------------------------------------------------------------------
 
 
-def central_binomial_stream(modulus: Modulus, max_k: int) -> Iterator[PadicFactored]:
-    """Yield C(2k,k) in factored form for k = 0..max_k."""
-    for v, u in _cb_vu(modulus, max_k):
-        yield PadicFactored(modulus, v, u)
+def central_binomial_stream(modulus: Modulus, max_k: int) -> Iterator[tuple[int, int]]:
+    """Yield C(2k,k) as (v_p, unit mod p^e) for k = 0..max_k."""
+    yield from _cb_vu(modulus, max_k)
 
 
 def central_sum(
@@ -565,7 +563,3 @@ def exact_identity_41(m: int, n: int) -> tuple[int, int]:
     rhs = 2 * (2 * n + 1) * comb(2 * n, n)
     return lhs, rhs
 
-
-def floor_multiple(num: int, den: int, value: int) -> int:
-    """floor(num/den * value) by integer division, never via floats."""
-    return num * value // den

@@ -22,7 +22,6 @@ from .binomsums import (
     PrimeTables,
     WeightDomain,
     WeightKind,
-    _cb_vu,
     _inv_table,
     _residues_from_vu,
     _walk,
@@ -31,7 +30,6 @@ from .binomsums import (
     batch_central_binomials,
     batch_sums,
     central_sum,
-    floor_multiple,
     power_over_square_sum,
 )
 from .modarith import (
@@ -159,7 +157,7 @@ def _p_full(pr: CheckParams) -> int:
 
 
 def _floor_of(num: int, den: int) -> Callable[[CheckParams], int]:
-    return lambda pr: floor_multiple(num, den, pr.p**pr.a)
+    return lambda pr: num * pr.p**pr.a // den
 
 
 def _m(pr: CheckParams) -> int:
@@ -1166,12 +1164,12 @@ def run_check(
     Raises what ``check_request`` raises for a malformed request, then
     ``DomainError`` when the parameters fall outside the check's
     declared domain (unless ``force`` is set), ``BudgetExceeded`` when the
-    sum is longer than the term budget, and ``CheckError`` when the
-    arithmetic itself cannot proceed (for example a forced evaluation
-    that divides by p).  Checks run with one ``tables`` store share
-    their residue tables; without one, the check gets a fresh store.  A
-    side that the store's ``sides`` holds for this check and ``params``
-    is read from there instead of evaluated.
+    sum is longer than the term budget, and ``CheckError`` when a side
+    cannot be evaluated (for example a forced evaluation that divides by
+    p, or a forced Fibonacci quotient at p = 5).  Checks run with one
+    ``tables`` store share their residue tables; without one, the check
+    gets a fresh store.  A side that the store's ``sides`` holds for this
+    check and ``params`` is read from there instead of evaluated.
     """
     spec = check_request(check_id, params)
     p = params.p
@@ -1196,6 +1194,7 @@ def run_check(
         if rhs is None:
             rhs = spec.rhs(params, md, tables)
     except (
+        DomainError,
         NotInvertible,
         NegativeValuation,
         NotDivisible,
@@ -1223,14 +1222,13 @@ def run_conj11n_range(n_max: int, budget: int = DEFAULT_TERM_BUDGET) -> list[Ver
     e_top = max(_conj11n_valuation(n) + 2 for n in range(n_max + 1))
     top = Modulus(3, e_top)
     pe_top = top.m
-    vu = _cb_vu(top, n_max)
     inv16 = pow(16, -1, pe_top)
     verdicts = []
     s = 0
     xk = 1
     c = 1
-    for n, (v, u) in enumerate(vu):
-        s = (s + (u * 3**v if v < e_top else 0) * xk) % pe_top
+    for n, t in enumerate(_residues_from_vu(top, n_max, PrimeTables())):
+        s = (s + t * xk) % pe_top
         xk = xk * inv16 % pe_top
         c = c * (4 * n - 2) // n if n else 1
         md = Modulus(3, _conj11n_valuation(n) + 2)

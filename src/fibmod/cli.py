@@ -34,7 +34,6 @@ from .scanner import (
     CheckpointCorrupt,
     ScanRequest,
     _policy_from_text,
-    _policy_text,
     csv_row,
     render_csv,
     render_jsonl,
@@ -158,47 +157,6 @@ def parse_args(argv: list[str]) -> Command:
             raise UsageError(f"--near must be >= 0, got {ns.near}")
         return WssCommand(ns.limit, ns.near, ns.checkpoint, ns.out)
     return ListChecksCommand()
-
-
-def render_args(cmd: Command) -> list[str]:
-    """The argv list that parses back to this command (round-trip identity)."""
-    if isinstance(cmd, CheckCommand):
-        pr = cmd.params
-        argv = ["check", "--id", cmd.id, "--p", str(pr.p), "--a", str(pr.a)]
-        for flag, value in (("--m", pr.m), ("--n", pr.n), ("--A", pr.A), ("--B", pr.B)):
-            if value is not None:
-                argv += [flag, str(value)]
-        if pr.force:
-            argv.append("--force")
-        return argv
-    if isinstance(cmd, ScanCommand):
-        r = cmd.request
-        argv = [
-            "scan",
-            "--ids", ",".join(r.check_ids),
-            "--pmin", str(r.p_min),
-            "--pmax", str(r.p_max),
-            "--amax", str(r.a_max),
-            "--m-policy", _policy_text(r.m_policy),
-            "--jobs", str(r.jobs),
-            "--budget", str(r.budget),
-        ]
-        if r.force:
-            argv.append("--force")
-        if cmd.out:
-            argv += ["--out", cmd.out]
-        argv += ["--format", cmd.format]
-        return argv
-    if isinstance(cmd, WssCommand):
-        argv = ["wss", "--limit", str(cmd.limit)]
-        if cmd.near is not None:
-            argv += ["--near", str(cmd.near)]
-        if cmd.checkpoint:
-            argv += ["--checkpoint", cmd.checkpoint]
-        if cmd.out:
-            argv += ["--out", cmd.out]
-        return argv
-    return ["list-checks"]
 
 
 def _exit_code(failed_ids: set[str]) -> int:

@@ -1,10 +1,11 @@
 """Residue arithmetic modulo odd prime powers.
 
 Everything in this module is exact integer arithmetic: the modulus p^e,
-Jacobi symbols, and the factored integer p^v * u of the public edge.
-Residues are plain ints in [0, p^e).  All values are immutable after
-construction and all operations are pure, so they can be shared freely
-across worker processes.
+Jacobi symbols, and the split of an integer into p^v times a unit.
+Residues are plain ints in [0, p^e), and a factored term is the int
+pair (v, u).  All values are immutable after construction and all
+operations are pure, so they can be shared freely across worker
+processes.
 """
 
 from __future__ import annotations
@@ -117,47 +118,6 @@ class LucasParams:
         return self.A * self.A - 4 * self.B
 
 
-class PadicFactored:
-    """An integer written as p^v * u with the unit u known modulo p^e.
-
-    The term type of ``central_binomial_stream``: the valuation is exact
-    even where p^v exceeds the modulus, and ``to_residue`` reduces it.
-    """
-
-    __slots__ = ("modulus", "valuation", "unit")
-
-    def __init__(self, modulus: Modulus, valuation: int, unit: int) -> None:
-        if valuation < 0:
-            raise NegativeValuation(f"valuation must be >= 0, got {valuation}")
-        u = unit % modulus.m
-        if u % modulus.p == 0:
-            raise ValueError(f"unit {unit} is divisible by p = {modulus.p}")
-        self.modulus = modulus
-        self.valuation = valuation
-        self.unit = u
-
-    def to_residue(self) -> int:
-        md = self.modulus
-        if self.valuation >= md.e:
-            return 0
-        return self.unit * md.p**self.valuation % md.m
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PadicFactored):
-            return NotImplemented
-        return (self.modulus, self.valuation, self.unit) == (
-            other.modulus,
-            other.valuation,
-            other.unit,
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.modulus, self.valuation, self.unit))
-
-    def __repr__(self) -> str:
-        return f"{self.modulus.p}^{self.valuation} * {self.unit} (mod {self.modulus.p}^{self.modulus.e})"
-
-
 def jacobi(n: int, d: int) -> int:
     """The Jacobi symbol (n/d) for odd d >= 1.
 
@@ -181,8 +141,8 @@ def jacobi(n: int, d: int) -> int:
     return result if d == 1 else 0
 
 
-def padic_normalize(n: int, modulus: Modulus) -> PadicFactored:
-    """Split a nonzero integer into p^v times a unit known mod p^e."""
+def padic_normalize(n: int, modulus: Modulus) -> tuple[int, int]:
+    """Split a nonzero integer into p^v times a unit: (v, unit mod p^e)."""
     if n == 0:
         raise ZeroInput("cannot factor zero")
     p = modulus.p
@@ -190,4 +150,4 @@ def padic_normalize(n: int, modulus: Modulus) -> PadicFactored:
     while n % p == 0:
         n //= p
         v += 1
-    return PadicFactored(modulus, v, n % modulus.m)
+    return v, n % modulus.m

@@ -355,8 +355,7 @@ def test_criterion_12_oracle_equivalence():
         for e in (1, 2, 3, 4):
             md = Modulus(p, e)
             for k, term in enumerate(central_binomial_stream(md, 500)):
-                want = padic_normalize(comb(2 * k, k), md)
-                if (term.valuation, term.unit) != (want.valuation, want.unit):
+                if term != padic_normalize(comb(2 * k, k), md):
                     mismatches += 1
     ok = ok and mismatches == 0
     for A, B in [(1, -1), (4, 8), (4, 16), (3, 1), (2, 1), (5, 3)]:

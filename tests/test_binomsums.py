@@ -18,9 +18,9 @@ from fibmod.binomsums import (
     central_sum,
     exact_identity_41,
     exact_lagrange,
-    floor_multiple,
     power_over_square_sum,
 )
+from fibmod.checks import CheckParams, _floor_of
 from fibmod.modarith import (
     LucasParams,
     Modulus,
@@ -31,21 +31,12 @@ from fibmod.modarith import (
 )
 
 
-def factored_oracle(n: int, md: Modulus) -> tuple[int, int]:
-    """(valuation, unit) of n via arbitrary-precision arithmetic."""
-    got = padic_normalize(n, md)
-    return got.valuation, got.unit
-
-
 def test_stream_examples():
     md = Modulus(5, 3)
-    first = next(central_binomial_stream(md, 0))
-    assert (first.valuation, first.unit) == (0, 1)
-    terms = list(central_binomial_stream(md, 3))
-    assert (terms[3].valuation, terms[3].unit) == (1, 4)  # C(6,3) = 20 = 5 * 4
+    assert next(central_binomial_stream(md, 0)) == (0, 1)
+    assert list(central_binomial_stream(md, 3))[3] == (1, 4)  # C(6,3) = 20 = 5 * 4
     md = Modulus(3, 3)
-    terms = list(central_binomial_stream(md, 5))
-    assert (terms[5].valuation, terms[5].unit) == (2, 1)  # C(10,5) = 252 = 9 * 28
+    assert list(central_binomial_stream(md, 5))[5] == (2, 1)  # C(10,5) = 252 = 9 * 28
 
 
 def test_stream_matches_exact_binomials():
@@ -53,7 +44,7 @@ def test_stream_matches_exact_binomials():
         for e in (1, 2, 3, 4):
             md = Modulus(p, e)
             for k, term in enumerate(central_binomial_stream(md, 500)):
-                assert (term.valuation, term.unit) == factored_oracle(comb(2 * k, k), md), (p, e, k)
+                assert term == padic_normalize(comb(2 * k, k), md), (p, e, k)
 
 
 def test_vanishing_tail():
@@ -63,7 +54,7 @@ def test_vanishing_tail():
         md = Modulus(p, 2)
         terms = list(central_binomial_stream(md, pa - 1))
         for k in range((pa + 1) // 2, pa):
-            assert terms[k].valuation >= 1, (p, a, k)
+            assert terms[k][0] >= 1, (p, a, k)
 
 
 def test_evaluate_sum_examples():
@@ -214,18 +205,19 @@ def test_binomial_reduction_mod_p():
             md = Modulus(p, 1)
             inv4 = pow(-4 % p, -1, p)
             x = 1
-            for k, term in enumerate(central_binomial_stream(md, n)):
-                assert term.to_residue() * x % p == comb(n, k) % p, (p, a, k)
+            for k, (v, u) in enumerate(central_binomial_stream(md, n)):
+                assert (u if v == 0 else 0) * x % p == comb(n, k) % p, (p, a, k)
                 x = x * inv4 % p
 
 
 def test_floor_multiple_is_exact_integer_division():
-    assert floor_multiple(5, 6, 49) == 40
-    assert floor_multiple(4, 5, 11**2) == 96
-    assert floor_multiple(9, 10, 27) == 24
+    assert _floor_of(5, 6)(CheckParams(7, 2)) == 40
+    assert _floor_of(4, 5)(CheckParams(11, 2)) == 96
+    assert _floor_of(9, 10)(CheckParams(3, 3)) == 24
     for num, den in ((5, 6), (4, 5), (3, 5), (7, 10), (9, 10)):
-        for v in range(1, 2000, 17):
-            assert floor_multiple(num, den, v) == (num * v) // den
+        for p in (3, 5, 7, 11, 13, 101, 9973):
+            for a in (1, 2, 3):
+                assert _floor_of(num, den)(CheckParams(p, a)) == (num * p**a) // den
 
 
 # Each walked term as an exact function of k, beside its ratio in _RATIOS.
@@ -240,8 +232,8 @@ _WALKED_TERMS = {
 
 def _fraction_vu(t: Fraction, md: Modulus) -> tuple[int, int]:
     """(valuation, unit mod p^e) of a nonzero fraction."""
-    num, den = (padic_normalize(x, md) for x in (t.numerator, t.denominator))
-    return num.valuation - den.valuation, num.unit * pow(den.unit, -1, md.m) % md.m
+    (vn, un), (vd, ud) = (padic_normalize(x, md) for x in (t.numerator, t.denominator))
+    return vn - vd, un * pow(ud, -1, md.m) % md.m
 
 
 def _assert_walk_is_exact(md, ratio, k_lo, k_hi, vu, term):

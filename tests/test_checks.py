@@ -143,6 +143,24 @@ def test_every_forced_check_gives_a_verdict_or_a_known_error(p, a):
             assert verdict.check_id == spec.id
 
 
+# Forced checks whose side refuses its own domain: a Fibonacci quotient at
+# p = 5 (WILLIAMS, L2_3A) and an entry index at p | 2B (L3_2).
+_FORCED_SIDE_REFUSALS = [
+    ("WILLIAMS", CheckParams(p=5, force=True), "Fibonacci quotient"),
+    ("L2_3A", CheckParams(p=5, force=True), "Fibonacci quotient"),
+    ("L3_2", CheckParams(p=7, A=2, B=7, force=True), "divides 2B"),
+]
+
+
+@pytest.mark.parametrize("check_id, params, match", _FORCED_SIDE_REFUSALS)
+def test_a_side_domain_refusal_is_a_check_error(check_id, params, match):
+    with pytest.raises(CheckError, match=match):
+        run_check(check_id, params)
+    # Unforced, the same point is a domain refusal before any side runs.
+    with pytest.raises(DomainError):
+        run_check(check_id, params._replace(force=False))
+
+
 def test_forced_c1_2_at_3_is_a_check_error():
     # p = 3 has no row in C1_2's mod-12 case table.
     with pytest.raises(CheckError, match="mod-12"):

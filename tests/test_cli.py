@@ -14,7 +14,6 @@ from fibmod.cli import (
     execute,
     main,
     parse_args,
-    render_args,
 )
 from fibmod.scanner import AllSmall, MList, Sample, ScanRequest, scan
 from fibmod.sequences import DomainError
@@ -192,30 +191,54 @@ def test_stray_value_error_is_not_a_usage_error(monkeypatch):
 
 def test_round_trip_identity():
     commands = [
-        CheckCommand("T1_1", CheckParams(7, 1)),
-        CheckCommand("T2_MAIN", CheckParams(11, 2, m=-16, force=True)),
-        CheckCommand("CONJ1_1N", CheckParams(3, 1, n=17)),
-        CheckCommand("L3_2", CheckParams(7, 1, A=3, B=2)),
-        ScanCommand(
-            ScanRequest(
-                check_ids=("T1_1", "C1_1_8"),
-                p_min=3,
-                p_max=97,
-                a_max=2,
-                m_policy=(Sample(5, 9),),
-                jobs=2,
-                budget=1 << 20,
-                force=True,
-            ),
-            out="r.csv",
-            format="json",
+        (["check", "--id", "T1_1", "--p", "7", "--a", "1"], CheckCommand("T1_1", CheckParams(7, 1))),
+        (
+            ["check", "--id", "T2_MAIN", "--p", "11", "--a", "2", "--m", "-16", "--force"],
+            CheckCommand("T2_MAIN", CheckParams(11, 2, m=-16, force=True)),
         ),
-        ScanCommand(ScanRequest(("T2_MAIN",), 3, 300, m_policy=(AllSmall(), Sample(50, 42)))),
-        WssCommand(100, 3, "c.txt", "w.csv"),
-        ListChecksCommand(),
+        (
+            ["check", "--id", "CONJ1_1N", "--p", "3", "--a", "1", "--n", "17"],
+            CheckCommand("CONJ1_1N", CheckParams(3, 1, n=17)),
+        ),
+        (
+            ["check", "--id", "L3_2", "--p", "7", "--a", "1", "--A", "3", "--B", "2"],
+            CheckCommand("L3_2", CheckParams(7, 1, A=3, B=2)),
+        ),
+        (
+            ["scan", "--ids", "T1_1,C1_1_8", "--pmin", "3", "--pmax", "97", "--amax", "2",
+             "--m-policy", "sample:5:9", "--jobs", "2", "--budget", str(1 << 20), "--force",
+             "--out", "r.csv", "--format", "json"],
+            ScanCommand(
+                ScanRequest(
+                    check_ids=("T1_1", "C1_1_8"),
+                    p_min=3,
+                    p_max=97,
+                    a_max=2,
+                    m_policy=(Sample(5, 9),),
+                    jobs=2,
+                    budget=1 << 20,
+                    force=True,
+                ),
+                out="r.csv",
+                format="json",
+            ),
+        ),
+        (
+            ["scan", "--ids", "T2_MAIN", "--pmin", "3", "--pmax", "300",
+             "--m-policy", "all+sample:50:42", "--jobs", "1"],
+            ScanCommand(
+                ScanRequest(("T2_MAIN",), 3, 300, m_policy=(AllSmall(), Sample(50, 42)), jobs=1)
+            ),
+        ),
+        (
+            ["wss", "--limit", "100", "--near", "3", "--checkpoint", "c.txt", "--out", "w.csv"],
+            WssCommand(100, 3, "c.txt", "w.csv"),
+        ),
+        (["wss", "--limit", str(10**6)], WssCommand(10**6)),
+        (["list-checks"], ListChecksCommand()),
     ]
-    for cmd in commands:
-        assert parse_args(render_args(cmd)) == cmd
+    for argv, cmd in commands:
+        assert parse_args(argv) == cmd, argv
 
 
 def test_check_pass_exit_zero(capsys):
@@ -226,11 +249,27 @@ def test_check_pass_exit_zero(capsys):
     assert out[1] == "T1_1,7,1,,3,160,160,3,PASS"
 
 
-def test_check_out_of_domain_is_skip(capsys):
-    code = main(["check", "--id", "T1_1", "--p", "5"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--id", "WILLIAMS", "--p", "5", "--force"],
+        ["--id", "L2_3A", "--p", "5", "--force"],
+        ["--id", "L3_2", "--p", "7", "--A", "2", "--B", "7", "--force"],
+    ],
+)
+def test_forced_side_domain_refusal_exits_one(argv, capsys):
+    assert main(["check", *argv]) == 1
     captured = capsys.readouterr()
-    assert code == 0
-    assert captured.out.splitlines()[1].endswith("SKIP")
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {argv[1]} at p={argv[3]}: ")
+
+
+def test_check_out_of_domain_is_skip(capsys):
+    for argv in (["--id", "T1_1", "--p", "5"], ["--id", "L3_2", "--p", "5", "--B", "5"]):
+        code = main(["check", *argv])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.out.splitlines()[1].endswith("SKIP")
 
 
 def test_scan_of_n_indexed_check_is_usage_error(capsys):

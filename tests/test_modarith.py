@@ -8,7 +8,6 @@ from fibmod.checks import BudgetExceeded, CheckError, CheckParams, list_checks, 
 from fibmod.modarith import (
     BadDenominator,
     Modulus,
-    PadicFactored,
     ZeroInput,
     is_prime,
     jacobi,
@@ -98,11 +97,9 @@ def test_jacobi_prime_power_convention():
 
 
 def test_padic_normalize_examples():
-    assert padic_normalize(1, Modulus(11, 2)) == PadicFactored(Modulus(11, 2), 0, 1)
-    got = padic_normalize(21, Modulus(7, 2))
-    assert (got.valuation, got.unit) == (1, 3)
-    got = padic_normalize(252, Modulus(3, 3))
-    assert (got.valuation, got.unit) == (2, 1)  # 252 = 9 * 28, 28 = 1 (mod 27)
+    assert padic_normalize(1, Modulus(11, 2)) == (0, 1)
+    assert padic_normalize(21, Modulus(7, 2)) == (1, 3)
+    assert padic_normalize(252, Modulus(3, 3)) == (2, 1)  # 252 = 9 * 28, 28 = 1 (mod 27)
     with pytest.raises(ZeroInput):
         padic_normalize(0, Modulus(3, 3))
 
@@ -114,7 +111,9 @@ def test_padic_roundtrip():
     for md in moduli:
         for n in values:
             for signed in (n, -n):
-                assert padic_normalize(signed, md).to_residue() == signed % md.m
+                v, u = padic_normalize(signed, md)
+                assert u % md.p != 0
+                assert u * md.p**v % md.m == signed % md.m
 
 
 def test_padic_normalize_is_multiplicative():
@@ -124,23 +123,8 @@ def test_padic_normalize_is_multiplicative():
         for _ in range(10**4):
             a = rng.randrange(1, 10**7)
             b = rng.randrange(1, 10**7)
-            ab = padic_normalize(a * b, md)
-            fa, fb = padic_normalize(a, md), padic_normalize(b, md)
-            assert (ab.valuation, ab.unit) == (
-                fa.valuation + fb.valuation,
-                fa.unit * fb.unit % md.m,
-            )
-
-
-def test_padic_unit_must_be_coprime():
-    with pytest.raises(ValueError):
-        PadicFactored(Modulus(3, 3), 0, 6)
-
-
-def test_padic_to_residue_saturates_at_exponent():
-    md = Modulus(5, 2)
-    assert PadicFactored(md, 2, 1).to_residue() == 0
-    assert PadicFactored(md, 1, 3).to_residue() == 15
+            (va, ua), (vb, ub) = padic_normalize(a, md), padic_normalize(b, md)
+            assert padic_normalize(a * b, md) == (va + vb, ua * ub % md.m)
 
 
 def test_residue_arithmetic_is_closed():

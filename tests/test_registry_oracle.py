@@ -1,15 +1,18 @@
-"""An exact oracle for both sides of the constant-base sum checks.
+"""An exact oracle for both sides of the sum checks.
 
 For T1_1, T1_2, C1_1_8, C1_1_16, C1_2, PANSUN, ADAMCHUK, E4_4 to E4_7
-and the five CONJ1_2_* ids, both sides are evaluated here from the
-formulas in the registry's descriptions, with no ``PrimeTables`` and no
-fibmod arithmetic: the lhs sum_{k<=n} weight(k) C(2k,k) x^k as a
-``Fraction`` with ``math.comb``, the rhs with Fibonacci numbers from the
-integer recurrence and Legendre symbols by Euler's criterion.  Both are
-reduced mod p^e and compared, as values and not only as a PASS, with
-``run_check`` on a fresh store and with the rows of a scan, whose store
-the batch tree seeds.  So a wrong sum that the closed form happens to
-share, or a wrong closed form that the sum happens to match, shows here.
+and the five CONJ1_2_* ids, and for the six m-indexed ids T2_MAIN,
+T2_CAT, BASIC_P, L3_3, P4_1A and P4_1B, both sides are evaluated here
+from the formulas in the registry's descriptions, with no
+``PrimeTables`` and no fibmod arithmetic: the lhs sum_{k<=n} weight(k)
+C(2k,k) x^k as a ``Fraction`` with ``math.comb``, the rhs with Fibonacci
+numbers and u(4, m) from their integer recurrences and Legendre symbols
+by Euler's criterion.  Both are reduced mod p^e and compared, as values
+and not only as a PASS, with ``run_check`` on a fresh store and with the
+rows of a scan, whose store the batch tree (constant bases) or the
+transform over every m in 1..p-1 (m-indexed ids) seeds.  So a wrong sum
+that the closed form happens to share, or a wrong closed form that the
+sum happens to match, shows here.
 """
 
 from fractions import Fraction
@@ -18,7 +21,7 @@ from math import comb
 import pytest
 
 from fibmod.checks import CheckParams, get_check, run_check
-from fibmod.scanner import ScanRequest, scan, sieve_primes
+from fibmod.scanner import AllSmall, MList, ScanRequest, scan, sieve_primes
 
 # (p, a) points: odd p <= 41 at a = 1 and odd p <= 13 at a = 2.
 POINTS = [(p, 1) for p in sieve_primes(3, 41)] + [(p, 2) for p in sieve_primes(3, 13)]
@@ -154,3 +157,99 @@ def test_scan_rows_match_the_oracle(p_max, a_max):
             continue
         got = (row.exponent, row.lhs, row.rhs)
         assert got == oracle(row.check_id, row.p, row.a), row
+
+
+# The m-indexed ids: odd p <= 23 at a = 1 and odd p <= 11 at a = 2, at
+# every m in 1..p-1 and at these, some past p and some negative.
+M_POINTS = [(p, 1) for p in sieve_primes(3, 23)] + [(p, 2) for p in sieve_primes(3, 11)]
+M_EXTRA = (-16, -5, -1, 4, 25, 29, 30, 100)
+
+
+def lucas_u4(m: int, n: int) -> int:
+    """u_n(4, m): u_0 = 0, u_1 = 1, u_{k+1} = 4 u_k - m u_{k-1}."""
+    u, w = 0, 1
+    for _ in range(n):
+        u, w = w, 4 * w - m * u
+    return u
+
+
+def _t2_main(p, a, m):
+    j, s4 = legendre(m * (m - 4), p), legendre(4 - m, p)
+    mbar = 1 if s4 == 0 else 2 if s4 == 1 else Fraction(2, m)
+    rhs = j**a + legendre(-m, p) * j ** (a - 1) * mbar * lucas_u4(m, p - s4)
+    return central(m, (p**a - 1) // 2), rhs
+
+
+def _t2_cat(p, a, m):
+    half = (p**a - 1) // 2
+    delta = 2 * p * legendre(-m, p) if a == 1 else 0
+    rhs = Fraction(4 - m, 2) * central(m, half) + Fraction(m, 2) - delta
+    return central(m, half, lambda k: Fraction(1, k + 1)), rhs
+
+
+def _l3_3(p, a, m):
+    half = (p**a - 1) // 2
+    lhs = sum((Fraction(comb(2 * k, k + 1), m**k) for k in range(half + 1)), Fraction(0))
+    delta = 2 * p * legendre(-m, p) if a == 1 else 0
+    return lhs, Fraction(m - 2, 2) * central(m, half) - Fraction(m, 2) + delta
+
+
+def _p4_1a(p, a, m):
+    half = (p**a - 1) // 2
+    lhs = Fraction(m - 4, 2) * central(m, half, _linear)
+    return lhs, central(m, half) - p**a * legendre(-m, p) ** a
+
+
+def _p4_1b(p, a, m):
+    full = p**a - 1
+    return Fraction(m - 4, 2) * central(m, full, _linear), central(m, full) - p**a
+
+
+# id -> (exponent e at a, both sides at (p, a, m) as exact rationals).
+M_SIDES = {
+    "T2_MAIN": (lambda a: 2, _t2_main),
+    "T2_CAT": (lambda a: 2, _t2_cat),
+    "BASIC_P": (
+        lambda a: 1,
+        lambda p, a, m: (central(m, (p**a - 1) // 2), legendre(m * (m - 4), p) ** a),
+    ),
+    "L3_3": (lambda a: 2, _l3_3),
+    "P4_1A": (lambda a: a + 1, _p4_1a),
+    "P4_1B": (lambda a: a + 1, _p4_1b),
+}
+
+
+def m_oracle(cid: str, p: int, a: int, m: int) -> tuple[int, int, int]:
+    """(e, lhs mod p^e, rhs mod p^e) of the m-indexed ``cid`` at (p, a, m)."""
+    exponent, sides = M_SIDES[cid]
+    e = exponent(a)
+    lhs, rhs = sides(p, a, m)
+    return e, residue(lhs, p**e), residue(rhs, p**e)
+
+
+@pytest.mark.parametrize("cid", list(M_SIDES))
+def test_m_indexed_run_check_matches_the_oracle(cid):
+    seen = 0
+    for p, a in M_POINTS:
+        for m in [*range(1, p), *M_EXTRA]:
+            if m % p == 0:
+                continue
+            v = run_check(cid, CheckParams(p=p, a=a, m=m))
+            assert (v.modulus.e, v.lhs, v.rhs) == m_oracle(cid, p, a, m), (p, a, m)
+            seen += 1
+    assert seen >= 100
+
+
+@pytest.mark.parametrize("p_max, a_max", [(23, 1), (11, 2)])
+def test_m_indexed_scan_rows_match_the_oracle(p_max, a_max):
+    request = ScanRequest(
+        tuple(M_SIDES), 3, p_max, a_max=a_max, m_policy=(AllSmall(), MList(M_EXTRA))
+    )
+    rows = scan(request).rows
+    assert {row.m for row in rows if row.p == p_max} == {*range(1, p_max), *M_EXTRA}
+    for row in rows:
+        if row.m % row.p == 0:
+            assert row.status == "SKIP", row
+            continue
+        got = (row.exponent, row.lhs, row.rhs)
+        assert got == m_oracle(row.check_id, row.p, row.a, row.m), row
