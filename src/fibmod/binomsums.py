@@ -16,13 +16,11 @@ store's inverses of 1..n serve only the H2 prefix,
 form in ``checks``.
 A sum has three evaluators: for one sum, Horner's rule over a prefix of
 the walked table, at one inversion of the base; for one base at many
-primes, ``batch_sums``, a remainder tree over 2x2 matrix
-products (the same tree gives C(2k,k) and the alternating harmonic sum);
-for many bases at one prime, ``sums_at_bases``, a chirp-z transform over
-the Teichmüller points mod p^e.  A scan uses the last two where it can.
-
-Two identities are also provided in exact arbitrary-precision form, as
-independent oracles for the modular machinery.
+primes, ``_tree``, a remainder tree over 2x2 matrix products, which the
+side records in ``checks`` call (the same tree gives C(2k,k) and the
+alternating harmonic sum); for many bases at one prime,
+``sums_at_bases``, a chirp-z transform over the Teichmüller points mod
+p^e.  A scan uses the last two where it can.
 """
 
 from __future__ import annotations
@@ -33,13 +31,7 @@ from math import comb, prod
 from operator import mul
 from typing import Iterable, Iterator
 
-from .modarith import (
-    LucasParams,
-    Modulus,
-    NegativeValuation,
-    NotInvertible,
-    ZeroInput,
-)
+from .modarith import Modulus, NegativeValuation, NotInvertible
 
 
 class WeightDomain(Exception):
@@ -49,14 +41,13 @@ class WeightDomain(Exception):
 class WeightKind(Enum):
     """Per-term weights appearing in the checked congruences.
 
-    NONE -> 1; CATALAN -> 1/(k+1); LINEAR_K -> k; INV_2KM1 -> 1/(2k-1);
-    INV_2KM1_SQ -> 1/(2k-1)^2; H2 -> H_k^(2) = sum_{0<j<=k} 1/j^2.
+    NONE -> 1; CATALAN -> 1/(k+1); LINEAR_K -> k; INV_2KM1_SQ -> 1/(2k-1)^2;
+    H2 -> H_k^(2) = sum_{0<j<=k} 1/j^2.
     """
 
     NONE = "none"
     CATALAN = "catalan"
     LINEAR_K = "linear_k"
-    INV_2KM1 = "inv_2km1"
     INV_2KM1_SQ = "inv_2km1_sq"
     H2 = "h2"
 
@@ -127,10 +118,13 @@ _RATIOS = {
     WeightKind.NONE: ((1,), (((4, -2),), ((1, 0),))),  # (4k-2)/k
     WeightKind.CATALAN: ((1,), (((4, -2),), ((1, 1),))),  # (4k-2)/(k+1)
     WeightKind.LINEAR_K: ((0, 2), (((4, -2),), ((1, -1),))),  # (4k-2)/(k-1)
-    WeightKind.INV_2KM1: ((-1,), (((4, -6),), ((1, 0),))),  # (4k-6)/k
     # (4k-6)(2k-3) / (k(2k-1))
     WeightKind.INV_2KM1_SQ: ((1,), (((4, -6), (2, -3)), ((1, 0), (2, -1)))),
 }
+
+# t_k = 1/k, for the alternating harmonic sum: head terms t_0 = 0 and t_1 = 1,
+# then the ratio (k-1)/k.
+_HARMONIC = ((0, 1), (((1, -1),), ((1, 0),)))
 
 
 def _walk(
@@ -242,7 +236,7 @@ def _h2_prefix(modulus: Modulus, upto: int, tables: PrimeTables) -> list[int]:
 
 
 def _check_weight_domain(weight: WeightKind, upper: int, p: int) -> None:
-    if weight in (WeightKind.INV_2KM1, WeightKind.INV_2KM1_SQ):
+    if weight is WeightKind.INV_2KM1_SQ:
         if upper > (p - 1) // 2:
             raise WeightDomain(
                 f"1/(2k-1) weights need upper <= (p-1)/2, got {upper} at p = {p}"
@@ -455,58 +449,6 @@ def sums_at_bases(
     return {b: sum(map(mul, d[j], eps)) % pe for b, j, eps in points}
 
 
-def batch_sums(
-    base: int, signed: bool, weight: WeightKind, entries: list[tuple[int, int, int]]
-) -> list[int | None]:
-    """``central_sum(base, upper, Modulus(p, e), weight, signed=signed)`` for
-    each (p, upper, e) of ``entries`` at once, by ``_tree`` with x = base
-    when ``signed`` and 1/base otherwise; None for an entry left to the
-    walk.
-
-    An entry is left out where the walk raises or Q is not a unit: p
-    divides an unsigned base, the upper is outside the weight's domain or
-    below the head, or p divides a ratio denominator D(k) in range
-    (CATALAN to p-1).
-    """
-    def in_domain(p: int, upper: int) -> bool:
-        try:
-            _check_weight_domain(weight, upper, p)
-        except WeightDomain:
-            return False
-        return True
-
-    xn, xd = (base, 1) if signed else (1, base)
-    values = _tree(_RATIOS[weight], xn, xd, entries)
-    return [
-        r[0] if r is not None and in_domain(p, upper) else None
-        for (p, upper, _), r in zip(entries, values)
-    ]
-
-
-def batch_central_binomials(entries: list[tuple[int, int, int]]) -> list[int | None]:
-    """C(2k,k) mod p^e, the last term of ``_tree``'s walk of C(2k,k) at
-    x = 1, for each (p, k, e) of ``entries`` at once; None for k = 0
-    (below the head) or k >= p, which stay on the walk."""
-    return [None if r is None else r[1] for r in _tree(_RATIOS[WeightKind.NONE], 1, 1, entries)]
-
-
-# t_k = 1/k: head terms t_0 = 0 and t_1 = 1, then the ratio (k-1)/k.
-_HARMONIC = ((0, 1), (((1, -1),), ((1, 0),)))
-
-
-def batch_alternating_harmonic(entries: list[tuple[int, int, int]]) -> list[int | None]:
-    """``alternating_harmonic(bound, Modulus(p, e))`` for each (p, bound, e)
-    of ``entries`` at once, by ``_tree`` over t_k = 1/k at x = -1.
-
-    A negative bound raises ``ValueError``, as in ``alternating_harmonic``;
-    None marks a bound below 2 (the head) or at least p, which stay on the
-    walk.
-    """
-    if any(bound < 0 for _, bound, _ in entries):
-        raise ValueError("alternating harmonic bound must be nonnegative")
-    return [None if r is None else r[0] for r in _tree(_HARMONIC, -1, 1, entries)]
-
-
 def alternating_harmonic(bound: int, modulus: Modulus, tables: PrimeTables | None = None) -> int:
     """sum_{k=1}^{bound} (-1)^k / k mod p^e, for 0 <= bound < p, by two
     slice sums over the store's inverse table."""
@@ -534,32 +476,3 @@ def power_over_square_sum(
         xk = xk * x % pe
         acc = (acc + xk * tab[k] % pe * tab[k]) % pe
     return acc
-
-
-def exact_lagrange(params: LucasParams, n: int) -> int:
-    """sum_{k=0}^{floor(n/2)} C(n-k,k) A^(n-2k) (-B)^k, exactly.
-
-    Equals u_{n+1}(A, B); evaluated in arbitrary precision so it can
-    serve as an oracle for the modular Lucas machinery.
-    """
-    A, B = params.A, params.B
-    return sum(
-        comb(n - k, k) * A ** (n - 2 * k) * (-B) ** k for k in range(n // 2 + 1)
-    )
-
-
-def exact_identity_41(m: int, n: int) -> tuple[int, int]:
-    """Both sides of the telescoping central-binomial identity, cleared
-    of denominators by 2 * m^n:
-
-        lhs = sum_{k=0}^{n} (2 - (m-4) k) C(2k,k) m^(n-k)
-        rhs = 2 (2n+1) C(2n,n)
-
-    The contract is lhs == rhs for every nonzero m and every n >= 0.
-    """
-    if m == 0:
-        raise ZeroInput("base must be nonzero")
-    lhs = sum((2 - (m - 4) * k) * comb(2 * k, k) * m ** (n - k) for k in range(n + 1))
-    rhs = 2 * (2 * n + 1) * comb(2 * n, n)
-    return lhs, rhs
-

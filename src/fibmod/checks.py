@@ -19,16 +19,16 @@ from math import comb
 from typing import Callable, NamedTuple
 
 from .binomsums import (
+    _HARMONIC,
+    _RATIOS,
     PrimeTables,
     WeightDomain,
     WeightKind,
     _inv_table,
     _residues_from_vu,
+    _tree,
     _walk,
     alternating_harmonic,
-    batch_alternating_harmonic,
-    batch_central_binomials,
-    batch_sums,
     central_sum,
     power_over_square_sum,
 )
@@ -38,7 +38,6 @@ from .modarith import (
     Modulus,
     NegativeValuation,
     NotInvertible,
-    ZeroInput,
     is_prime,
     jacobi,
 )
@@ -174,17 +173,11 @@ def _fib_sign(pr: CheckParams) -> int:
     return jacobi(pr.p, 5) ** pr.a
 
 
-def mbar(m: int, p: int, e: int) -> int:
-    """The unit attached to the Lucas term of the base-m sum family, mod
-    p^e: 1 when m = 4 (mod p), 2 when (4-m/p) = 1, and 2/m when (4-m/p) = -1.
-    """
-    if m % p == 0:
-        raise NotInvertible(f"p = {p} divides m = {m}")
-    return _mbar(m, jacobi(4 - m, p), p**e)
-
-
 def _mbar(m: int, s4: int, pe: int) -> int:
-    """``mbar`` from the Legendre symbol s4 = (4-m/p), 0 where p | m - 4."""
+    """The unit attached to the Lucas term of the base-m sum family, mod
+    pe, from the Legendre symbol s4 = (4-m/p): 1 when s4 = 0 (p | m - 4),
+    2 when s4 = 1, and 2/m when s4 = -1.
+    """
     return 1 if s4 == 0 else 2 if s4 == 1 else 2 * pow(m, -1, pe) % pe
 
 
@@ -246,7 +239,8 @@ class SumSide:
         return central_sum(b, self.upper(pr), md, self.weight, signed=self.signed, tables=tables)
 
     def batch(self, entries):
-        return batch_sums(self.base, self.signed, self.weight, entries)
+        xn, xd = (self.base, 1) if self.signed else (1, self.base)
+        return [None if r is None else r[0] for r in _tree(_RATIOS[self.weight], xn, xd, entries)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -261,7 +255,8 @@ class CentralBinomialSide:
         return _residues_from_vu(md, k, tables)[k]
 
     def batch(self, entries):
-        return batch_central_binomials(entries)
+        # The last term of the walk of C(2k,k) at x = 1.
+        return [None if r is None else r[1] for r in _tree(_RATIOS[WeightKind.NONE], 1, 1, entries)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -281,8 +276,8 @@ class HarmonicSide:
     def batch(self, entries):
         # None also where p divides den, so that row's own call raises.
         return [
-            None if h is None or self.den % p == 0 else self.num * pow(self.den, -1, pe) * h % pe
-            for (p, _, e), h in zip(entries, batch_alternating_harmonic(entries))
+            None if r is None or self.den % p == 0 else self.num * pow(self.den, -1, pe) * r[0] % pe
+            for (p, _, e), r in zip(entries, _tree(_HARMONIC, -1, 1, entries))
             for pe in [p**e]
         ]
 
@@ -318,7 +313,7 @@ def _t1_2_rhs(pr, md, tables):
 def _t2_main_rhs(pr, md, tables):
     # Every symbol from (m/p) and ((m-4)/p), with (-1/p) = (-1)^((p-1)/2):
     # (m(m-4)/p), (-m/p), and (4-m/p) = (16-4m/p), which picks the entry
-    # index p - (delta/p) of u(4, m) and mbar.
+    # index p - (delta/p) of u(4, m) and the unit _mbar.
     m, p, pe = pr.m, pr.p, md.m
     jm, jm4, j1 = jacobi(m, p), jacobi(m - 4, p), (-1) ** (p // 2)
     j, s4 = jm * jm4, j1 * jm4
@@ -428,20 +423,6 @@ def _l2_2a_rhs(pr, md, tables):
     s2 = jacobi(2, pr.p) ** pr.a
     denom = 3 * pow(2, (pa - 1) // 2, pe) % pe
     return s2 * (pow(2, pa, pe) + 1) % pe * pow(denom, -1, pe) % pe
-
-
-def l2_2a_displayed_rhs(p: int, a: int = 1, e: int = 3) -> int:
-    """The uncorrected closed form with numerator 2^(p^a+1).
-
-    Kept for documentation: it disagrees with both the corrected form and
-    direct computation (already at p = 5, where it gives 78, not 91), so
-    the registry uses the 2^(p^a)+1 numerator instead.
-    """
-    md = Modulus(p, e)
-    pa, pe = p**a, md.m
-    s2 = jacobi(2, p) ** a
-    denom = 3 * pow(2, (pa - 1) // 2, pe) % pe
-    return s2 * pow(2, pa + 1, pe) * pow(denom, -1, pe) % pe
 
 
 def _l2_2b_lhs(pr, md, tables):
@@ -792,7 +773,7 @@ _REGISTRY: tuple[CheckSpec, ...] = (
         "L2_2A",
         CheckKind.LEMMA,
         "quadratic in 2^(p^a-1)-1 equals (2/p^a)(2^(p^a)+1)/(3*2^((p^a-1)/2)) mod p^3 "
-        "(corrected numerator; see l2_2a_displayed_rhs)",
+        "(corrected numerator: 2^(p^a+1) disagrees with direct computation)",
         _l2_2a_lhs,
         _l2_2a_rhs,
         e=3,
@@ -1199,7 +1180,6 @@ def run_check(
         NegativeValuation,
         NotDivisible,
         WeightDomain,
-        ZeroInput,
         ValueError,  # a raw pow(x, -1, m) or a missing case on a forced evaluation
     ) as exc:
         raise CheckError(f"{check_id} at p={p}: {exc}") from exc

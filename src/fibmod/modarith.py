@@ -1,9 +1,8 @@
 """Residue arithmetic modulo odd prime powers.
 
-Everything in this module is exact integer arithmetic: the modulus p^e,
-Jacobi symbols, and the split of an integer into p^v times a unit.
-Residues are plain ints in [0, p^e), and a factored term is the int
-pair (v, u).  All values are immutable after construction and all
+Everything in this module is exact integer arithmetic: the modulus p^e
+and Jacobi symbols.  Residues are plain ints in [0, p^e), and a factored
+term p^v * u is the int pair (v, u).  All values are immutable after construction and all
 operations are pure, so they can be shared freely across worker
 processes.
 """
@@ -24,10 +23,6 @@ class NotInvertible(ModArithError):
 
 class BadDenominator(ModArithError):
     """Jacobi symbol requested with an even or nonpositive denominator."""
-
-
-class ZeroInput(ModArithError):
-    """Zero passed where a nonzero integer is required."""
 
 
 class NegativeValuation(ModArithError):
@@ -140,14 +135,3 @@ def jacobi(n: int, d: int) -> int:
         n %= d
     return result if d == 1 else 0
 
-
-def padic_normalize(n: int, modulus: Modulus) -> tuple[int, int]:
-    """Split a nonzero integer into p^v times a unit: (v, unit mod p^e)."""
-    if n == 0:
-        raise ZeroInput("cannot factor zero")
-    p = modulus.p
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v, n % modulus.m

@@ -11,7 +11,6 @@ from math import comb
 
 import pytest
 
-from fibmod.binomsums import exact_identity_41, exact_lagrange
 from fibmod.checks import (
     CheckKind,
     CheckParams,
@@ -19,7 +18,7 @@ from fibmod.checks import (
     run_check,
     run_conj11n_range,
 )
-from fibmod.modarith import LucasParams, Modulus, padic_normalize
+from fibmod.modarith import LucasParams, Modulus
 from fibmod.scanner import (
     AllSmall,
     MList,
@@ -34,6 +33,7 @@ from fibmod.scanner import (
     wss_search,
 )
 from fibmod.sequences import DomainError, lucas_uv_mod
+from oracles import exact_identity_41, exact_lagrange, padic_normalize
 
 JOBS = 2
 SEED = 20110911

@@ -1,7 +1,7 @@
 """The scan's batched values against the per-prime walk and an exact oracle.
 
-``batch_sums`` evaluates a constant-base sum at many primes at
-once by a remainder tree.  Every value it gives must equal
+A constant-base ``SumSide``'s ``batch`` evaluates its sum at many primes
+at once by a remainder tree.  Every value it gives must equal
 ``central_sum`` with a store of its own, and every entry it leaves out
 must be one of the cases that stay on the walk; the same holds for the
 tree's central binomials and alternating harmonic sums.
@@ -25,9 +25,6 @@ from fibmod.binomsums import (
     WeightKind,
     _residues_from_vu,
     alternating_harmonic,
-    batch_alternating_harmonic,
-    batch_central_binomials,
-    batch_sums,
     central_sum,
     sums_at_bases,
 )
@@ -66,7 +63,6 @@ _FIRST_BAD_K = {
     WeightKind.NONE: lambda p: p,  # k
     WeightKind.CATALAN: lambda p: p - 1,  # k + 1
     WeightKind.LINEAR_K: lambda p: p + 1,  # k - 1
-    WeightKind.INV_2KM1: lambda p: p,  # k
     WeightKind.INV_2KM1_SQ: lambda p: (p + 1) // 2,  # k (2k - 1)
 }
 
@@ -74,7 +70,7 @@ _FIRST_BAD_K = {
 def _left_out(weight, base, signed, p, upper):
     if upper < len(_RATIOS[weight][0]) or (not signed and base % p == 0):
         return True
-    if weight in (WeightKind.INV_2KM1, WeightKind.INV_2KM1_SQ) and upper > (p - 1) // 2:
+    if weight is WeightKind.INV_2KM1_SQ and upper > (p - 1) // 2:
         return True
     return upper >= _FIRST_BAD_K[weight](p)
 
@@ -96,7 +92,7 @@ def test_batch_matches_the_walk(weight):
     batched = 0
     for signed in (False, True):
         for base in BASES:
-            got = batch_sums(base, signed, weight, entries)
+            got = SumSide(base, None, weight, signed).batch(entries)
             assert len(got) == len(entries)
             for (p, upper, e), value in zip(entries, got):
                 if _left_out(weight, base, signed, p, upper):
@@ -114,7 +110,7 @@ def test_batch_matches_the_fraction_oracle(weight):
     entries = _entries(sieve_primes(3, 41)) + [(5, 0, 2), (7, 1, 3), (3, 2, 4)]
     for signed in (False, True):
         for base in BASES + (-16, -1, 1, 105):
-            got = batch_sums(base, signed, weight, entries)
+            got = SumSide(base, None, weight, signed).batch(entries)
             for (p, upper, e), value in zip(entries, got):
                 if _left_out(weight, base, signed, p, upper):
                     assert value is None
@@ -124,27 +120,27 @@ def test_batch_matches_the_fraction_oracle(weight):
 
 
 def test_batch_of_nothing():
-    assert batch_sums(16, False, WeightKind.NONE, []) == []
-    assert batch_sums(3, False, WeightKind.NONE, [(3, 1, 2)]) == [None]
-    assert batch_central_binomials([]) == batch_alternating_harmonic([]) == []
+    assert SumSide(16, None).batch([]) == []
+    assert SumSide(3, None).batch([(3, 1, 2)]) == [None]
+    assert CentralBinomialSide(None).batch([]) == HarmonicSide(None, 1, 1).batch([]) == []
 
 
 def test_central_binomials_match_the_walk():
     # MORLEY's C(p-1, (p-1)/2) mod p^3, mixed with other k and exponents.
     entries = [(p, (p - 1) // 2, 3) for p in PRIMES] + [(p, p - 1, 1 + p % 3) for p in PRIMES]
-    got = batch_central_binomials(entries)
+    got = CentralBinomialSide(None).batch(entries)
     for (p, k, e), value in zip(entries, got):
         assert value == _residues_from_vu(Modulus(p, e), k, PrimeTables())[k], (p, k, e)
-    assert batch_central_binomials([(7, 0, 2), (7, 7, 2), (7, 12, 1)]) == [None] * 3
+    assert CentralBinomialSide(None).batch([(7, 0, 2), (7, 7, 2), (7, 12, 1)]) == [None] * 3
 
 
 def test_alternating_harmonic_matches_the_walk():
     # WILLIAMS's sum to floor(4p/5) mod p, mixed with other bounds and exponents.
     entries = [(p, 4 * p // 5, 1) for p in PRIMES] + [(p, p - 1, 1 + p % 3) for p in PRIMES]
-    got = batch_alternating_harmonic(entries)
+    got = HarmonicSide(None, 1, 1).batch(entries)
     for (p, bound, e), value in zip(entries, got):
         assert value == alternating_harmonic(bound, Modulus(p, e)), (p, bound, e)
-    assert batch_alternating_harmonic([(7, 0, 1), (7, 1, 1), (7, 7, 1)]) == [None] * 3
+    assert HarmonicSide(None, 1, 1).batch([(7, 0, 1), (7, 1, 1), (7, 7, 1)]) == [None] * 3
 
 
 def _fraction_mod(x, m):
@@ -154,8 +150,8 @@ def _fraction_mod(x, m):
 def test_tree_values_match_the_exact_oracle():
     primes = sieve_primes(3, 41)
     for e in (1, 2, 3):
-        binomials = batch_central_binomials([(p, k, e) for p in primes for k in range(1, p)])
-        sums = batch_alternating_harmonic([(p, b, e) for p in primes for b in range(2, p)])
+        binomials = CentralBinomialSide(None).batch([(p, k, e) for p in primes for k in range(1, p)])
+        sums = HarmonicSide(None, 1, 1).batch([(p, b, e) for p in primes for b in range(2, p)])
         want_binomials = [comb(2 * k, k) % p**e for p in primes for k in range(1, p)]
         want_sums = [
             _fraction_mod(sum(Fraction((-1) ** k, k) for k in range(1, b + 1)), p**e)

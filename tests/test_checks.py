@@ -11,15 +11,14 @@ from fibmod.checks import (
     CheckParams,
     UnknownCheckId,
     get_check,
-    l2_2a_displayed_rhs,
     list_checks,
-    mbar,
     run_check,
     run_conj11n_range,
 )
 from fibmod.modarith import LucasParams, Modulus, NotInvertible, jacobi
 from fibmod.scanner import AllSmall, Sample, _m_values, sieve_primes
 from fibmod.sequences import DomainError, entry_index, fibonacci_mod, lucas_uv_mod
+from oracles import l2_2a_displayed_rhs, mbar
 
 
 def test_registry_contents():

@@ -1,18 +1,20 @@
-"""An exact oracle for both sides of the sum checks.
+"""An exact oracle for both sides of the checks.
 
 For T1_1, T1_2, C1_1_8, C1_1_16, C1_2, PANSUN, ADAMCHUK, E4_4 to E4_7
-and the five CONJ1_2_* ids, and for the six m-indexed ids T2_MAIN,
-T2_CAT, BASIC_P, L3_3, P4_1A and P4_1B, both sides are evaluated here
-from the formulas in the registry's descriptions, with no
-``PrimeTables`` and no fibmod arithmetic: the lhs sum_{k<=n} weight(k)
-C(2k,k) x^k as a ``Fraction`` with ``math.comb``, the rhs with Fibonacci
-numbers and u(4, m) from their integer recurrences and Legendre symbols
-by Euler's criterion.  Both are reduced mod p^e and compared, as values
-and not only as a PASS, with ``run_check`` on a fresh store and with the
-rows of a scan, whose store the batch tree (constant bases) or the
-transform over every m in 1..p-1 (m-indexed ids) seeds.  So a wrong sum
-that the closed form happens to share, or a wrong closed form that the
-sum happens to match, shows here.
+and the five CONJ1_2_* ids, for WILLIAMS, L2_2A, L2_2B, AUX_ST, AUX_SS,
+V_CONG_A, L3_2 and MORLEY, for the six m-indexed ids T2_MAIN, T2_CAT,
+BASIC_P, L3_3, P4_1A and P4_1B, and for CONJ1_1A and CONJ1_1N, both
+sides are evaluated here from the formulas in the registry's
+descriptions, with no ``PrimeTables`` and no fibmod arithmetic: sums
+as a ``Fraction`` with ``math.comb``, Fibonacci, Lucas and u(4, m)
+numbers from their integer recurrences, u_n(A, B) by ``exact_lagrange``,
+quotients by exact division by p, and Legendre symbols by Euler's
+criterion.  Both are reduced mod p^e and compared, as values and not
+only as a PASS, with ``run_check`` on a fresh store and (but for the
+n-indexed CONJ1_1N) with the rows of a scan, whose store the batch tree
+(constant bases) or the transform over every m in 1..p-1 (m-indexed
+ids) seeds.  So a wrong sum that the closed form happens to share, or a
+wrong closed form that the sum happens to match, shows here.
 """
 
 from fractions import Fraction
@@ -20,8 +22,10 @@ from math import comb
 
 import pytest
 
-from fibmod.checks import CheckParams, get_check, run_check
+from fibmod.checks import CheckParams, get_check, run_check, run_conj11n_range
+from fibmod.modarith import LucasParams
 from fibmod.scanner import AllSmall, MList, ScanRequest, scan, sieve_primes
+from oracles import exact_lagrange
 
 # (p, a) points: odd p <= 41 at a = 1 and odd p <= 13 at a = 2.
 POINTS = [(p, 1) for p in sieve_primes(3, 41)] + [(p, 2) for p in sieve_primes(3, 13)]
@@ -38,6 +42,25 @@ def fib(n: int) -> int:
     for _ in range(n):
         f, g = g, f + g
     return f
+
+
+def lucas_v(A: int, B: int, n: int) -> int:
+    """v_n(A, B): v_0 = 2, v_1 = A, v_{k+1} = A v_k - B v_{k-1}; L_n at (1, -1)."""
+    v, w = 2, A
+    for _ in range(n):
+        v, w = w, A * w - B * v
+    return v
+
+
+def lucas_u(A: int, B: int, n: int) -> int:
+    """u_n(A, B) for n >= 1, as the Lagrange sum for u_n."""
+    return exact_lagrange(LucasParams(A, B), n - 1)
+
+
+def quotient(x: int, p: int) -> int:
+    """x / p, which must be exact."""
+    assert x % p == 0, (x, p)
+    return x // p
 
 
 def central(base: int, upper: int, weight=lambda k: 1, signed: bool = False) -> Fraction:
@@ -80,6 +103,34 @@ def _adamchuk(p, a):
     return sum(comb(2 * k, k) for k in range(1, 2 * p // 3 + 1)), 0
 
 
+def _williams(p, a):
+    harmonic = sum((Fraction((-1) ** k, k) for k in range(1, 4 * p // 5 + 1)), Fraction(0))
+    return quotient(fib(p - legendre(p, 5)), p), Fraction(2, 5) * harmonic
+
+
+def _l2_2a(p, a):
+    q = p**a
+    t = 2 ** (q - 1) - 1
+    rhs = legendre(2, p) ** a * Fraction(2**q + 1, 3 * 2 ** ((q - 1) // 2))
+    return 1 + Fraction(t, 6) + Fraction(t * t, 24), rhs
+
+
+def _l2_2b(p, a):
+    q, s = p**a, legendre(p**a, 5)
+    return Fraction(lucas_v(1, -1, q) - 1, 5) - s * fib(q) + 1, Fraction(-fib(q - s) ** 2, 2)
+
+
+def _v_cong_a(p, a, A=1, B=-1):
+    return lucas_v(A, B, p), A
+
+
+def _l3_2(p, a, A=1, B=-1):
+    s = legendre(A * A - 4 * B, p)
+    b = 1 if s == 1 else Fraction(1, B)
+    rhs = Fraction(A, 2) * b * lucas_u(A, B, p - s) + s * Fraction(B ** (p - 1) + 1, 2)
+    return lucas_u(A, B, p), rhs
+
+
 # id -> (exponent e, both sides at (p, a) as exact rationals).
 SIDES = {
     "T1_1": (3, _t1_1),
@@ -116,6 +167,17 @@ SIDES = {
     ),
     "CONJ1_2_III_710": (2, lambda p, a: (central(-16, 7 * p**a // 10), legendre(5, p) ** a)),
     "CONJ1_2_III_910": (2, lambda p, a: (central(-16, 9 * p**a // 10), legendre(5, p) ** a)),
+    "WILLIAMS": (1, _williams),
+    "L2_2A": (3, _l2_2a),
+    "L2_2B": (4, _l2_2b),
+    "AUX_ST": (2, lambda p, a: (2 * (lucas_v(1, -1, p) - 1), 5 * fib(p - legendre(p, 5)))),
+    "AUX_SS": (2, lambda p, a: (lucas_v(1, -1, p - legendre(5, p)), 2 * legendre(p, 5))),
+    "V_CONG_A": (1, _v_cong_a),
+    "L3_2": (2, _l3_2),
+    "MORLEY": (
+        3,
+        lambda p, a: (comb(p - 1, (p - 1) // 2), (-1) ** ((p - 1) // 2) * 4 ** (p - 1)),
+    ),
 }
 
 
@@ -253,3 +315,67 @@ def test_m_indexed_scan_rows_match_the_oracle(p_max, a_max):
             continue
         got = (row.exponent, row.lhs, row.rhs)
         assert got == m_oracle(row.check_id, row.p, row.a, row.m), row
+
+
+# (A, B) pairs with delta = A^2 - 4B a square, a non-square and 0 mod
+# various p, and B = 0 (outside L3_2's domain, inside V_CONG_A's).
+AB = ((1, -1), (2, 1), (3, 1), (2, -1), (5, 2), (-3, 7), (6, -5), (4, 0))
+AB_SIDES = {"V_CONG_A": (1, _v_cong_a), "L3_2": (2, _l3_2)}
+
+
+@pytest.mark.parametrize("cid", list(AB_SIDES))
+def test_lucas_ids_match_the_oracle_at_several_ab(cid):
+    e, sides = AB_SIDES[cid]
+    seen = 0
+    for p in sieve_primes(3, 41):
+        for A, B in AB:
+            params = CheckParams(p=p, A=A, B=B)
+            if not get_check(cid).domain(params):
+                continue
+            v = run_check(cid, params)
+            lhs, rhs = sides(p, 1, A, B)
+            want = (e, residue(lhs, p**e), residue(rhs, p**e))
+            assert (v.modulus.e, v.lhs, v.rhs) == want, (p, A, B)
+            seen += 1
+    assert seen >= 60
+
+
+def _conj1_1a(a):
+    """(e, lhs, rhs) of CONJ1_1A at p = 3."""
+    e = 2 * a + 3
+    lhs = central(16, (3**a - 1) // 2)
+    return e, residue(lhs, 3**e), residue(9**a * (-1) ** a * 10, 3**e)
+
+
+def test_conj1_1a_matches_the_oracle():
+    for a in range(1, 6):
+        v = run_check("CONJ1_1A", CheckParams(p=3, a=a))
+        assert (v.modulus.e, v.lhs, v.rhs) == _conj1_1a(a), a
+    rows = scan(ScanRequest(("CONJ1_1A",), 3, 7, a_max=5)).rows
+    assert [(row.exponent, row.lhs, row.rhs) for row in rows if row.p == 3] == [
+        _conj1_1a(a) for a in range(1, 6)
+    ]
+
+
+def v3(x: int) -> int:
+    v = 0
+    while x % 3 == 0:
+        x //= 3
+        v += 1
+    return v
+
+
+def _conj1_1n(n):
+    """(e, lhs, rhs) of CONJ1_1N at n: e is v_3 of (2n+1)^2 C(2n,n), plus 2."""
+    closed = (2 * n + 1) ** 2 * comb(2 * n, n)
+    e = v3(closed) + 2
+    rhs = closed * (1 if n % 3 == 0 else 4)
+    return e, residue(central(16, n), 3**e), residue(rhs, 3**e)
+
+
+def test_conj1_1n_matches_the_oracle():
+    want = [_conj1_1n(n) for n in range(61)]
+    for n in range(61):
+        v = run_check("CONJ1_1N", CheckParams(p=3, n=n))
+        assert (v.modulus.e, v.lhs, v.rhs) == want[n], n
+    assert [(v.modulus.e, v.lhs, v.rhs) for v in run_conj11n_range(60)] == want

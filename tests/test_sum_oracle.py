@@ -3,7 +3,7 @@
 The oracle sums weight(k) C(2k,k) x^k as a ``Fraction`` with
 ``math.comb`` and reduces the result mod p^e only at the end.  Inside
 each weight's domain every denominator is a unit mod p: Catalan numbers
-are integers, 2k - 1 <= p - 2 for the 1/(2k-1) weights, and j <= p - 1
+are integers, 2k - 1 <= p - 2 for the 1/(2k-1)^2 weight, and j <= p - 1
 for H_k^(2).
 """
 
@@ -27,8 +27,6 @@ def _weight(kind: WeightKind, k: int) -> Fraction:
         return Fraction(1, k + 1)
     if kind is WeightKind.LINEAR_K:
         return Fraction(k)
-    if kind is WeightKind.INV_2KM1:
-        return Fraction(1, 2 * k - 1)
     if kind is WeightKind.INV_2KM1_SQ:
         return Fraction(1, (2 * k - 1) ** 2)
     return sum((Fraction(1, j * j) for j in range(1, k + 1)), Fraction(0))
@@ -38,7 +36,7 @@ def _max_upper(kind: WeightKind, p: int) -> int:
     """The largest upper bound in the weight's domain; 3p where it has none."""
     if kind in (WeightKind.NONE, WeightKind.CATALAN, WeightKind.LINEAR_K):
         return 3 * p
-    if kind in (WeightKind.INV_2KM1, WeightKind.INV_2KM1_SQ):
+    if kind is WeightKind.INV_2KM1_SQ:
         return (p - 1) // 2
     return p - 1
 

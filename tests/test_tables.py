@@ -6,8 +6,8 @@ one segment walk in ``binomsums``; these tests compare each with
 ``math.comb`` and ``Fraction`` values computed from scratch.  Upper
 bounds reach p^3 for p <= 7 where the weight allows it, so they cross
 many multiples of p: the valuation dips at p | k, the runs where v >= e
-and the table is zero, and the units past k >= p.  The 1/(2k-1) weights
-stop at (p-1)/2, their domain.
+and the table is zero, and the units past k >= p.  The 1/(2k-1)^2 weight
+stops at (p-1)/2, its domain.
 """
 
 from fractions import Fraction
@@ -35,20 +35,18 @@ WALKED = (
     WeightKind.NONE,
     WeightKind.CATALAN,
     WeightKind.LINEAR_K,
-    WeightKind.INV_2KM1,
     WeightKind.INV_2KM1_SQ,
 )
 WEIGHTS = {
     WeightKind.NONE: lambda k: 1,
     WeightKind.CATALAN: lambda k: Fraction(1, k + 1),
     WeightKind.LINEAR_K: lambda k: k,
-    WeightKind.INV_2KM1: lambda k: Fraction(1, 2 * k - 1),
     WeightKind.INV_2KM1_SQ: lambda k: Fraction(1, (2 * k - 1) ** 2),
 }
 
 
 def _max_upper(p: int, weight: WeightKind = WeightKind.NONE) -> int:
-    if weight in (WeightKind.INV_2KM1, WeightKind.INV_2KM1_SQ):
+    if weight is WeightKind.INV_2KM1_SQ:
         return (p - 1) // 2
     return p**3 if p <= 7 else 4 * p
 
