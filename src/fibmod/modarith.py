@@ -2,9 +2,9 @@
 
 Everything in this module is exact integer arithmetic: the modulus p^e
 and Jacobi symbols.  Residues are plain ints in [0, p^e), and a factored
-term p^v * u is the int pair (v, u).  All values are immutable after construction and all
-operations are pure, so they can be shared freely across worker
-processes.
+term p^v * u is the int pair (v, u).  All values are immutable after
+construction and all operations are pure, so they can be shared freely
+across worker processes.
 """
 
 from __future__ import annotations
@@ -134,4 +134,3 @@ def jacobi(n: int, d: int) -> int:
             result = -result
         n %= d
     return result if d == 1 else 0
-
