@@ -10,13 +10,8 @@ _spec.loader.exec_module(mutants)
 
 
 def test_every_old_text_occurs_exactly_once():
-    for m in mutants.MUTANTS:
-        assert mutants.occurrences(mutants.ROOT, m) == 1, m.name
-
-
-def test_every_mutant_changes_its_text_and_says_why():
     names = [m.name for m in mutants.MUTANTS]
     assert len(set(names)) == len(names)
     for m in mutants.MUTANTS:
         assert m.old != m.new and m.reason, m.name
-        assert os.path.isfile(os.path.join(mutants.ROOT, m.file)), m.name
+        assert mutants.occurrences(mutants.ROOT, m) == 1, m.name

@@ -2,20 +2,19 @@
 
 Usage (from the repository root):
 
-    python3 tools/mutants.py                 # every mutant, against HEAD
+    python3 tools/mutants.py                 # every mutant
     python3 tools/mutants.py NAME [NAME ...] # only these
-    python3 tools/mutants.py --list
 
 Each mutant names a file, an old text that occurs exactly once in it, a
 new text and the reason it is wrong.  For each, the committed tree of
-``--rev`` (default HEAD) is unpacked by ``git archive`` into a temporary
-directory, as ``tools/pairs.py`` does, the old text is replaced by the
-new one, and tier-1 runs there with ``-x -q``, but for
-``tests/test_mutants.py``.  A mutant is caught when
-pytest reports a failing test; the script prints that test and the
-mutant's time.  It exits 1 if a mutant survives or times out, or if its
-old text does not occur exactly once.  ``tests/test_mutants.py`` checks
-the old texts in the working tree without running pytest per mutant.
+HEAD is unpacked by ``git archive`` into a temporary directory, as
+``tools/pairs.py`` does, the old text is replaced by the new one, and
+tier-1 runs there with ``-x -q``, but for ``tests/test_mutants.py``.  A
+mutant is caught when pytest reports a failing test; the script prints
+that test and the mutant's time.  It exits 1 if a mutant survives or
+times out, or if its old text does not occur exactly once.
+``tests/test_mutants.py`` checks the old texts in the working tree
+without running pytest per mutant.
 """
 
 from __future__ import annotations
@@ -294,21 +293,13 @@ def run(mutant: Mutant, rev: str) -> tuple[str, float]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("names", nargs="*", help="run only these mutants")
-    parser.add_argument("--rev", default="HEAD", help="git revision to mutate (default HEAD)")
-    parser.add_argument("--list", action="store_true", help="print the mutants and exit")
     ns = parser.parse_args(argv)
     by_name = {m.name: m for m in MUTANTS}
     unknown = [n for n in ns.names if n not in by_name]
     if unknown:
         parser.error(f"unknown mutant {', '.join(unknown)}")
     chosen = [by_name[n] for n in ns.names] if ns.names else list(MUTANTS)
-    if ns.list:
-        for m in chosen:
-            print(f"{m.name}: {m.file}: {m.reason}")
-        return 0
-    rev = subprocess.run(
-        ["git", "rev-parse", "--verify", f"{ns.rev}^{{commit}}"], cwd=ROOT, check=True, capture_output=True, text=True
-    ).stdout.strip()
+    rev = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
     survived = 0
     total = 0.0
     for m in chosen:
