@@ -2,8 +2,7 @@
 
 Usage (from the repository root):
 
-    python3 tools/mutants.py                 # every mutant
-    python3 tools/mutants.py NAME [NAME ...] # only these
+    python3 tools/mutants.py
 
 Each mutant names a file, an old text that occurs exactly once in it, a
 new text and the reason it is wrong.  For each, the committed tree of
@@ -11,15 +10,17 @@ HEAD is unpacked by ``git archive`` into a temporary directory, as
 ``tools/pairs.py`` does, the old text is replaced by the new one, and
 tier-1 runs there with ``-x -q``, but for ``tests/test_mutants.py``.  A
 mutant is caught when pytest reports a failing test; the script prints
-that test and the mutant's time.  It exits 1 if a mutant survives or
-times out, or if its old text does not occur exactly once.
+that test and the mutant's time.  Before the mutants, the same command
+runs once on the unmutated tree; if that fails, no failure could be
+credited to a mutant, and the script exits 1 without running them.  It
+exits 1 if a mutant survives or times out, or if its old text does not
+occur exactly once.
 ``tests/test_mutants.py`` checks the old texts in the working tree
 without running pytest per mutant.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import subprocess
 import sys
@@ -261,14 +262,19 @@ def _env(root: str) -> dict[str, str]:
     return env
 
 
-def run(mutant: Mutant, rev: str) -> tuple[str, float]:
-    """("caught: <first failing test>" or why not, seconds) for one mutant."""
+def run(mutant: Mutant | None, rev: str) -> tuple[str, float]:
+    """(outcome, seconds) of tier-1 on ``rev`` with ``mutant`` applied.
+
+    The outcome is "caught: <first failing test>", "passed", or why
+    neither.  With ``mutant`` None the tree runs unmutated.
+    """
     with tempfile.TemporaryDirectory() as tmp:
         _unpack(rev, tmp)
-        count = occurrences(tmp, mutant)
-        if count != 1:
-            return f"error: the old text occurs {count} times at {rev[:12]}", 0.0
-        _apply(tmp, mutant)
+        if mutant is not None:
+            count = occurrences(tmp, mutant)
+            if count != 1:
+                return f"error: the old text occurs {count} times at {rev[:12]}", 0.0
+            _apply(tmp, mutant)
         # An installed fibmod must not shadow the mutated one.
         where = subprocess.run(
             [sys.executable, "-c", "import fibmod; print(fibmod.__file__)"],
@@ -287,27 +293,27 @@ def run(mutant: Mutant, rev: str) -> tuple[str, float]:
     failed = [line for line in proc.stdout.splitlines() if line.startswith(("FAILED ", "ERROR "))]
     if failed:
         return f"caught: {failed[0]}", seconds
-    return f"SURVIVED (pytest exit {proc.returncode})", seconds
+    if proc.returncode == 0:
+        return "passed", seconds
+    return f"no failing test, pytest exit {proc.returncode}", seconds
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("names", nargs="*", help="run only these mutants")
-    ns = parser.parse_args(argv)
-    by_name = {m.name: m for m in MUTANTS}
-    unknown = [n for n in ns.names if n not in by_name]
-    if unknown:
-        parser.error(f"unknown mutant {', '.join(unknown)}")
-    chosen = [by_name[n] for n in ns.names] if ns.names else list(MUTANTS)
+def main() -> int:
     rev = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
+    outcome, seconds = run(None, rev)
+    print(f"{'(unmutated HEAD)':<36} {seconds:7.1f} s  {outcome}", flush=True)
+    if outcome != "passed":
+        print("tier-1 does not pass on the unmutated tree; no mutant was run")
+        return 1
     survived = 0
     total = 0.0
-    for m in chosen:
+    for m in MUTANTS:
         outcome, seconds = run(m, rev)
         total += seconds
-        survived += not outcome.startswith("caught")
-        print(f"{m.name:<36} {seconds:7.1f} s  {outcome}", flush=True)
-    print(f"{len(chosen) - survived} of {len(chosen)} mutants caught in {total:.0f} s")
+        caught = outcome.startswith("caught")
+        survived += not caught
+        print(f"{m.name:<36} {seconds:7.1f} s  {outcome if caught else 'SURVIVED: ' + outcome}", flush=True)
+    print(f"{len(MUTANTS) - survived} of {len(MUTANTS)} mutants caught in {total:.0f} s")
     return 1 if survived else 0
 
 
