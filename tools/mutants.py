@@ -275,13 +275,13 @@ def run(mutant: Mutant | None, rev: str) -> tuple[str, float]:
             if count != 1:
                 return f"error: the old text occurs {count} times at {rev[:12]}", 0.0
             _apply(tmp, mutant)
-        # An installed fibmod must not shadow the mutated one.
+        # An installed fibmod must not shadow the unpacked one.
         where = subprocess.run(
             [sys.executable, "-c", "import fibmod; print(fibmod.__file__)"],
             cwd=tmp, env=_env(tmp), capture_output=True, text=True,
         ).stdout.strip()
         if not os.path.realpath(where or "/").startswith(os.path.realpath(tmp)):
-            return f"error: fibmod imports from {where or 'nowhere'}, not the mutated tree", 0.0
+            return f"error: fibmod imports from {where or 'nowhere'}, not the unpacked tree", 0.0
         # test_mutants.py fails on every mutated tree, whose old text is gone.
         cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--ignore=tests/test_mutants.py"]
         start = time.perf_counter()
