@@ -15,12 +15,12 @@ store's inverses of 1..n serve only the H2 prefix,
 ``alternating_harmonic``, ``power_over_square_sum`` and MT_26's closed
 form in ``checks``.
 A sum has three evaluators: for one sum, Horner's rule over a prefix of
-the walked table, at one inversion of the base; for one base at many
-primes, ``_tree``, a remainder tree over 2x2 matrix products, which the
-side records in ``checks`` call (the same tree gives C(2k,k) and the
-alternating harmonic sum); for many bases at one prime,
-``sums_at_bases``, a chirp-z transform over the Teichmüller points mod
-p^e.  A scan uses the last two where it can.
+the walked table, at one inversion of the base (at x = 1, the prefix's
+plain sum); for one base at many primes, ``_tree``, a remainder tree
+over 2x2 matrix products, which the side records in ``checks`` call
+(the same tree gives C(2k,k) and the alternating harmonic sum); for many
+bases at one prime, ``sums_at_bases``, a chirp-z transform over the
+Teichmüller points mod p^e.  A scan uses the last two where it can.
 """
 
 from __future__ import annotations
@@ -249,11 +249,15 @@ def _check_weight_domain(weight: WeightKind, upper: int, p: int) -> None:
 def _sum_with_power(
     x: int, upper: int, modulus: Modulus, weight: WeightKind, tables: PrimeTables
 ) -> int:
-    """sum_{k=0}^{upper} weight(k) C(2k,k) x^k mod p^e by Horner's rule, x reduced."""
+    """sum_{k=0}^{upper} weight(k) C(2k,k) x^k mod p^e by Horner's rule, x
+    reduced; at x = 1 the plain sum of the terms."""
     pe = modulus.m
-    acc = 0
     # Cached tables may extend past ``upper``; always slice to the range.
-    for t in reversed(_residues_from_vu(modulus, upper, tables, weight)[: upper + 1]):
+    terms = _residues_from_vu(modulus, upper, tables, weight)[: upper + 1]
+    if x == 1:
+        return sum(terms) % pe
+    acc = 0
+    for t in reversed(terms):
         acc = (acc * x + t) % pe
     return acc
 
@@ -283,7 +287,7 @@ def central_sum(
     A negative upper raises ``ValueError``.  An unsigned base is inverted
     once, so p dividing it raises ``NotInvertible`` unless upper is 0; a
     signed base is not inverted, so p may divide it.  x is applied by
-    Horner's rule.  Sums that share ``tables`` share their residue tables,
+    Horner's rule, or not at all where it is 1 mod p^e.  Sums that share ``tables`` share their residue tables,
     and the store's ``sums`` answers a sum it has seen; failures are not
     kept.
     An unsigned sum over one of the store's ``bases`` is instead given at

@@ -8,8 +8,10 @@ worker count.  ``binomsums`` has three sum evaluators: the walk plus
 Horner's rule for one sum, the tree for one base at many primes, and the
 transform for many bases at one prime.  Before the primes are handed
 out, the tree gives every constant-base sum side, central binomial and
-alternating harmonic side at all of them, and each prime's store starts
-with those values in its ``sides``, keyed by the row that reads them.
+alternating harmonic side at all of them, one task per group of side
+records that share a ``batch`` call, run on the same worker pool as the
+primes.  Each prime's store starts with those values in its ``sides``,
+keyed by the row that reads them.
 The store also holds the prime's m list, so its first sum over base m
 gives that sum at every m by the transform.
 """
@@ -263,42 +265,47 @@ def _batched_sides(ids: tuple[str, ...]) -> tuple[tuple[str, str], ...]:
     )
 
 
-def _batched_sums(
-    sides: tuple[tuple[str, str], ...], primes: list[int], force: bool, budget: int
-) -> list[tuple[int | None, ...]]:
-    """Per prime, the value at a = 1 of each of ``sides``, or None.
-
-    A side is evaluated only at the primes where ``run_check`` reads it
-    (in the domain unless forced, and within the budget), and sides that
-    differ only in their upper share one ``batch`` call.  None marks a
-    value that its row evaluates itself, or one ``run_check`` never
-    reads.  One group's entries are alive at a time: only the values are
-    kept.
-    """
-    columns: list[list[int | None]] = [[None] * len(primes) for _ in sides]
-    groups: dict[object, list[int]] = {}
-    for j, (cid, name) in enumerate(sides):
+def _batch_groups(sides: tuple[tuple[str, str], ...]) -> list[tuple[tuple[str, str], ...]]:
+    """``sides`` split into the groups that share one ``batch`` call: the
+    sides whose records differ only in their upper."""
+    groups: dict[object, list[tuple[str, str]]] = {}
+    for cid, name in sides:
         side = getattr(get_check(cid), name)
-        groups.setdefault(replace(side, upper=None), []).append(j)
-    for group, members in groups.items():
-        entries: list[tuple[int, int, int]] = []
-        read: list[list[int]] = []  # per member, the indices of the primes it is read at
-        for j in members:
-            cid, name = sides[j]
-            spec = get_check(cid)
-            upper = getattr(spec, name).upper
-            read.append([])
-            for i, p in enumerate(primes):
-                pr = CheckParams(p=p, force=force, budget=budget)
-                if evaluates(spec, pr):
-                    read[-1].append(i)
-                    entries.append((p, upper(pr), spec.exponent(pr)))
-        values = iter(group.batch(entries))
-        for j, where in zip(members, read):
-            column = columns[j]
-            for i, s in zip(where, values):
-                column[i] = s
-    return list(zip(*columns)) if sides else [()] * len(primes)
+        groups.setdefault(replace(side, upper=None), []).append((cid, name))
+    return [tuple(members) for members in groups.values()]
+
+
+def _batch_group(task) -> list[list[int | None]]:
+    """Per member of one batch group, its value at a = 1 at each prime, or None.
+
+    ``task`` is (members, primes, force, budget).  A side is evaluated
+    only at the primes where ``run_check`` reads it (in the domain unless
+    forced, and within the budget), and the whole group is one ``batch``
+    call.  None marks a value that its row evaluates itself, or one
+    ``run_check`` never reads.  A scan runs each group as a task of its
+    pool, so the task builds its own entries and returns only the values.
+    """
+    members, primes, force, budget = task
+    entries: list[tuple[int, int, int]] = []
+    read: list[list[int]] = []  # per member, the indices of the primes it is read at
+    for cid, name in members:
+        spec = get_check(cid)
+        upper = getattr(spec, name).upper
+        read.append([])
+        for i, p in enumerate(primes):
+            pr = CheckParams(p=p, force=force, budget=budget)
+            if evaluates(spec, pr):
+                read[-1].append(i)
+                entries.append((p, upper(pr), spec.exponent(pr)))
+    cid, name = members[0]
+    values = iter(replace(getattr(get_check(cid), name), upper=None).batch(entries))
+    columns = []
+    for where in read:
+        column: list[int | None] = [None] * len(primes)
+        for i, s in zip(where, values):
+            column[i] = s
+        columns.append(column)
+    return columns
 
 
 def _prime_worker(task) -> list[Row]:
@@ -336,25 +343,34 @@ def scan(request: ScanRequest) -> Report:
     errors; rows are ordered by (p, check_id, a, m).  A ``CheckError``
     (arithmetic that breaks) propagates, unless the request is forced,
     where it becomes a SKIP row too.
+
+    The batch groups run first, as tasks of the same pool as the primes
+    when there is one, and each prime's task carries its values.
     """
     ids = tuple(sorted(set(request.check_ids)))
     primes = [p for p in sieve_primes(request.p_min, request.p_max) if p > 2]
-    sides = _batched_sides(ids)
-    sums = _batched_sums(sides, primes, request.force, request.budget)
-    tasks = [
-        (p, ids, request.a_max, request.m_policy, request.budget, request.force, sides, s)
-        for p, s in zip(primes, sums)
-    ]
+    groups = _batch_groups(_batched_sides(ids))
+    sides = tuple(side for members in groups for side in members)
+    group_tasks = [(members, primes, request.force, request.budget) for members in groups]
+
+    def prime_tasks(columns: list[list[list[int | None]]]) -> list[tuple]:
+        sums = zip(*[column for group in columns for column in group]) if sides else repeat(())
+        return [
+            (p, ids, request.a_max, request.m_policy, request.budget, request.force, sides, s)
+            for p, s in zip(primes, sums)
+        ]
+
     rows: list[Row] = []
-    if request.jobs > 1 and len(tasks) > 1:
+    if request.jobs > 1 and len(primes) > 1:
         # Imported here, since only a pool needs it: wss and check never fork.
         import multiprocessing
 
-        with multiprocessing.Pool(processes=min(request.jobs, len(tasks))) as pool:
-            for chunk in pool.imap(_prime_worker, tasks, chunksize=4):
+        with multiprocessing.Pool(processes=min(request.jobs, len(primes))) as pool:
+            columns = pool.map(_batch_group, group_tasks, chunksize=1)
+            for chunk in pool.imap(_prime_worker, prime_tasks(columns), chunksize=4):
                 rows.extend(chunk)
     else:
-        for task in tasks:
+        for task in prime_tasks([_batch_group(task) for task in group_tasks]):
             rows.extend(_prime_worker(task))
     summary: dict[str, dict[str, int]] = {
         cid: {"pass": 0, "fail": 0, "skip": 0} for cid in ids

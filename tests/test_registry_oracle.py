@@ -1,20 +1,19 @@
 """An exact oracle for both sides of the checks.
 
-For T1_1, T1_2, C1_1_8, C1_1_16, C1_2, PANSUN, ADAMCHUK, E4_4 to E4_7
-and the five CONJ1_2_* ids, for WILLIAMS, L2_2A, L2_2B, AUX_ST, AUX_SS,
-V_CONG_A, L3_2 and MORLEY, for the six m-indexed ids T2_MAIN, T2_CAT,
-BASIC_P, L3_3, P4_1A and P4_1B, and for CONJ1_1A and CONJ1_1N, both
-sides are evaluated here from the formulas in the registry's
-descriptions, with no ``PrimeTables`` and no fibmod arithmetic: sums
-as a ``Fraction`` with ``math.comb``, Fibonacci, Lucas and u(4, m)
-numbers from their integer recurrences, u_n(A, B) by ``exact_lagrange``,
-quotients by exact division by p, and Legendre symbols by Euler's
-criterion.  Both are reduced mod p^e and compared, as values and not
-only as a PASS, with ``run_check`` on a fresh store and (but for the
-n-indexed CONJ1_1N) with the rows of a scan, whose store the batch tree
-(constant bases) or the transform over every m in 1..p-1 (m-indexed
-ids) seeds.  So a wrong sum that the closed form happens to share, or a
-wrong closed form that the sum happens to match, shows here.
+For every one of the 39 ids, both sides are evaluated here from the
+formulas in the registry's descriptions, with no ``PrimeTables`` and no
+fibmod arithmetic: sums as a ``Fraction`` with ``math.comb`` (the
+H_k^(2), 1/k^2 and termwise sums of L2_1, L2_3A, L2_3B, MT_26, MT_27,
+AUX_GRANVILLE and AUX_S08 too), Fibonacci, Lucas and u(4, m) numbers
+from their integer recurrences, u_n(A, B) by ``exact_lagrange``,
+Fibonacci and Fermat quotients by exact division by p, and Legendre
+symbols by Euler's criterion.  Both are reduced mod p^e and compared,
+as values and not only as a PASS, with ``run_check`` on a fresh store
+and (but for the n-indexed CONJ1_1N) with the rows of a scan, whose
+store the batch tree (constant bases) or the transform over every m in
+1..p-1 (m-indexed ids) seeds.  So a wrong sum that the closed form
+happens to share, or a wrong closed form that the sum happens to match,
+shows here.
 """
 
 from fractions import Fraction
@@ -22,8 +21,9 @@ from math import comb
 
 import pytest
 
+from fibmod.binomsums import PrimeTables
 from fibmod.checks import CheckParams, get_check, run_check, run_conj11n_range
-from fibmod.modarith import LucasParams
+from fibmod.modarith import LucasParams, Modulus
 from fibmod.scanner import AllSmall, MList, ScanRequest, scan, sieve_primes
 from oracles import exact_lagrange
 
@@ -131,6 +131,61 @@ def _l3_2(p, a, A=1, B=-1):
     return lucas_u(A, B, p), rhs
 
 
+def _l2_1_terms(p, a):
+    """L2_1's two termwise lists for k = 0..(p^a-1)/2: binom(n+k, 2k) -
+    C(2k,k)/(-16)^k, and (-1)^(k-1) (-1/p^a) binom(p^a-1-2k, n-k) T_k with
+    T_k = sum_{0<j<=k} p^(2a)/(2j-1)^2."""
+    q = p**a
+    n = (q - 1) // 2
+    lhs = [comb(n + k, 2 * k) - Fraction(comb(2 * k, k), (-16) ** k) for k in range(n + 1)]
+    rhs, tail = [], Fraction(0)
+    for k in range(n + 1):
+        if k:
+            tail += Fraction(q * q, (2 * k - 1) ** 2)
+        rhs.append(-((-1) ** k) * legendre(-1, p) ** a * comb(q - 1 - 2 * k, n - k) * tail)
+    return lhs, rhs
+
+
+def _l2_1(p, a):
+    """L2_1's pair at k = (p^a-1)/2.  The lemma holds at every k, which is
+    asserted here, so a correct row shows the last pair."""
+    lhs, rhs = _l2_1_terms(p, a)
+    assert [residue(x, p**3) for x in lhs] == [residue(x, p**3) for x in rhs], (p, a)
+    return lhs[-1], rhs[-1]
+
+
+def h2_sum(x: int, p: int) -> Fraction:
+    """sum_{k<p} x^k C(2k,k) H_k^(2), H_k^(2) = sum_{0<j<=k} 1/j^2."""
+    total, h = Fraction(0), Fraction(0)
+    for k in range(p):
+        if k:
+            h += Fraction(1, k * k)
+        total += x**k * comb(2 * k, k) * h
+    return total
+
+
+def over_squares(term, p: int) -> Fraction:
+    """sum_{k=1}^{p-1} term(k) / k^2."""
+    return sum((Fraction(term(k)) / (k * k) for k in range(1, p)), Fraction(0))
+
+
+def fib_quotient(p: int) -> int:
+    return quotient(fib(p - legendre(p, 5)), p)
+
+
+def fermat_quotient_2(p: int) -> int:
+    return quotient(2 ** (p - 1) - 1, p)
+
+
+def _l2_3a(p, a):
+    return h2_sum(-1, p), legendre(p, 5) * Fraction(5, 2) * fib_quotient(p) ** 2
+
+
+def _mt_27(p, a):
+    u = lambda k: Fraction(2 * (2**k - Fraction(1, 2**k)), 3)  # noqa: E731
+    return h2_sum(-2, p), -2 * over_squares(u, p)
+
+
 # id -> (exponent e, both sides at (p, a) as exact rationals).
 SIDES = {
     "T1_1": (3, _t1_1),
@@ -178,6 +233,22 @@ SIDES = {
         3,
         lambda p, a: (comb(p - 1, (p - 1) // 2), (-1) ** ((p - 1) // 2) * 4 ** (p - 1)),
     ),
+    "L2_1": (3, _l2_1),
+    "L2_3A": (1, _l2_3a),
+    "L2_3B": (1, lambda p, a: (h2_sum(-2, p), Fraction(2, 3) * fermat_quotient_2(p) ** 2)),
+    "MT_26": (1, lambda p, a: (h2_sum(-1, p), -2 * over_squares(lambda k: fib(2 * k), p))),
+    "MT_27": (1, _mt_27),
+    "AUX_GRANVILLE": (
+        1,
+        lambda p, a: (over_squares(lambda k: 2**k, p), -(fermat_quotient_2(p) ** 2)),
+    ),
+    "AUX_S08": (
+        1,
+        lambda p, a: (
+            over_squares(lambda k: Fraction(1, 2**k), p),
+            -Fraction(fermat_quotient_2(p) ** 2, 2),
+        ),
+    ),
 }
 
 
@@ -219,6 +290,27 @@ def test_scan_rows_match_the_oracle(p_max, a_max):
             continue
         got = (row.exponent, row.lhs, row.rhs)
         assert got == oracle(row.check_id, row.p, row.a), row
+
+
+def test_l2_1_terms_match_the_oracle():
+    # run_check shows one pair of L2_1's lists; here every term is compared.
+    spec = get_check("L2_1")
+    for p, a in POINTS:
+        pr = CheckParams(p=p, a=a)
+        md = Modulus(p, 3)
+        want = [[residue(x, p**3) for x in side] for side in _l2_1_terms(p, a)]
+        assert [spec.lhs(pr, md, PrimeTables()), spec.rhs(pr, md, PrimeTables())] == want, (p, a)
+
+
+def test_l2_3a_anomaly_at_3_matches_the_oracle():
+    # Forced at p = 3, L2_3A's sides are 1 and 2 mod 3: a FAIL whose values
+    # the oracle gives too.
+    e, lhs, rhs = oracle("L2_3A", 3, 1)
+    assert (e, lhs, rhs) == (1, 1, 2)
+    v = run_check("L2_3A", CheckParams(p=3, force=True))
+    assert (v.modulus.e, v.lhs, v.rhs, v.passed) == (e, lhs, rhs, False)
+    row = scan(ScanRequest(("L2_3A",), 3, 7, force=True)).rows[0]
+    assert (row.p, row.exponent, row.lhs, row.rhs, row.status) == (3, e, lhs, rhs, "FAIL")
 
 
 # The m-indexed ids: odd p <= 23 at a = 1 and odd p <= 11 at a = 2, at

@@ -1,4 +1,5 @@
 import gc
+import os
 
 import pytest
 
@@ -184,6 +185,9 @@ def test_scan_starts_no_more_workers_than_primes(monkeypatch):
         def __exit__(self, *exc):
             return False
 
+        def map(self, func, tasks, chunksize=None):
+            return list(map(func, tasks))
+
         def imap(self, func, tasks, chunksize=1):
             return map(func, tasks)
 
@@ -192,6 +196,27 @@ def test_scan_starts_no_more_workers_than_primes(monkeypatch):
     for jobs, processes in ((64, 3), (2, 2)):
         assert scan(ScanRequest(check_ids=("T1_1",), p_min=3, p_max=7, jobs=jobs)).rows == alone
         assert started.pop() == processes
+
+
+WIDE_IDS = ("T1_2", "C1_1_8", "C1_1_16", "C1_2", "WILLIAMS", "ADAMCHUK", "E4_4", "E4_5", "E4_6", "E4_7", "MORLEY")
+
+
+def test_scan_runs_the_batch_prefill_in_the_workers(monkeypatch):
+    # With a pool, each batch group is a task of that pool: the side
+    # records' tree never runs in the parent, and the rows do not change.
+    want = scan(ScanRequest(WIDE_IDS, 3, 400)).rows
+    parent = os.getpid()
+    tree = checks._tree
+
+    def tree_outside_the_parent(*args):
+        if os.getpid() == parent:
+            raise AssertionError("the batch tree ran in the parent")
+        return tree(*args)
+
+    monkeypatch.setattr(checks, "_tree", tree_outside_the_parent)
+    with pytest.raises(AssertionError, match="ran in the parent"):
+        scan(ScanRequest(WIDE_IDS, 3, 400))
+    assert scan(ScanRequest(WIDE_IDS, 3, 400, jobs=2)).rows == want
 
 
 def test_render_csv_shape():

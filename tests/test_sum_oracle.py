@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibmod.binomsums import PrimeTables, WeightKind, central_sum
+from fibmod.binomsums import PrimeTables, WeightKind, _residues_from_vu, _sum_with_power, central_sum
 from fibmod.modarith import Modulus, NotInvertible
 
 PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
@@ -101,3 +101,47 @@ def test_shared_cache_matches_fresh_cache(case, base, fractions):
         shared = central_sum(base, upper, md, kind, signed=True, tables=cache)
         assert shared == central_sum(base, upper, md, kind, signed=True, tables=PrimeTables())
 
+
+
+def _uppers_at_one(kind: WeightKind, p: int) -> list[int]:
+    """0, p - 1, floor(2p/3), the uppers (p^2-1)/2 and floor(2p^2/3) of a
+    = 2, and (p-1)/2, each where the weight's domain allows."""
+    uppers = {0, (p - 1) // 2, p - 1, 2 * p // 3, (p * p - 1) // 2, 2 * p * p // 3}
+    if kind is WeightKind.INV_2KM1_SQ:
+        return sorted(u for u in uppers if u <= (p - 1) // 2)
+    if kind is WeightKind.H2:
+        return sorted(u for u in uppers if u <= p - 1)
+    return sorted(uppers)
+
+
+def test_sum_at_one_matches_horner_and_the_oracle():
+    # At x = 1 the kernel adds the table's terms instead of running
+    # Horner's rule.  Bases 1 (signed and unsigned) and 1 + p^e all reduce
+    # to x = 1; a store walked to the largest upper first must still be
+    # read only to each upper.
+    for p in PRIMES + [41]:
+        for kind in WeightKind:
+            uppers = _uppers_at_one(kind, p)
+            exact, total = {}, Fraction(0)
+            for k in range(uppers[-1] + 1):
+                total += _weight(kind, k) * comb(2 * k, k)
+                if k in uppers:
+                    exact[k] = total
+            for e in (1, 2, 3):
+                md = Modulus(p, e)
+                pe = md.m
+                walked = PrimeTables()
+                _residues_from_vu(md, uppers[-1], walked, kind)
+                for upper in uppers:
+                    want = exact[upper].numerator * pow(exact[upper].denominator, -1, pe) % pe
+                    terms = _residues_from_vu(md, upper, PrimeTables(), kind)[: upper + 1]
+                    horner, x = 0, 1
+                    for t in reversed(terms):
+                        horner = (horner * x + t) % pe
+                    assert horner == want, (p, e, kind, upper)
+                    for tables in (PrimeTables(), walked):
+                        assert _sum_with_power(1, upper, md, kind, tables) == want, (p, e, kind, upper)
+                    for base, signed in ((1, True), (1, False), (1 + pe, True), (1 + pe, False)):
+                        for tables in (PrimeTables(), walked):
+                            got = central_sum(base, upper, md, kind, signed=signed, tables=tables)
+                            assert got == want, (p, e, kind, upper, base, signed)

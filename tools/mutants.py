@@ -83,6 +83,29 @@ MUTANTS = (
         "WeightKind.INV_2KM1_SQ: ((2,),",
         "C(0,0)/(-1)^2 is 1",
     ),
+    # The x = 1 kernel.
+    Mutant(
+        "sum_at_one_whole_table",
+        _B,
+        "        return sum(terms) % pe",
+        "        return sum(_residues_from_vu(modulus, upper, tables, weight)) % pe",
+        "a store's table may run past the upper; the sum at x = 1 reads only its prefix",
+    ),
+    # The H2 and 1/k^2 sums.
+    Mutant(
+        "h2_prefix_not_squared",
+        _B,
+        "h2.extend([(h := (h + x * x) % pe)",
+        "h2.extend([(h := (h + x) % pe)",
+        "H_k^(2) adds 1/j^2, not 1/j",
+    ),
+    Mutant(
+        "power_over_square_short",
+        _B,
+        "    for k in range(1, p):\n        xk = xk * x % pe",
+        "    for k in range(1, p - 1):\n        xk = xk * x % pe",
+        "the 1/k^2 power sums run to k = p - 1",
+    ),
     # The side records' batches.
     Mutant(
         "sum_batch_reads_last_term",
@@ -161,6 +184,55 @@ MUTANTS = (
         "out[k] = val if k % 2 else (-val) % pe",
         "out[k] = val",
         "L2_1's rhs carries (-1)^(k-1)",
+    ),
+    Mutant(
+        "l2_1_lhs_base_16",
+        _C,
+        "x = pow(-16 % pe, -1, pe)",
+        "x = pow(16, -1, pe)",
+        "L2_1's lhs divides C(2k,k) by (-16)^k",
+    ),
+    Mutant(
+        "l2_1_tail_valuation",
+        _C,
+        "vterm = 2 * a - 2 * w",
+        "vterm = 2 * a - w",
+        "p^(2a)/(2j-1)^2 loses p^2 per p in 2j-1, which shows at a = 2",
+    ),
+    Mutant(
+        "l2_3a_rhs_unsigned",
+        _C,
+        "return jacobi(pr.p, 5) * 5 % pe",
+        "return 5 % pe",
+        "L2_3A's rhs carries (p/5)",
+    ),
+    Mutant(
+        "l2_3b_rhs_one_third",
+        _C,
+        "return 2 * pow(3, -1, pe) % pe * q % pe * q % pe",
+        "return pow(3, -1, pe) % pe * q % pe * q % pe",
+        "L2_3B's rhs is (2/3) q^2",
+    ),
+    Mutant(
+        "mt_27_sum_not_difference",
+        _C,
+        "(s2 - s_half)",
+        "(s2 + s_half)",
+        "MT_27's u_k is 2(2^k - 2^-k)/3",
+    ),
+    Mutant(
+        "aux_granville_unsigned",
+        _C,
+        "return -q * q % md.m",
+        "return q * q % md.m",
+        "AUX_GRANVILLE's rhs is -q_p(2)^2",
+    ),
+    Mutant(
+        "aux_s08_base_2",
+        _C,
+        "return power_over_square_sum(1, 2, md, tables)",
+        "return power_over_square_sum(2, 1, md, tables)",
+        "AUX_S08's sum is over 1/(k^2 2^k)",
     ),
     Mutant(
         "williams_sign",
