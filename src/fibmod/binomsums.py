@@ -287,9 +287,9 @@ def central_sum(
     A negative upper raises ``ValueError``.  An unsigned base is inverted
     once, so p dividing it raises ``NotInvertible`` unless upper is 0; a
     signed base is not inverted, so p may divide it.  x is applied by
-    Horner's rule, or not at all where it is 1 mod p^e.  Sums that share ``tables`` share their residue tables,
-    and the store's ``sums`` answers a sum it has seen; failures are not
-    kept.
+    Horner's rule, or not at all where it is 1 mod p^e.  Sums that share
+    ``tables`` share their residue tables, and the store's ``sums``
+    answers a sum it has seen; failures are not kept.
     An unsigned sum over one of the store's ``bases`` is instead given at
     all of them by ``sums_at_bases`` when there are at least p - 1: the
     transform computes all p - 1 points, and to p = 10^4 costs under half

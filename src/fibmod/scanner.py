@@ -265,14 +265,14 @@ def _batched_sides(ids: tuple[str, ...]) -> tuple[tuple[str, str], ...]:
     )
 
 
-def _batch_groups(sides: tuple[tuple[str, str], ...]) -> list[tuple[tuple[str, str], ...]]:
+def _batch_groups(sides: tuple[tuple[str, str], ...]) -> list[list[tuple[str, str]]]:
     """``sides`` split into the groups that share one ``batch`` call: the
     sides whose records differ only in their upper."""
     groups: dict[object, list[tuple[str, str]]] = {}
     for cid, name in sides:
         side = getattr(get_check(cid), name)
         groups.setdefault(replace(side, upper=None), []).append((cid, name))
-    return [tuple(members) for members in groups.values()]
+    return list(groups.values())
 
 
 def _batch_group(task) -> list[list[int | None]]:
@@ -299,12 +299,10 @@ def _batch_group(task) -> list[list[int | None]]:
                 entries.append((p, upper(pr), spec.exponent(pr)))
     cid, name = members[0]
     values = iter(replace(getattr(get_check(cid), name), upper=None).batch(entries))
-    columns = []
-    for where in read:
-        column: list[int | None] = [None] * len(primes)
+    columns: list[list[int | None]] = [[None] * len(primes) for _ in read]
+    for column, where in zip(columns, read):
         for i, s in zip(where, values):
             column[i] = s
-        columns.append(column)
     return columns
 
 

@@ -198,7 +198,8 @@ def test_scan_starts_no_more_workers_than_primes(monkeypatch):
         assert started.pop() == processes
 
 
-WIDE_IDS = ("T1_2", "C1_1_8", "C1_1_16", "C1_2", "WILLIAMS", "ADAMCHUK", "E4_4", "E4_5", "E4_6", "E4_7", "MORLEY")
+# The checks of the benchmark's wide scan.
+WIDE_IDS = tuple("T1_2,C1_1_8,C1_1_16,C1_2,WILLIAMS,ADAMCHUK,E4_4,E4_5,E4_6,E4_7,MORLEY".split(","))
 
 
 def test_scan_runs_the_batch_prefill_in_the_workers(monkeypatch):

@@ -102,7 +102,6 @@ def test_shared_cache_matches_fresh_cache(case, base, fractions):
         assert shared == central_sum(base, upper, md, kind, signed=True, tables=PrimeTables())
 
 
-
 def _uppers_at_one(kind: WeightKind, p: int) -> list[int]:
     """0, p - 1, floor(2p/3), the uppers (p^2-1)/2 and floor(2p^2/3) of a
     = 2, and (p-1)/2, each where the weight's domain allows."""
