@@ -252,31 +252,24 @@ def verdict_row(check_id: str, p: int, a: int, m: int | None, verdict: Verdict |
     )
 
 
-def _batched_sides(ids: tuple[str, ...]) -> tuple[tuple[str, str], ...]:
+def _batch_groups(ids: tuple[str, ...]) -> list[list[tuple[str, str]]]:
     """(check id, "lhs" or "rhs") of each side of ``ids`` that ``scan``
     evaluates over all its primes at once: a side record whose
     ``batches`` holds.  The others, custom sides among them, stay on the
-    per-prime walk."""
-    return tuple(
-        (cid, name)
-        for cid in ids
-        for name in ("lhs", "rhs")
-        if getattr(getattr(get_check(cid), name), "batches", False)
-    )
-
-
-def _batch_groups(sides: tuple[tuple[str, str], ...]) -> list[list[tuple[str, str]]]:
-    """``sides`` split into the groups that share one ``batch`` call: the
-    sides whose records differ only in their upper."""
+    per-prime walk.  The sides are split into the groups that share one
+    ``batch`` call: the sides whose records differ only in their upper."""
     groups: dict[object, list[tuple[str, str]]] = {}
-    for cid, name in sides:
-        side = getattr(get_check(cid), name)
-        groups.setdefault(replace(side, upper=None), []).append((cid, name))
+    for cid in ids:
+        for name in ("lhs", "rhs"):
+            side = getattr(get_check(cid), name)
+            if getattr(side, "batches", False):
+                groups.setdefault(replace(side, upper=None), []).append((cid, name))
     return list(groups.values())
 
 
-def _batch_group(task) -> list[list[int | None]]:
-    """Per member of one batch group, its value at a = 1 at each prime, or None.
+def _batch_group(task) -> dict[tuple[str, str], list[int | None]]:
+    """Per member (check id, "lhs" or "rhs") of one batch group, its value
+    at a = 1 at each prime, or None.
 
     ``task`` is (members, primes, force, budget).  A side is evaluated
     only at the primes where ``run_check`` reads it (in the domain unless
@@ -287,47 +280,45 @@ def _batch_group(task) -> list[list[int | None]]:
     """
     members, primes, force, budget = task
     entries: list[tuple[int, int, int]] = []
-    read: list[list[int]] = []  # per member, the indices of the primes it is read at
-    for cid, name in members:
-        spec = get_check(cid)
-        upper = getattr(spec, name).upper
-        read.append([])
+    keys: list[tuple[int, tuple[str, str]]] = []  # per entry, its prime's index and its member
+    for member in members:
+        spec = get_check(member[0])
+        upper = getattr(spec, member[1]).upper
         for i, p in enumerate(primes):
             pr = CheckParams(p=p, force=force, budget=budget)
             if evaluates(spec, pr):
-                read[-1].append(i)
+                keys.append((i, member))
                 entries.append((p, upper(pr), spec.exponent(pr)))
     cid, name = members[0]
-    values = iter(replace(getattr(get_check(cid), name), upper=None).batch(entries))
-    columns: list[list[int | None]] = [[None] * len(primes) for _ in read]
-    for column, where in zip(columns, read):
-        for i, s in zip(where, values):
-            column[i] = s
+    values = replace(getattr(get_check(cid), name), upper=None).batch(entries)
+    columns = {member: [None] * len(primes) for member in members}
+    for (i, member), s in zip(keys, values):
+        columns[member][i] = s
     return columns
 
 
 def _prime_worker(task) -> list[Row]:
-    p, ids, a_max, policies, budget, force, sides, sums = task
-    ms = _m_values(p, policies) if any(get_check(cid).index == "m" for cid in ids) else []
+    p, request, given = task
+    ids = sorted(set(request.check_ids))
+    ms = _m_values(p, request.m_policy) if any(get_check(cid).index == "m" for cid in ids) else []
     tables = PrimeTables(m for m in ms if m % p)
-    pr = CheckParams(p=p, force=force, budget=budget)
-    for (cid, name), s in zip(sides, sums):
-        if s is not None:
-            tables.sides[cid, name, pr] = s
+    pr = CheckParams(p=p, force=request.force, budget=request.budget)
+    for (cid, name), s in given.items():
+        tables.sides[cid, name, pr] = s
     rows: list[Row] = []
     for cid in ids:
         spec = get_check(cid)
         m_list = ms if spec.index == "m" else [None]
-        for a in range(1, a_max + 1):
+        for a in range(1, request.a_max + 1):
             for m in m_list:
-                params = CheckParams(p=p, a=a, m=m, force=force, budget=budget)
+                params = CheckParams(p=p, a=a, m=m, force=request.force, budget=request.budget)
                 try:
                     v = run_check(cid, params, tables)
                 except (DomainError, BudgetExceeded):
                     v = None
                 except CheckError:
                     # Broken arithmetic is only expected where forced.
-                    if not force:
+                    if not request.force:
                         raise
                     v = None
                 rows.append(verdict_row(cid, p, a, m, v))
@@ -347,15 +338,13 @@ def scan(request: ScanRequest) -> Report:
     """
     ids = tuple(sorted(set(request.check_ids)))
     primes = [p for p in sieve_primes(request.p_min, request.p_max) if p > 2]
-    groups = _batch_groups(_batched_sides(ids))
-    sides = tuple(side for members in groups for side in members)
-    group_tasks = [(members, primes, request.force, request.budget) for members in groups]
+    group_tasks = [(members, primes, request.force, request.budget) for members in _batch_groups(ids)]
 
-    def prime_tasks(columns: list[list[list[int | None]]]) -> list[tuple]:
-        sums = zip(*[column for group in columns for column in group]) if sides else repeat(())
+    def prime_tasks(columns: list[dict[tuple[str, str], list[int | None]]]) -> list[tuple]:
+        # Each prime's task carries a dict of only the values the groups gave it.
         return [
-            (p, ids, request.a_max, request.m_policy, request.budget, request.force, sides, s)
-            for p, s in zip(primes, sums)
+            (p, request, {k: c[i] for group in columns for k, c in group.items() if c[i] is not None})
+            for i, p in enumerate(primes)
         ]
 
     rows: list[Row] = []

@@ -46,7 +46,7 @@ from fibmod.scanner import (
     MList,
     Sample,
     ScanRequest,
-    _batched_sides,
+    _batch_groups,
     _m_values,
     scan,
     sieve_primes,
@@ -202,7 +202,8 @@ def test_batched_scan_rows_equal_rows_alone(p_min, p_max, a_max, force):
 
 def test_batched_sides_skip_the_kernel(monkeypatch):
     # Every sum of these checks at a = 1 comes from the batch; the stores
-    # must hold it under central_sum's key, or the kernel would run.
+    # must hold it in PrimeTables.sides under (check id, side, CheckParams),
+    # the key run_check reads, or the kernel would run.
     def kernel(*args):
         raise AssertionError("a batched sum reached the kernel")
 
@@ -214,7 +215,8 @@ def test_batched_sides_skip_the_kernel(monkeypatch):
 
 def test_batched_values_skip_the_tables(monkeypatch):
     # MORLEY's binomial and WILLIAMS's sum come from the batch; the stores
-    # must hold them under their readers' keys, or a table would be built.
+    # must hold them in PrimeTables.sides under (check id, side,
+    # CheckParams), the key run_check reads, or a table would be built.
     def table(*args):
         raise AssertionError("a batched value reached a table")
 
@@ -240,7 +242,7 @@ def test_batch_gives_the_side_value():
     # A batched side's value is its own per-prime value with a fresh store,
     # or None, and None wherever that per-prime call raises.
     ids = tuple(spec.id for spec in list_checks() if spec.index != "n")
-    for cid, name in _batched_sides(ids):
+    for cid, name in [side for group in _batch_groups(ids) for side in group]:
         spec = get_check(cid)
         side = getattr(spec, name)
         params = [CheckParams(p=p) for p in sieve_primes(3, 200)]
@@ -276,7 +278,7 @@ def test_batched_sides_are_the_constant_base_records():
         if isinstance(side := getattr(get_check(cid), name), (CentralBinomialSide, HarmonicSide))
         or (isinstance(side, SumSide) and isinstance(side.base, int) and side.weight in _RATIOS)
     }
-    assert set(_batched_sides(ids)) == want
+    assert {side for group in _batch_groups(ids) for side in group} == want
     assert ("L2_3A", "lhs") not in want and ("T2_MAIN", "lhs") not in want  # H2, base m
     assert ("MORLEY", "lhs") in want and ("WILLIAMS", "rhs") in want
     assert ("C1_2", "lhs") in want and ("ADAMCHUK", "lhs") not in want  # ADAMCHUK: custom

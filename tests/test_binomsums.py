@@ -10,6 +10,7 @@ from fibmod.binomsums import (
     WeightDomain,
     WeightKind,
     _h2_prefix,
+    _inv_table,
     _residues_from_vu,
     _walk,
     alternating_harmonic,
@@ -138,6 +139,12 @@ def test_alternating_harmonic_refuses_a_negative_bound():
         assert side.batch([(11, 5, 1), (7, bound, 1)])[1] is None
         with pytest.raises(ValueError):
             side(CheckParams(7), Modulus(7, 1), PrimeTables())
+
+
+def test_inv_table_refuses_n_at_or_past_p():
+    # The table stops at p - 1: 1/7 has no inverse mod 49.
+    with pytest.raises(ValueError):
+        _inv_table(7, 49, 7, PrimeTables())
 
 
 def test_power_over_square_sum():

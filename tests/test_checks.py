@@ -119,6 +119,8 @@ def test_budget():
         run_check("T1_1", CheckParams(p=101, budget=10))
     # force overrides the budget gate
     assert run_check("T1_1", CheckParams(p=101, budget=10, force=True)).passed
+    with pytest.raises(BudgetExceeded):
+        run_conj11n_range(10, budget=5)
 
 
 def test_check_error_wraps_arithmetic():

@@ -15,7 +15,7 @@ from fibmod.cli import (
     main,
     parse_args,
 )
-from fibmod.scanner import AllSmall, MList, Sample, ScanRequest, scan
+from fibmod.scanner import AllSmall, MList, Sample, ScanRequest, WssRecord, scan
 from fibmod.sequences import DomainError
 
 
@@ -80,6 +80,9 @@ def test_parse_wss_and_list():
         ["check", "--id", "T2_MAIN", "--p", "7"],  # no --m
         ["check", "--id", "CONJ1_1N"],  # no --n
         ["scan", "--ids", "T1_1", "--pmin", "3", "--pmax", "5", "--m-policy", "list:"],
+        ["scan", "--ids", "T1_1", "--pmin", "3", "--pmax", "5", "--m-policy", "sample:5"],
+        ["scan", "--ids", "T1_1", "--pmin", "3", "--pmax", "5", "--m-policy", "sample:x:1"],
+        ["wss", "--limit", "100", "--near", "-1"],
     ],
 )
 def test_usage_errors(argv):
@@ -409,6 +412,16 @@ def test_wss_cli(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert captured.out == "p,quotient\n"
+
+
+def test_wss_cli_names_a_wall_sun_sun_prime(monkeypatch, capsys):
+    # No Wall-Sun-Sun prime is known, so the search is replaced by one
+    # that reports a quotient of 0.
+    monkeypatch.setattr(cli, "wss_search", lambda *args: [WssRecord(7, 3), WssRecord(11, 0)])
+    assert main(["wss", "--limit", "100"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "p,quotient\n7,3\n11,0\n"
+    assert "Wall-Sun-Sun prime(s) found: [11]" in captured.err
 
 
 def test_wss_bad_checkpoint_is_a_usage_error(tmp_path, capsys):

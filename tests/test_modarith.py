@@ -27,6 +27,13 @@ def test_modulus_validation():
     assert Modulus(3, 17).m == 3**17
 
 
+def test_modulus_hash_and_repr():
+    md = Modulus(7, 3)
+    assert hash(md) == hash(Modulus(7, 3))
+    assert {md: "x"}[Modulus(7, 3)] == "x"
+    assert repr(md) == "Modulus(7^3)"
+
+
 def test_is_prime_matches_trial_division():
     def trial(n):
         if n < 2:

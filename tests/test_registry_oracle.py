@@ -27,8 +27,14 @@ from fibmod.modarith import LucasParams, Modulus
 from fibmod.scanner import AllSmall, MList, ScanRequest, scan, sieve_primes
 from oracles import exact_lagrange
 
-# (p, a) points: odd p <= 41 at a = 1 and odd p <= 13 at a = 2.
-POINTS = [(p, 1) for p in sieve_primes(3, 41)] + [(p, 2) for p in sieve_primes(3, 13)]
+# (p, a) points: odd p <= 41 at a = 1, odd p <= 13 at a = 2, odd p <= 7
+# at a = 3 and odd p <= 5 at a = 4.
+POINTS = (
+    [(p, 1) for p in sieve_primes(3, 41)]
+    + [(p, 2) for p in sieve_primes(3, 13)]
+    + [(p, 3) for p in sieve_primes(3, 7)]
+    + [(p, 4) for p in sieve_primes(3, 5)]
+)
 
 
 def legendre(q: int, p: int) -> int:
@@ -280,7 +286,7 @@ def test_run_check_matches_the_oracle(cid):
     assert seen >= 5
 
 
-@pytest.mark.parametrize("p_max, a_max", [(41, 1), (13, 2)])
+@pytest.mark.parametrize("p_max, a_max", [(41, 1), (13, 2), (7, 3), (5, 4)])
 def test_scan_rows_match_the_oracle(p_max, a_max):
     rows = scan(ScanRequest(tuple(SIDES), 3, p_max, a_max=a_max)).rows
     assert len(rows) == len(SIDES) * len(sieve_primes(3, p_max)) * a_max
@@ -313,9 +319,14 @@ def test_l2_3a_anomaly_at_3_matches_the_oracle():
     assert (row.p, row.exponent, row.lhs, row.rhs, row.status) == (3, e, lhs, rhs, "FAIL")
 
 
-# The m-indexed ids: odd p <= 23 at a = 1 and odd p <= 11 at a = 2, at
-# every m in 1..p-1 and at these, some past p and some negative.
-M_POINTS = [(p, 1) for p in sieve_primes(3, 23)] + [(p, 2) for p in sieve_primes(3, 11)]
+# The m-indexed ids: odd p <= 23 at a = 1, odd p <= 11 at a = 2, and the
+# points at a = 3 and 4 above, at every m in 1..p-1 and at these, some
+# past p and some negative.
+M_POINTS = (
+    [(p, 1) for p in sieve_primes(3, 23)]
+    + [(p, 2) for p in sieve_primes(3, 11)]
+    + [(p, a) for p, a in POINTS if a >= 3]
+)
 M_EXTRA = (-16, -5, -1, 4, 25, 29, 30, 100)
 
 
@@ -394,7 +405,7 @@ def test_m_indexed_run_check_matches_the_oracle(cid):
     assert seen >= 100
 
 
-@pytest.mark.parametrize("p_max, a_max", [(23, 1), (11, 2)])
+@pytest.mark.parametrize("p_max, a_max", [(23, 1), (11, 2), (7, 3), (5, 4)])
 def test_m_indexed_scan_rows_match_the_oracle(p_max, a_max):
     request = ScanRequest(
         tuple(M_SIDES), 3, p_max, a_max=a_max, m_policy=(AllSmall(), MList(M_EXTRA))

@@ -160,9 +160,21 @@ def test_fibonacci_mod_agrees_with_lucas():
 
 def test_negative_index_is_refused():
     # F_{-2} = -1, which the ladder on |n| would answer as F_2 = 1.
-    for call in (lambda: fibonacci_mod(-2, 7), lambda: _fib_pair_mod(-1, 7)):
+    for call in (
+        lambda: fibonacci_mod(-2, 7),
+        lambda: _fib_pair_mod(-1, 7),
+        lambda: lucas_uv_mod(LucasParams(1, -1), -1, BIG),
+    ):
         with pytest.raises(ValueError):
             call()
+
+
+def test_quotients_assert_divisibility():
+    # At the composite 9, F_8 = 21 and 2^8 - 1 = 255 are not multiples of 9.
+    with pytest.raises(NotDivisible):
+        fibonacci_quotient(9, 1)
+    with pytest.raises(NotDivisible):
+        fermat_quotient(2, 9, 1)
 
 
 def test_exponent_below_one_is_refused():

@@ -172,6 +172,20 @@ MUTANTS = (
         "L3_3's 2p(-m/p) term is there at a = 1 only",
     ),
     Mutant(
+        "l3_3_delta_at_odd_a",
+        _C,
+        "jacobi(-m, pr.p) if pr.a == 1 else 0",
+        "jacobi(-m, pr.p) if pr.a % 2 == 1 else 0",
+        "L3_3's 2p(-m/p) term is there at a = 1 only, not at a = 3",
+    ),
+    Mutant(
+        "t2_cat_delta_at_odd_a",
+        _C,
+        "jacobi(m, pr.p) if pr.a == 1 else 0",
+        "jacobi(m, pr.p) if pr.a % 2 == 1 else 0",
+        "T2_CAT's 2p(-m/p) term is there at a = 1 only, not at a = 3",
+    ),
+    Mutant(
         "mt_26_sign",
         _C,
         "return -2 * acc % pe",
