@@ -17,19 +17,20 @@ form in ``checks``.
 A sum has three evaluators: for one sum, Horner's rule over a prefix of
 the walked table, at one inversion of the base (at x = 1, the prefix's
 plain sum); for one base at many primes, ``_tree``, a remainder tree
-over 2x2 matrix products, which the side records in ``checks`` call
-(the same tree gives C(2k,k) and the alternating harmonic sum); for many
+over 2x2 matrix products, which its side records call (the same tree
+gives C(2k,k) and the alternating harmonic sum); for many
 bases at one prime, ``sums_at_bases``, a chirp-z transform over the
 Teichmüller points mod p^e.  A scan uses the last two where it can.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, repeat
 from math import comb, prod
 from operator import mul
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .modarith import Modulus, NegativeValuation, NotInvertible
 
@@ -397,6 +398,81 @@ def _tree(
         )
         descend(moduli(0, len(order)), 0, len(order), state, False)
     return out
+
+
+# A side below is a frozen record of one side of a check, which ``scan``
+# evaluates over all its primes at once where ``batches`` holds: ``batch``
+# gives its value at each (p, upper, e) of a list (None where it is left to
+# the per-prime call), and the scan hands each value to its row in
+# ``PrimeTables.sides``.
+# ``upper`` and a callable ``base`` take the check's parameters, and
+# ``checks._spec`` takes ``upper`` as the check's length.
+
+
+@dataclass(frozen=True, slots=True)
+class SumSide:
+    """The side  sum_{k<=upper} weight(k) C(2k,k) / base^k,  or with
+    base^k when ``signed`` (then p may divide the base).
+
+    ``base`` is a constant, batched over primes with a walked weight, or
+    m (``checks._m``), whose unsigned sums a scan gives at all m of a prime.
+    """
+
+    base: int | Callable[..., int]
+    upper: Callable[..., int]
+    weight: WeightKind = WeightKind.NONE
+    signed: bool = False
+
+    @property
+    def batches(self) -> bool:
+        return isinstance(self.base, int) and self.weight is not WeightKind.H2
+
+    def __call__(self, pr, md, tables):
+        b = self.base(pr) if callable(self.base) else self.base
+        return central_sum(b, self.upper(pr), md, self.weight, signed=self.signed, tables=tables)
+
+    def batch(self, entries):
+        xn, xd = (self.base, 1) if self.signed else (1, self.base)
+        return [None if r is None else r[0] for r in _tree(_RATIOS[self.weight], xn, xd, entries)]
+
+
+@dataclass(frozen=True, slots=True)
+class CentralBinomialSide:
+    """The side C(2k,k) at k = upper."""
+
+    upper: Callable[..., int]
+    batches = True
+
+    def __call__(self, pr, md, tables):
+        k = self.upper(pr)
+        return _residues_from_vu(md, k, tables)[k]
+
+    def batch(self, entries):
+        # The last term of the walk of C(2k,k) at x = 1.
+        return [None if r is None else r[1] for r in _tree(_RATIOS[WeightKind.NONE], 1, 1, entries)]
+
+
+@dataclass(frozen=True, slots=True)
+class HarmonicSide:
+    """The side  (num/den) sum_{k=1}^{upper} (-1)^k / k."""
+
+    upper: Callable[..., int]
+    num: int
+    den: int
+    batches = True
+
+    def __call__(self, pr, md, tables):
+        pe = md.m
+        h = alternating_harmonic(self.upper(pr), md, tables)
+        return self.num * pow(self.den, -1, pe) * h % pe
+
+    def batch(self, entries):
+        # None also where p divides den, so that row's own call raises.
+        return [
+            None if r is None or self.den % p == 0 else self.num * pow(self.den, -1, pe) * r[0] % pe
+            for (p, _, e), r in zip(entries, _tree(_HARMONIC, -1, 1, entries))
+            for pe in [p**e]
+        ]
 
 
 def sums_at_bases(

@@ -19,17 +19,15 @@ from math import comb
 from typing import Callable, NamedTuple
 
 from .binomsums import (
-    _HARMONIC,
-    _RATIOS,
+    CentralBinomialSide,
+    HarmonicSide,
     PrimeTables,
+    SumSide,
     WeightDomain,
     WeightKind,
     _inv_table,
     _residues_from_vu,
-    _tree,
     _walk,
-    alternating_harmonic,
-    central_sum,
     power_over_square_sum,
 )
 from .modarith import (
@@ -173,14 +171,6 @@ def _fib_sign(pr: CheckParams) -> int:
     return jacobi(pr.p, 5) ** pr.a
 
 
-def _mbar(m: int, s4: int, pe: int) -> int:
-    """The unit attached to the Lucas term of the base-m sum family, mod
-    pe, from the Legendre symbol s4 = (4-m/p): 1 when s4 = 0 (p | m - 4),
-    2 when s4 = 1, and 2/m when s4 = -1.
-    """
-    return 1 if s4 == 0 else 2 if s4 == 1 else 2 * pow(m, -1, pe) % pe
-
-
 def _s3(x: int) -> int:
     s = 0
     while x:
@@ -209,79 +199,6 @@ def _conj11n_valuation(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-# A side below is a frozen record that ``scan`` evaluates over all its
-# primes at once where ``batches`` holds: ``batch`` gives its value at
-# each (p, upper, e) of a list (None where it is left to the per-prime
-# call), and the scan hands each value to its row in ``PrimeTables.sides``.
-# ``_spec`` takes ``upper`` as the check's length.
-
-
-@dataclass(frozen=True, slots=True)
-class SumSide:
-    """The side  sum_{k<=upper} weight(k) C(2k,k) / base^k,  or with
-    base^k when ``signed`` (then p may divide the base).
-
-    ``base`` is a constant, batched over primes with a walked weight, or
-    m (``_m``), whose unsigned sums a scan gives at all m of a prime.
-    """
-
-    base: int | Callable[[CheckParams], int]
-    upper: Callable[[CheckParams], int]
-    weight: WeightKind = WeightKind.NONE
-    signed: bool = False
-
-    @property
-    def batches(self) -> bool:
-        return isinstance(self.base, int) and self.weight is not WeightKind.H2
-
-    def __call__(self, pr, md, tables):
-        b = self.base(pr) if callable(self.base) else self.base
-        return central_sum(b, self.upper(pr), md, self.weight, signed=self.signed, tables=tables)
-
-    def batch(self, entries):
-        xn, xd = (self.base, 1) if self.signed else (1, self.base)
-        return [None if r is None else r[0] for r in _tree(_RATIOS[self.weight], xn, xd, entries)]
-
-
-@dataclass(frozen=True, slots=True)
-class CentralBinomialSide:
-    """The side C(2k,k) at k = upper."""
-
-    upper: Callable[[CheckParams], int]
-    batches = True
-
-    def __call__(self, pr, md, tables):
-        k = self.upper(pr)
-        return _residues_from_vu(md, k, tables)[k]
-
-    def batch(self, entries):
-        # The last term of the walk of C(2k,k) at x = 1.
-        return [None if r is None else r[1] for r in _tree(_RATIOS[WeightKind.NONE], 1, 1, entries)]
-
-
-@dataclass(frozen=True, slots=True)
-class HarmonicSide:
-    """The side  (num/den) sum_{k=1}^{upper} (-1)^k / k."""
-
-    upper: Callable[[CheckParams], int]
-    num: int
-    den: int
-    batches = True
-
-    def __call__(self, pr, md, tables):
-        pe = md.m
-        h = alternating_harmonic(self.upper(pr), md, tables)
-        return self.num * pow(self.den, -1, pe) * h % pe
-
-    def batch(self, entries):
-        # None also where p divides den, so that row's own call raises.
-        return [
-            None if r is None or self.den % p == 0 else self.num * pow(self.den, -1, pe) * r[0] % pe
-            for (p, _, e), r in zip(entries, _tree(_HARMONIC, -1, 1, entries))
-            for pe in [p**e]
-        ]
-
-
 # Sums over the free parameter m, shared by several checks and closed forms.
 _m_half_sum = SumSide(_m, _half)
 _m_half_cat_sum = SumSide(_m, _half, WeightKind.CATALAN)
@@ -294,7 +211,6 @@ _h2_alt_sum = SumSide(-1, _p_full, WeightKind.H2, signed=True)
 _h2_neg2_sum = SumSide(-2, _p_full, WeightKind.H2, signed=True)
 
 _adamchuk_sum = SumSide(1, lambda pr: 2 * pr.p // 3, signed=True)
-_williams_sum = HarmonicSide(lambda pr: 4 * pr.p // 5, 2, 5)
 
 
 def _t1_1_rhs(pr, md, tables):
@@ -313,12 +229,16 @@ def _t1_2_rhs(pr, md, tables):
 def _t2_main_rhs(pr, md, tables):
     # Every symbol from (m/p) and ((m-4)/p), with (-1/p) = (-1)^((p-1)/2):
     # (m(m-4)/p), (-m/p), and (4-m/p) = (16-4m/p), which picks the entry
-    # index p - (delta/p) of u(4, m) and the unit _mbar.
+    # index p - (delta/p) of u(4, m) and the unit mbar.
     m, p, pe = pr.m, pr.p, md.m
     jm, jm4, j1 = jacobi(m, p), jacobi(m - 4, p), (-1) ** (p // 2)
     j, s4 = jm * jm4, j1 * jm4
     u, _ = lucas_uv_mod(LucasParams(4, m), p - s4, md)
-    return (j**pr.a + j1 * jm * j ** (pr.a - 1) * _mbar(m, s4, pe) % pe * u) % pe
+    # mbar is the unit attached to the Lucas term of the base-m sum family,
+    # mod pe, from the Legendre symbol s4 = (4-m/p): 1 when s4 = 0
+    # (p | m - 4), 2 when s4 = 1, and 2/m when s4 = -1.
+    mbar = 1 if s4 == 0 else 2 if s4 == 1 else 2 * pow(m, -1, pe) % pe
+    return (j**pr.a + j1 * jm * j ** (pr.a - 1) * mbar % pe * u) % pe
 
 
 def _t2_cat_rhs(pr, md, tables):
@@ -636,7 +556,7 @@ def _spec(
         domain_label=domain_label,
         lhs=lhs,
         rhs=rhs,
-        length=length or getattr(lhs, "upper", _half),
+        length=length or getattr(lhs, "upper", None) or getattr(rhs, "upper", _half),
         index=index,
     )
 
@@ -734,10 +654,9 @@ _REGISTRY: tuple[CheckSpec, ...] = (
         CheckKind.AUXILIARY,
         "Fibonacci quotient as (2/5) times the alternating harmonic sum to floor(4p/5) mod p",
         _williams_lhs,
-        _williams_sum,
+        HarmonicSide(lambda pr: 4 * pr.p // 5, 2, 5),
         e=1,
         **_P_NOT_5_A1,
-        length=_williams_sum.upper,
     ),
     _spec(
         "PANSUN",

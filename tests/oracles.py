@@ -8,7 +8,6 @@ uncorrected L2_2A closed form that the registry does not use.
 
 from math import comb
 
-from fibmod.checks import _mbar
 from fibmod.modarith import LucasParams, Modulus, NotInvertible, jacobi
 
 
@@ -58,7 +57,11 @@ def mbar(m: int, p: int, e: int) -> int:
     """
     if m % p == 0:
         raise NotInvertible(f"p = {p} divides m = {m}")
-    return _mbar(m, jacobi(4 - m, p), p**e)
+    if (m - 4) % p == 0:
+        return 1
+    if pow(4 - m, (p - 1) // 2, p) == 1:  # Euler's criterion
+        return 2
+    return 2 * pow(m, -1, p**e) % p**e
 
 
 def l2_2a_displayed_rhs(p: int, a: int = 1, e: int = 3) -> int:

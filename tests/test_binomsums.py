@@ -49,7 +49,7 @@ def test_vanishing_tail():
             assert terms[k][0] >= 1, (p, a, k)
 
 
-def test_evaluate_sum_examples():
+def test_central_sum_examples():
     got = central_sum(-16, 1, Modulus(3, 3))
     assert got == 11  # 1 - 2/16 = 1 - 2*17 (mod 27)
     got = central_sum(8, 2, Modulus(5, 2))
@@ -66,7 +66,7 @@ def test_evaluate_sum_examples():
     assert got == 4  # exact sum 29 = 4 (mod 25)
 
 
-def test_evaluate_sum_brute_force():
+def test_central_sum_brute_force():
     # Against exact rational arithmetic cleared by base^upper.
     rng = random.Random(7)
     for _ in range(60):
@@ -92,7 +92,7 @@ def test_catalan_weight_handles_p_dividing_k_plus_1():
         assert got == expected
 
 
-def test_evaluate_sum_errors():
+def test_central_sum_errors():
     with pytest.raises(NotInvertible):
         central_sum(10, 3, Modulus(5, 2))
     with pytest.raises(WeightDomain):
@@ -211,7 +211,7 @@ def test_binomial_reduction_mod_p():
                 x = x * inv4 % p
 
 
-def test_floor_multiple_is_exact_integer_division():
+def test_floor_of_is_exact_integer_division():
     assert _floor_of(5, 6)(CheckParams(7, 2)) == 40
     assert _floor_of(4, 5)(CheckParams(11, 2)) == 96
     assert _floor_of(9, 10)(CheckParams(3, 3)) == 24

@@ -25,7 +25,7 @@ from fibmod.scanner import (
     sieve_primes,
     wss_search,
 )
-from fibmod import scanner, sequences
+from fibmod import binomsums, scanner, sequences
 from fibmod.sequences import NotDivisible, fibonacci_quotient
 
 
@@ -207,14 +207,14 @@ def test_scan_runs_the_batch_prefill_in_the_workers(monkeypatch):
     # records' tree never runs in the parent, and the rows do not change.
     want = scan(ScanRequest(WIDE_IDS, 3, 400)).rows
     parent = os.getpid()
-    tree = checks._tree
+    tree = binomsums._tree
 
     def tree_outside_the_parent(*args):
         if os.getpid() == parent:
             raise AssertionError("the batch tree ran in the parent")
         return tree(*args)
 
-    monkeypatch.setattr(checks, "_tree", tree_outside_the_parent)
+    monkeypatch.setattr(binomsums, "_tree", tree_outside_the_parent)
     with pytest.raises(AssertionError, match="ran in the parent"):
         scan(ScanRequest(WIDE_IDS, 3, 400))
     assert scan(ScanRequest(WIDE_IDS, 3, 400, jobs=2)).rows == want

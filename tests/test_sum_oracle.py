@@ -61,7 +61,7 @@ def sum_cases(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(sum_cases(), st.integers(-60, 60))
-def test_evaluate_sum_matches_oracle(case, base):
+def test_central_sum_matches_oracle(case, base):
     md, kind, upper = case
     if upper > 0 and base % md.p == 0:
         with pytest.raises(NotInvertible):

@@ -109,26 +109,33 @@ MUTANTS = (
     # The side records' batches.
     Mutant(
         "sum_batch_reads_last_term",
-        _C,
+        _B,
         "return [None if r is None else r[0] for r in _tree(_RATIOS[self.weight], xn, xd, entries)]",
         "return [None if r is None else r[1] for r in _tree(_RATIOS[self.weight], xn, xd, entries)]",
         "a SumSide's batch gives the sum r[0], not the last term r[1]",
     ),
     Mutant(
         "harmonic_batch_unscaled",
-        _C,
+        _B,
         "None if r is None or self.den % p == 0 else self.num * pow(self.den, -1, pe) * r[0] % pe",
         "None if r is None or self.den % p == 0 else r[0] % pe",
         "a HarmonicSide's batch keeps its num/den scale",
     ),
     Mutant(
         "central_binomial_call_off_by_one",
-        _C,
+        _B,
         "return _residues_from_vu(md, k, tables)[k]",
         "return _residues_from_vu(md, k, tables)[k - 1]",
         "MORLEY's lhs outside a scan is C(2k,k) at k, not k - 1",
     ),
     # Closed forms and custom sides.
+    Mutant(
+        "t2_main_mbar_3_over_m",
+        _C,
+        "2 * pow(m, -1, pe)",
+        "3 * pow(m, -1, pe)",
+        "T2_MAIN's unit is 2/m where (4-m/p) = -1",
+    ),
     Mutant(
         "pansun_plus_p2",
         _C,
