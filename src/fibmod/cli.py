@@ -34,13 +34,13 @@ from .scanner import (
     CheckpointCorrupt,
     ScanRequest,
     _policy_from_text,
+    _wss_columns,
     csv_row,
     render_csv,
     render_jsonl,
     render_wss_csv,
     scan,
     verdict_row,
-    wss_search,
 )
 from .sequences import DomainError
 
@@ -218,11 +218,12 @@ def _execute_scan(cmd: ScanCommand) -> int:
 def _execute_wss(cmd: WssCommand) -> int:
     _check_output_path("--out", cmd.out)
     _check_output_path("--checkpoint", cmd.checkpoint)
-    records = wss_search(cmd.limit, cmd.near, cmd.checkpoint)
-    _write_or_print(render_wss_csv(records), cmd.out)
-    hits = [rec for rec in records if rec.quotient == 0]
+    # The columns go to the CSV as they are, with no WssRecord per record.
+    ps, qs = _wss_columns(cmd.limit, cmd.near, cmd.checkpoint)
+    _write_or_print(render_wss_csv(zip(ps, qs)), cmd.out)
+    hits = [p for p, q in zip(ps, qs) if q == 0]
     if hits:
-        print(f"Wall-Sun-Sun prime(s) found: {[rec.p for rec in hits]}", file=sys.stderr)
+        print(f"Wall-Sun-Sun prime(s) found: {hits}", file=sys.stderr)
     return 0
 
 

@@ -23,9 +23,11 @@ import json
 import os
 import random
 import re
+from array import array
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
-from itertools import compress, repeat
+from itertools import chain, compress, islice, repeat
 from json.encoder import encode_basestring_ascii as _json_str
 from math import isqrt
 from operator import le, lt
@@ -352,9 +354,14 @@ def scan(request: ScanRequest) -> Report:
         # Imported here, since only a pool needs it: wss and check never fork.
         import multiprocessing
 
-        with multiprocessing.Pool(processes=min(request.jobs, len(primes))) as pool:
+        jobs = min(request.jobs, len(primes))
+        with multiprocessing.Pool(processes=jobs) as pool:
             columns = pool.map(_batch_group, group_tasks, chunksize=1)
-            for chunk in pool.imap(_prime_worker, prime_tasks(columns), chunksize=4):
+            # The dearest primes go first, so the pool's tail is made of cheap
+            # ones; about 8 chunks per worker keep the parent's handling small.
+            tasks = prime_tasks(columns)[::-1]
+            chunks = pool.map(_prime_worker, tasks, chunksize=max(1, len(tasks) // (8 * jobs)))
+            for chunk in reversed(chunks):
                 rows.extend(chunk)
     else:
         for task in prime_tasks([_batch_group(task) for task in group_tasks]):
@@ -515,7 +522,7 @@ def _near_text(near_threshold: int | None) -> str:
 
 
 def _write_checkpoint(
-    path: str, end: int | None, near: str, ps: list[int], qs: list[int], committed: int, last_prime: int
+    path: str, end: int | None, near: str, ps: array, qs: array, committed: int, last_prime: int
 ) -> int:
     """Commit the records ``(ps[i], qs[i])`` from ``committed`` on and ``last_prime`` to ``path``.
 
@@ -526,7 +533,7 @@ def _write_checkpoint(
     yet, so ``committed`` is 0) the whole file is written to a temporary
     file and moved over ``path``.
     """
-    text = "".join([f"{p},{q}\n" for p, q in zip(ps[committed:], qs[committed:])])
+    text = "".join(_record_lines(zip(ps[committed:], qs[committed:])))
     text += f"commit last_prime={last_prime} records={len(ps)}\n"
     if end is None:
         text = f"{CHECKPOINT_MAGIC}\nnear={near}\n{text}"
@@ -541,14 +548,15 @@ def _write_checkpoint(
     return end + len(text)
 
 
-def _read_checkpoint(path: str) -> tuple[int, str, list[int], list[int], int]:
+def _read_checkpoint(path: str) -> tuple[int, str, array, array, int]:
     """(last_prime, near, ps, qs, end) of a checkpoint; record i is ``(ps[i], qs[i])``.
 
     ``end`` is the length of the file up to its last commit line, or up
     to its header when it has none, which resumes from p = 7.  Records
     after that line are the torn tail of a killed run and are left out.
     Each record must pass ``_parse_records``, have a prime p and stay
-    within the last_prime of the commit that covers it.  A file whose
+    within the last_prime of the commit that covers it.  ps and qs are
+    int64 columns, like ``_wss_columns``'s.  A file whose
     first line is not ``CHECKPOINT_MAGIC`` is refused.
     """
     try:
@@ -566,8 +574,7 @@ def _read_checkpoint(path: str) -> tuple[int, str, list[int], list[int], int]:
     tail = text.rfind("\n") + 1  # after it: nothing, or a line cut short
     last_prime = floor = 6
     committed = 0
-    ps: list[int] = []
-    qs: list[int] = []
+    ps, qs = array("q"), array("q")
     while start < tail:
         stop = text.find("\ncommit", start - 1, tail) + 1 or tail  # the next commit line
         run_ps, run_qs = _parse_records(path, text, start, stop, floor, near)
@@ -604,13 +611,13 @@ def _near_line(path: str, line: str) -> str:
 
 def _parse_records(
     path: str, text: str, start: int, stop: int, floor: int, near: str
-) -> tuple[list[int], list[int]]:
-    """(ps, qs) of the "p,q" record lines that make up ``text[start:stop]``.
+) -> tuple[array, array]:
+    """(ps, qs), as int64 columns, of the "p,q" record lines that make up ``text[start:stop]``.
 
     The run is checked and converted as a whole, not by one call per
-    line.  Each p must rise above ``floor`` (so the first is 7 or more)
-    and each quotient lie in (-p/2, p/2] and, under a numeric ``near``,
-    within it.  ``_refuse_composites`` checks p.
+    line.  Each number must fit an int64, each p rise above ``floor`` (so
+    the first is 7 or more) and each quotient lie in (-p/2, p/2] and,
+    under a numeric ``near``, within it.  ``_refuse_composites`` checks p.
     """
     body = text[start:stop]
     try:
@@ -623,7 +630,12 @@ def _parse_records(
         lines = body.split("\n")
         i = next(i for i, line in enumerate(lines) if not _RECORD.fullmatch(line))
         raise _corrupt(path, text, start, i, f"bad record {lines[i]!r}") from None
-    ps, qs = nums[::2], nums[1::2]
+    try:
+        ps, qs = array("q", nums[::2]), array("q", nums[1::2])
+    except OverflowError:
+        i = next(i for i, n in enumerate(nums) if not -(1 << 63) <= n < 1 << 63) // 2
+        why = f"record {nums[2 * i]},{nums[2 * i + 1]} does not fit an int64"
+        raise _corrupt(path, text, start, i, why) from None
     rising = list(map(lt, [floor, *ps], ps))
     if not all(rising):
         i = rising.index(False)
@@ -645,7 +657,7 @@ def _corrupt(path: str, text: str, start: int, i: int, why: str) -> CheckpointCo
     return CheckpointCorrupt(f"{path}:{lineno}: {why}")
 
 
-def _refuse_composites(path: str, ps: list[int]) -> None:
+def _refuse_composites(path: str, ps: array) -> None:
     """Raise ``CheckpointCorrupt`` if a record's p in ``ps`` is not prime.
 
     The records rise, so one sieve segment checks every record in it.
@@ -681,6 +693,32 @@ def wss_search(
     file written under another threshold raises ``CheckpointCorrupt``:
     its records would mix two selections.
     """
+    ps, qs = _wss_columns(limit, near_threshold, checkpoint_path, checkpoint_every)
+    # tuple.__new__ skips WssRecord's Python-level __new__, a call per record.
+    # Each record is a tracked tuple subclass, and every full collection
+    # would rescan the growing list; records of ints form no cycle, so the
+    # collector is paused while they are built.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return list(map(tuple.__new__, repeat(WssRecord), zip(ps, qs)))
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _wss_columns(
+    limit: int,
+    near_threshold: int | None = None,
+    checkpoint_path: str | None = None,
+    checkpoint_every: int = CHECKPOINT_EVERY,
+) -> tuple[array, array]:
+    """``wss_search``'s records as two int64 columns: record i is ``(ps[i], qs[i])``.
+
+    The primes are sieved one ``_SEGMENT`` of the range at a time, so the
+    search holds 16 bytes per kept record plus one segment, however wide
+    the range is.
+    """
     if limit < 7:
         raise ValueError("limit must be at least 7")
     if near_threshold is not None and near_threshold < 0:
@@ -689,8 +727,7 @@ def wss_search(
         raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
     start = 7
     near = _near_text(near_threshold)
-    ps: list[int] = []  # the records are (ps[i], qs[i]) until the return
-    qs: list[int] = []
+    ps, qs = array("q"), array("q")
     end = None  # length of the file up to its last commit; None: no file yet
     if checkpoint_path and os.path.exists(checkpoint_path):
         last_prime, recorded, ps, qs, end = _read_checkpoint(checkpoint_path)
@@ -705,33 +742,36 @@ def wss_search(
         start = max(last_prime + 1, 7)
     committed = len(ps)
     pending = 0
-    primes = sieve_primes(start, limit)
-    for p, q in zip(primes, fibonacci_quotients(primes)):
-        signed = q - p if q > p // 2 else q
-        if near_threshold is None or abs(signed) <= near_threshold:
-            ps.append(p)
-            qs.append(signed)
-        pending += 1
-        if checkpoint_path and pending == checkpoint_every:
-            end = _write_checkpoint(checkpoint_path, end, near, ps, qs, committed, p)
-            committed, pending = len(ps), 0
+    for low in range(start, limit + 1, _SEGMENT):
+        primes = sieve_primes(low, min(low + _SEGMENT - 1, limit))
+        for p, q in zip(primes, fibonacci_quotients(primes)):
+            signed = q - p if q > p // 2 else q
+            if near_threshold is None or abs(signed) <= near_threshold:
+                ps.append(p)
+                qs.append(signed)
+            pending += 1
+            if checkpoint_path and pending == checkpoint_every:
+                end = _write_checkpoint(checkpoint_path, end, near, ps, qs, committed, p)
+                committed, pending = len(ps), 0
     if checkpoint_path and pending:
         _write_checkpoint(checkpoint_path, end, near, ps, qs, committed, p)
-    # tuple.__new__ skips WssRecord's Python-level __new__, a call per record.
-    # Each record is a tracked tuple subclass, and every full collection
-    # would rescan the growing list; records of ints form no cycle, so the
-    # collector is paused while they are built.
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return list(map(tuple.__new__, repeat(WssRecord), zip(ps, qs)))
-    finally:
-        if enabled:
-            gc.enable()
+    return ps, qs
 
 
-def render_wss_csv(records: list[WssRecord]) -> str:
-    lines = ["p,quotient"]
-    for rec in records:
-        lines.append(f"{rec.p},{rec.quotient}")
-    return "\n".join(lines) + "\n"
+_SLICE = 4096  # records per slice of the CSV, each slice one % format
+
+
+def _record_lines(records: Iterable[tuple[int, int]]) -> Iterator[str]:
+    """The "p,q" lines of ``records``, as one str per ``_SLICE`` of them."""
+    it = iter(records)
+    while flat := tuple(chain.from_iterable(islice(it, _SLICE))):
+        yield "%d,%d\n" * (len(flat) // 2) % flat
+
+
+def render_wss_csv(records: Iterable[tuple[int, int]]) -> str:
+    """The ``wss`` CSV of any iterable of (p, quotient) pairs, ``WssRecord`` included.
+
+    The lines are formatted a slice at a time, so no str per record
+    outlives its slice.
+    """
+    return "".join(["p,quotient\n", *_record_lines(records)])

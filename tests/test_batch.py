@@ -17,7 +17,7 @@ from math import comb
 
 import pytest
 
-from fibmod import binomsums, checks
+from fibmod import binomsums
 from fibmod.binomsums import (
     _RATIOS,
     PrimeTables,
@@ -228,14 +228,16 @@ def test_batched_values_skip_the_tables(monkeypatch):
 
 
 def test_morley_binomials_skip_the_walk(monkeypatch):
-    # MORLEY's side reads the walk through the checks module's own name,
-    # which the test above does not patch.
-    def table(*args):
-        raise AssertionError("a batched binomial reached the walk")
+    # Each MORLEY row compares the binomial its batch gave, not one it
+    # walks itself: with every batched binomial off by one, every row fails.
+    batch = CentralBinomialSide.batch
 
-    monkeypatch.setattr(checks, "_residues_from_vu", table)
+    def off_by_one(self, entries):
+        return [None if s is None else s + 1 for s in batch(self, entries)]
+
+    monkeypatch.setattr(CentralBinomialSide, "batch", off_by_one)
     report = scan(ScanRequest(("MORLEY",), 7, 300))
-    assert {row.status for row in report.rows} == {"PASS"}
+    assert {row.status for row in report.rows} == {"FAIL"}
 
 
 def test_batch_gives_the_side_value():

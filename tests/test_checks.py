@@ -293,7 +293,7 @@ def test_conj11n_range_agrees_with_run_check():
         assert bulk.rhs == single.rhs
 
 
-def test_shared_cache_is_consistent():
+def test_a_shared_prime_tables_store_is_consistent():
     cache = PrimeTables()
     ids = [s.id for s in list_checks()]
     for p in (7, 13):

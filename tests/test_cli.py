@@ -1,4 +1,6 @@
 import json
+import tracemalloc
+from array import array
 from functools import partial
 
 import pytest
@@ -15,7 +17,7 @@ from fibmod.cli import (
     main,
     parse_args,
 )
-from fibmod.scanner import AllSmall, MList, Sample, ScanRequest, WssRecord, scan
+from fibmod.scanner import AllSmall, MList, Sample, ScanRequest, scan
 from fibmod.sequences import DomainError
 
 
@@ -414,10 +416,26 @@ def test_wss_cli(tmp_path, capsys):
     assert captured.out == "p,quotient\n"
 
 
+def test_wss_cli_memory_per_record(tmp_path):
+    # With every record kept, the run holds each record as 16 bytes of two
+    # int64 columns and its CSV line, formatted a slice at a time.  A
+    # WssRecord and a str per record take about 238 traced bytes each here.
+    out = tmp_path / "w.csv"
+    tracemalloc.start()
+    try:
+        assert main(["wss", "--limit", "300000", "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    records = out.read_text().count("\n") - 1
+    assert records == 25_994
+    assert peak / records < 100
+
+
 def test_wss_cli_names_a_wall_sun_sun_prime(monkeypatch, capsys):
     # No Wall-Sun-Sun prime is known, so the search is replaced by one
     # that reports a quotient of 0.
-    monkeypatch.setattr(cli, "wss_search", lambda *args: [WssRecord(7, 3), WssRecord(11, 0)])
+    monkeypatch.setattr(cli, "_wss_columns", lambda *args: (array("q", [7, 11]), array("q", [3, 0])))
     assert main(["wss", "--limit", "100"]) == 0
     captured = capsys.readouterr()
     assert captured.out == "p,quotient\n7,3\n11,0\n"
@@ -458,9 +476,9 @@ def test_unwritable_file_is_a_usage_error(tmp_path, monkeypatch, capsys, argv):
     [
         (["scan", "--ids", "T1_1", "--pmin", "3", "--pmax", "13", "--out", "missing/o.csv"], "scan"),
         (["scan", "--ids", "T1_1", "--pmin", "3", "--pmax", "13", "--out", "."], "scan"),
-        (["wss", "--limit", "100", "--out", "missing/o.csv"], "wss_search"),
-        (["wss", "--limit", "100", "--checkpoint", "missing/c.ckpt"], "wss_search"),
-        (["wss", "--limit", "100", "--out", "o.csv", "--checkpoint", "missing/c"], "wss_search"),
+        (["wss", "--limit", "100", "--out", "missing/o.csv"], "_wss_columns"),
+        (["wss", "--limit", "100", "--checkpoint", "missing/c.ckpt"], "_wss_columns"),
+        (["wss", "--limit", "100", "--out", "o.csv", "--checkpoint", "missing/c"], "_wss_columns"),
     ],
 )
 def test_a_bad_output_path_is_refused_before_any_work(tmp_path, monkeypatch, capsys, argv, work):

@@ -1,5 +1,6 @@
 import gc
 import os
+from array import array
 
 import pytest
 
@@ -302,6 +303,46 @@ def test_wss_threshold_filters():
     assert near == [rec for rec in all_records if abs(rec.quotient) <= 10]
 
 
+@pytest.mark.parametrize("n", [0, 1, 2 * scanner._SLICE + 1])
+def test_render_wss_csv_takes_any_iterable(n):
+    # The same bytes from a WssRecord list, a one-pass generator and two
+    # int64 columns, also past a whole number of slices.
+    records = wss_search(100_000)[:n]
+    assert len(records) == n
+    want = "p,quotient\n" + "".join(f"{p},{q}\n" for p, q in records)
+    assert render_wss_csv(records) == want
+    assert render_wss_csv(rec for rec in records) == want
+    ps, qs = array("q", [rec.p for rec in records]), array("q", [rec.quotient for rec in records])
+    assert render_wss_csv(zip(ps, qs)) == want
+
+
+@pytest.mark.parametrize("resumed", [False, True])
+def test_wss_sieves_one_segment_at_a_time(tmp_path, monkeypatch, resumed):
+    # The search asks the sieve for ranges at most _SEGMENT wide that tile
+    # what is left of [7, limit], never for the whole range at once.
+    limit = 300_000
+    ckpt = str(tmp_path / "wss.ckpt")
+    start = 7
+    if resumed:
+        wss_search(100_000, checkpoint_path=ckpt)
+        start = _read_checkpoint(ckpt)[0] + 1
+    sieve = scanner.sieve_primes
+    asked = []
+
+    def recording(lo, hi):
+        if lo != 2:  # sieve_primes(2, ...) gives the base primes to a square root
+            asked.append((lo, hi))
+        return sieve(lo, hi)
+
+    monkeypatch.setattr(scanner, "sieve_primes", recording)
+    records = wss_search(limit, checkpoint_path=ckpt)
+    assert [rec.p for rec in records] == sieve(7, limit)
+    assert asked[0][0] == start and asked[-1][1] == limit
+    assert all(lo <= hi < lo + scanner._SEGMENT for lo, hi in asked)
+    assert all(b[0] == a[1] + 1 for a, b in zip(asked, asked[1:]))
+    assert len(asked) == -(-(limit + 1 - start) // scanner._SEGMENT)
+
+
 def test_wss_limit_validation(tmp_path):
     with pytest.raises(ValueError):
         wss_search(5)
@@ -585,6 +626,7 @@ def test_rows_are_immutable_tuples():
         ("7,3\ncommit last_prime=7 records=1\n11,1\n13,1\n13,2\n", 7),
         ("7,3\ncommit last_prime=7 records=1\n11,-6\n", 5),
         ("7,3\ncommit last_prime=7 records=1\ncommit last_prime=7 records=1\n", 5),
+        ("7,3\n9223372036854775837,0\ncommit last_prime=9223372036854775837 records=2\n", 4),  # past int64
     ],
 )
 def test_checkpoint_refusal_names_its_line(tmp_path, body, lineno):

@@ -87,7 +87,7 @@ def test_signed_sum_matches_oracle(case, s, multiple_of_p):
     st.integers(-60, 60).filter(lambda b: b != 0),
     st.lists(st.integers(0, 1 << 16), min_size=1, max_size=6),
 )
-def test_shared_cache_matches_fresh_cache(case, base, fractions):
+def test_a_shared_prime_tables_store_matches_a_fresh_one(case, base, fractions):
     # A cached table built for a long sum must be sliced, not reused
     # whole, by a shorter sum; so feed bounds long-to-short, then back.
     md, kind, top = case

@@ -115,7 +115,7 @@ def prime_and_pieces(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(prime_and_pieces())
-def test_tables_extended_through_one_cache(case):
+def test_tables_extended_through_one_prime_tables_store(case):
     p, pieces = case
     shared = PrimeTables()
     for e, upper in pieces:

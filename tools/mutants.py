@@ -45,6 +45,7 @@ class Mutant(NamedTuple):
 _B = "src/fibmod/binomsums.py"
 _C = "src/fibmod/checks.py"
 _S = "src/fibmod/sequences.py"
+_SC = "src/fibmod/scanner.py"
 
 MUTANTS = (
     # The walked terms' heads and ratios.
@@ -332,6 +333,50 @@ MUTANTS = (
         "            f = a % p2\n            if f % p:",
         "            f = a % p2\n            if p == block[0] and f % p:",
         "divisibility by p is asserted at every prime of a block",
+    ),
+    # The Wall-Sun-Sun search's segments, columns and CSV slices.
+    Mutant(
+        "wss_segments_skip_the_last_partial_one",
+        _SC,
+        "for low in range(start, limit + 1, _SEGMENT):",
+        "for low in range(start, limit + 1 - _SEGMENT, _SEGMENT):",
+        "the sieve segments tile the range up to the limit",
+    ),
+    Mutant(
+        "wss_segments_overlap_by_one",
+        _SC,
+        "sieve_primes(low, min(low + _SEGMENT - 1, limit))",
+        "sieve_primes(low, min(low + _SEGMENT, limit))",
+        "a segment ends where the next begins, or a prime at the seam is searched twice",
+    ),
+    Mutant(
+        "wss_csv_drops_the_last_partial_slice",
+        _SC,
+        "while flat := tuple(chain.from_iterable(islice(it, _SLICE))):",
+        "while len(flat := tuple(chain.from_iterable(islice(it, _SLICE)))) == 2 * _SLICE:",
+        "the records after the last whole slice are lines too",
+    ),
+    Mutant(
+        "wss_commit_counts_only_new_records",
+        _SC,
+        'records={len(ps)}\\n"',
+        'records={len(ps) - committed}\\n"',
+        "a commit line counts every record above it",
+    ),
+    Mutant(
+        "wss_int64_overflow_not_refused",
+        _SC,
+        "except OverflowError:",
+        "except ValueError:",
+        "a resumed record past int64 is a CheckpointCorrupt, not a traceback",
+    ),
+    # The pool's order.
+    Mutant(
+        "scan_pool_rows_not_reversed",
+        _SC,
+        "for chunk in reversed(chunks):",
+        "for chunk in chunks:",
+        "the pool runs the primes in descending order; the rows rise",
     ),
 )
 
