@@ -709,8 +709,8 @@ def wss_search(
 
 def _wss_columns(
     limit: int,
-    near_threshold: int | None = None,
-    checkpoint_path: str | None = None,
+    near_threshold: int | None,
+    checkpoint_path: str | None,
     checkpoint_every: int = CHECKPOINT_EVERY,
 ) -> tuple[array, array]:
     """``wss_search``'s records as two int64 columns: record i is ``(ps[i], qs[i])``.
