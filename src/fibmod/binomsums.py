@@ -80,7 +80,9 @@ class PrimeTables(dict):
     id, ``"lhs"`` or ``"rhs"``, ``CheckParams``); ``run_check`` reads a
     side there first.  ``bases`` are the bases, prime to p, whose sums a
     scan at one prime asks for, and ``points`` keeps ``sums_at_bases``'
-    setup over them at each p^e.
+    setup over them at each p^e.  ``requests`` is ``run_check``'s: the
+    spec and ``Modulus`` of each request that evaluated, under the check
+    id and the fields of its ``CheckParams`` but m.
     """
 
     def __init__(self, bases: Iterable[int] = ()) -> None:
@@ -90,6 +92,7 @@ class PrimeTables(dict):
         self.sides: dict[tuple, int] = {}
         self.bases = frozenset(bases)
         self.points: dict[int, tuple] = {}
+        self.requests: dict[tuple, tuple] = {}
 
     def table(self, kind, pe: int, head: tuple[int, ...] = ()) -> list[int]:
         """The table of ``kind`` mod ``pe``, started with ``head`` when new."""

@@ -244,7 +244,7 @@ def _t2_main_rhs(pr, md, tables):
 def _t2_cat_rhs(pr, md, tables):
     m, pe = pr.m, md.m
     s = _m_half_sum(pr, md, tables)
-    inv2 = pow(2, -1, pe)
+    inv2 = (pe + 1) // 2
     delta = 2 * pr.p * (-1) ** (pr.p // 2) * jacobi(m, pr.p) if pr.a == 1 else 0
     return ((4 - m) * inv2 % pe * s + m * inv2 - delta) % pe
 
@@ -992,9 +992,12 @@ def _compare(lhs, rhs, md: Modulus) -> tuple[int, int, int]:
     """Defect valuation plus the (lhs, rhs) pair at the worst position.
 
     A side is an int or a list of ints; an int is compared with every
-    entry of a list on the other side.
+    entry of a list on the other side.  Two ints that agree, the common
+    row, return at once with what the loop would give.
     """
     p, e, pe = md.p, md.e, md.m
+    if type(lhs) is int and type(rhs) is int and (lhs - rhs) % pe == 0:
+        return e, lhs, rhs
     lhs_list = lhs if isinstance(lhs, list) else [lhs] * (len(rhs) if isinstance(rhs, list) else 1)
     rhs_list = rhs if isinstance(rhs, list) else [rhs] * len(lhs_list)
     if len(lhs_list) != len(rhs_list):
@@ -1070,21 +1073,35 @@ def run_check(
     ``tables`` store share their residue tables; without one, the check
     gets a fresh store.  A side that the store's ``sides`` holds for this
     check and ``params`` is read from there instead of evaluated.
+
+    Nothing but the domain, the budget and the sides depends on m, so the
+    store's ``requests`` keeps the spec and ``Modulus`` of each request
+    that evaluated, under the check id and every field of ``params`` but
+    m; the rows of one (check, p, a) at other m validate only what
+    depends on m.  A refused request is never kept.
     """
-    spec = check_request(check_id, params)
-    p = params.p
+    p, a, m, n, A, B, force, budget = params
+    tables = PrimeTables() if tables is None else tables
+    key = (check_id, p, a, n, A, B, force, budget)
+    request = tables.requests.get(key)
+    if request is None:
+        spec = check_request(check_id, params)
+    else:
+        spec, md = request
+        if m is None and spec.index == "m":
+            raise DomainError(f"check {check_id} requires parameter m")
     if not evaluates(spec, params):
         if not spec.domain(params):
             raise DomainError(
-                f"params (p={p}, a={params.a}, m={params.m}, n={params.n}) are outside "
+                f"params (p={p}, a={a}, m={m}, n={n}) are outside "
                 f"the domain of {check_id} [{spec.domain_label}]"
             )
         raise BudgetExceeded(
-            f"{check_id} at p={p}, a={params.a} needs {spec.length(params)} terms, "
-            f"budget is {params.budget}"
+            f"{check_id} at p={p}, a={a} needs {spec.length(params)} terms, budget is {budget}"
         )
-    md = Modulus(p, spec.exponent(params))
-    tables = PrimeTables() if tables is None else tables
+    if request is None:
+        md = Modulus(p, spec.exponent(params))
+        tables.requests[key] = spec, md
     given = tables.sides
     try:
         lhs = given.get((check_id, "lhs", params)) if given else None

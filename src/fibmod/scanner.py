@@ -45,7 +45,7 @@ from .checks import (
     get_check,
     run_check,
 )
-from .modarith import MODULUS_BOUND
+from .modarith import _MR_BASES, MODULUS_BOUND, is_prime
 from .sequences import DomainError, fibonacci_quotients
 
 
@@ -304,7 +304,8 @@ def _prime_worker(task) -> list[Row]:
     ids = sorted(set(request.check_ids))
     ms = _m_values(p, request.m_policy) if any(get_check(cid).index == "m" for cid in ids) else []
     tables = PrimeTables(m for m in ms if m % p)
-    pr = CheckParams(p=p, force=request.force, budget=request.budget)
+    force, budget = request.force, request.budget
+    pr = CheckParams(p=p, force=force, budget=budget)
     for (cid, name), s in given.items():
         tables.sides[cid, name, pr] = s
     rows: list[Row] = []
@@ -313,7 +314,8 @@ def _prime_worker(task) -> list[Row]:
         m_list = ms if spec.index == "m" else [None]
         for a in range(1, request.a_max + 1):
             for m in m_list:
-                params = CheckParams(p=p, a=a, m=m, force=request.force, budget=request.budget)
+                # Positional: a NamedTuple built by keyword costs more per row.
+                params = CheckParams(p, a, m, None, None, None, force, budget)
                 try:
                     v = run_check(cid, params, tables)
                 except (DomainError, BudgetExceeded):
@@ -381,8 +383,29 @@ def scan(request: ScanRequest) -> Report:
 
 _ROW_FIELDS = Row._fields
 CSV_COLUMNS = ",".join(_ROW_FIELDS)
+_CSV_ROW = ",".join(["%s"] * len(_ROW_FIELDS)) + "\n"
 # The bytes json.dumps gives a dict of a row's fields, with one %s per value.
-_JSONL_ROW = "{" + ", ".join(f"{json.dumps(k)}: %s" for k in _ROW_FIELDS) + "}"
+_JSONL_ROW = "{" + ", ".join(f"{json.dumps(k)}: %s" for k in _ROW_FIELDS) + "}\n"
+_SLICE = 4096  # rows or records per slice of a report or CSV, each slice one % format
+
+
+def _lines(rows: Iterable[tuple], line: str, text: dict | None = None, quote=None) -> Iterator[str]:
+    """``line`` % the values of each of ``rows``, as one str per ``_SLICE``
+    rows, so no str per row outlives its slice; ``line`` has one % field
+    per value.
+
+    A value that ``text`` holds is replaced by its entry first.  With
+    ``quote``, the first and last value of each row (a ``Row``'s only
+    strs, its check id and status) enter ``text`` as their ``quote``.
+    """
+    width = line.count("%")
+    it = iter(rows)
+    while flat := tuple(chain.from_iterable(islice(it, _SLICE))):
+        if quote:
+            text.update({s: quote(s) for s in {*flat[::width], *flat[width - 1 :: width]}})
+        if text:
+            flat = tuple(map(text.get, flat, flat))
+        yield line * (len(flat) // width) % flat
 
 
 def _policy_text(policies: tuple[MPolicy, ...]) -> str:
@@ -464,13 +487,12 @@ def csv_row(row: Row) -> str:
 
 
 def render_csv(report: Report) -> str:
-    lines = _header_lines(report)
-    lines.append(CSV_COLUMNS)
-    lines.extend(csv_row(row) for row in report.rows)
-    for cid in sorted(report.summary):
-        s = report.summary[cid]
-        lines.append(f"# summary: {cid} pass={s['pass']} fail={s['fail']} skip={s['skip']}")
-    return "\n".join(lines) + "\n"
+    head = "\n".join([*_header_lines(report), CSV_COLUMNS]) + "\n"
+    tail = [
+        f"# summary: {cid} pass={s['pass']} fail={s['fail']} skip={s['skip']}\n"
+        for cid, s in sorted(report.summary.items())
+    ]
+    return "".join([head, *_lines(report.rows, _CSV_ROW, {None: ""}), *tail])
 
 
 def render_jsonl(report: Report) -> str:
@@ -480,16 +502,11 @@ def render_jsonl(report: Report) -> str:
         "request": _request_fields(report.request),
         "sample_seed": _sample_seed(report.request),
     }
-    lines = [json.dumps(head)]
+    summary = {"summary": {cid: report.summary[cid] for cid in sorted(report.summary)}}
     # A row holds only str, int and None, so its values are spliced into
     # one template; no dict is built and dumped per row.
-    lines.extend(
-        _JSONL_ROW
-        % tuple(["null" if v is None else _json_str(v) if isinstance(v, str) else v for v in row])
-        for row in report.rows
-    )
-    lines.append(json.dumps({"summary": {cid: report.summary[cid] for cid in sorted(report.summary)}}))
-    return "\n".join(lines) + "\n"
+    rows = _lines(report.rows, _JSONL_ROW, {None: "null"}, _json_str)
+    return "".join([json.dumps(head) + "\n", *rows, json.dumps(summary) + "\n"])
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +550,7 @@ def _write_checkpoint(
     yet, so ``committed`` is 0) the whole file is written to a temporary
     file and moved over ``path``.
     """
-    text = "".join(_record_lines(zip(ps[committed:], qs[committed:])))
+    text = "".join(_lines(zip(ps[committed:], qs[committed:]), "%d,%d\n"))
     text += f"commit last_prime={last_prime} records={len(ps)}\n"
     if end is None:
         text = f"{CHECKPOINT_MAGIC}\nnear={near}\n{text}"
@@ -660,16 +677,28 @@ def _corrupt(path: str, text: str, start: int, i: int, why: str) -> CheckpointCo
 def _refuse_composites(path: str, ps: array) -> None:
     """Raise ``CheckpointCorrupt`` if a record's p in ``ps`` is not prime.
 
-    The records rise, so one sieve segment checks every record in it.
+    The records rise, so one sieve segment checks every record in it.  The
+    sieve costs a step per base prime to the root of the segment's last
+    record, and ``is_prime`` about one squaring per bit and witness per
+    record; a segment takes the cheaper of the two.  So a dense resume is
+    sieved, and records that are few and far apart are tested one by one.
+    The base primes stop at ``_SEGMENT``, and a record past its square
+    (up to 2^63 in a forged file) is always tested, so none costs a sieve
+    to its root.
     """
-    base = sieve_primes(2, isqrt(ps[-1])) if ps else []
+    base = sieve_primes(2, min(isqrt(ps[-1]), _SEGMENT)) if ps else []
     i = 0
     while i < len(ps):
         low, j = ps[i], bisect_left(ps, ps[i] + _SEGMENT, i)
-        mask = _segment_mask(low, ps[j - 1] + 1, base)
-        for p in ps[i:j]:
-            if not mask[p - low]:
-                raise CheckpointCorrupt(f"{path}: record p={p} is not prime")
+        root = isqrt(ps[j - 1])
+        roots = bisect_right(base, root)
+        if root <= _SEGMENT and (j - i) * len(_MR_BASES) * ps[j - 1].bit_length() > roots:
+            mask = _segment_mask(low, ps[j - 1] + 1, base[:roots])
+            composite = [p for p in ps[i:j] if not mask[p - low]]
+        else:
+            composite = [p for p in ps[i:j] if not is_prime(p)]
+        if composite:
+            raise CheckpointCorrupt(f"{path}: record p={composite[0]} is not prime")
         i = j
 
 
@@ -758,20 +787,10 @@ def _wss_columns(
     return ps, qs
 
 
-_SLICE = 4096  # records per slice of the CSV, each slice one % format
-
-
-def _record_lines(records: Iterable[tuple[int, int]]) -> Iterator[str]:
-    """The "p,q" lines of ``records``, as one str per ``_SLICE`` of them."""
-    it = iter(records)
-    while flat := tuple(chain.from_iterable(islice(it, _SLICE))):
-        yield "%d,%d\n" * (len(flat) // 2) % flat
-
-
 def render_wss_csv(records: Iterable[tuple[int, int]]) -> str:
     """The ``wss`` CSV of any iterable of (p, quotient) pairs, ``WssRecord`` included.
 
     The lines are formatted a slice at a time, so no str per record
     outlives its slice.
     """
-    return "".join(["p,quotient\n", *_record_lines(records)])
+    return "".join(["p,quotient\n", *_lines(records, "%d,%d\n")])

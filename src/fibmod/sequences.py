@@ -42,8 +42,8 @@ def lucas_uv_mod(params: LucasParams, n: int, modulus: Modulus) -> tuple[int, in
     m = modulus.m
     A = params.A % m
     B = params.B % m
-    delta = params.delta % m
-    inv2 = pow(2, -1, m)
+    delta = (A * A - 4 * B) % m
+    inv2 = (m + 1) // 2
     u, v, bn = 0, 2 % m, 1
     if n:
         for bit in bin(n)[2:]:

@@ -406,3 +406,67 @@ def test_t2_closed_forms_match_their_symbols():
                     delta = 2 * p * jacobi(-m, p) if a == 1 else 0
                     want = ((4 - m) * pow(2, -1, pe) * s + m * pow(2, -1, pe) - delta) % pe
                     assert checks._t2_cat_rhs(pr, md, tables) == want
+
+
+def _loop_compare(lhs, rhs, md):
+    """The worst (min(v_p(l - r), e), l, r) over the positions, the first
+    one at that valuation, or the last pair when every position agrees."""
+    n = len(lhs) if isinstance(lhs, list) else len(rhs) if isinstance(rhs, list) else 1
+    ls = lhs if isinstance(lhs, list) else [lhs] * n
+    rs = rhs if isinstance(rhs, list) else [rhs] * n
+    vals = []
+    for l, r in zip(ls, rs):
+        v, d = 0, l - r
+        while v < md.e and d % md.p == 0:
+            d //= md.p
+            v += 1
+        vals.append(v)
+    worst = min(vals)
+    i = vals.index(worst) if worst < md.e else n - 1
+    return worst, ls[i], rs[i]
+
+
+def test_compare_gives_the_loops_result():
+    import random
+
+    rng = random.Random(29)
+    for p, e in [(3, 1), (3, 5), (7, 2), (11, 3), (101, 2)]:
+        md = Modulus(p, e)
+        pe = p**e
+        for _ in range(300):
+            lhs = rng.randrange(-2 * pe, 2 * pe)
+            # Equal mod p^e, equal mod a lower power only, and unrelated.
+            v = rng.randrange(e + 1)
+            for rhs in (lhs + rng.randrange(-3, 4) * pe, lhs + p**v * rng.randrange(1, p), rng.randrange(pe)):
+                assert checks._compare(lhs, rhs, md) == _loop_compare(lhs, rhs, md), (p, e, lhs, rhs)
+            side = [rng.choice((lhs, lhs + pe, rng.randrange(pe))) for _ in range(rng.randrange(1, 6))]
+            for pair in ((side, lhs), (lhs, side), (side, side[::-1]), (side, list(side))):
+                assert checks._compare(*pair, md) == _loop_compare(*pair, md), (p, e, pair)
+
+
+def _outcome(cid, params, tables):
+    """The verdict of ``run_check``, or the type of what it raised."""
+    try:
+        return run_check(cid, params, tables)
+    except Exception as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("p", sieve_primes(3, 31))
+def test_a_shared_request_store_gives_fresh_verdicts(p):
+    # Every id at every (a, m, n, force, budget) through one store per
+    # prime, as a scan runs it, against a fresh store per call.  m = None
+    # comes first and again after the m rows; a refused request (a SKIP,
+    # or m = None at an m-indexed id) comes once per m.  a = 3 stops at
+    # p = 13: a fresh store walks (p^3 - 1)/2 terms per call, and p = 17
+    # to 31 would add about 50 s to tier-1.
+    shared = PrimeTables()
+    for a in (1, 2, 3) if p <= 13 else (1, 2):
+        for spec in list_checks():
+            for n in (None, 0, 5):
+                for force in (False, True):
+                    for budget in (1, checks.DEFAULT_TERM_BUDGET):
+                        for m in (None, 1, 3, 4, p, p + 1, 29, None):
+                            params = CheckParams(p, a, m, n, force=force, budget=budget)
+                            got = _outcome(spec.id, params, shared)
+                            assert got == _outcome(spec.id, params, None), (spec.id, params)

@@ -26,7 +26,9 @@ from fibmod.scanner import (
     sieve_primes,
     wss_search,
 )
+import fibmod
 from fibmod import binomsums, scanner, sequences
+from fibmod.modarith import is_prime
 from fibmod.sequences import NotDivisible, fibonacci_quotient
 
 
@@ -465,6 +467,54 @@ def test_checkpoint_corrupt(tmp_path, content):
         wss_search(100, checkpoint_path=str(ckpt))
 
 
+def _no_sieve_past_one_segment(monkeypatch):
+    # A sieve's base primes to the root of a record near 2^63 would take
+    # several GB; here any sieve past one segment raises instead.
+    sieve = scanner.sieve_primes
+
+    def bounded(lo, hi):
+        assert hi <= scanner._SEGMENT, f"sieve_primes({lo}, {hi})"
+        return sieve(lo, hi)
+
+    monkeypatch.setattr(scanner, "sieve_primes", bounded)
+
+
+@pytest.mark.parametrize("p, prime", [(9223372036854775783, True), (9223372036854775781, False)])
+def test_a_huge_record_costs_one_test(tmp_path, monkeypatch, p, prime):
+    # The largest prime below 2^63, and a composite beside it, each with a
+    # matching commit line.
+    _no_sieve_past_one_segment(monkeypatch)
+    ckpt = tmp_path / "huge.ckpt"
+    ckpt.write_text(f"wss-checkpoint v3\nnear=all\n{p},0\ncommit last_prime={p} records=1\n")
+    if prime:
+        assert list(_read_checkpoint(str(ckpt))[2]) == [p]
+        assert wss_search(100, checkpoint_path=str(ckpt)) == []
+    else:
+        with pytest.raises(CheckpointCorrupt, match=f"record p={p} is not prime"):
+            wss_search(100, checkpoint_path=str(ckpt))
+
+
+def test_refuse_composites_agrees_with_is_prime(monkeypatch):
+    # Dense runs (sieved), lone records (tested one by one), and a run past
+    # 2^34, the square of the sieve's reach, with a composite whose least
+    # factor is past that reach, each with a composite put in or not.
+    _no_sieve_past_one_segment(monkeypatch)
+    dense = sieve_primes(10**6, 10**6 + 3000) + sieve_primes(10**7, 10**7 + 3000)
+    lone = [10**7 + 2 * 10**5 + 7, 10**9 + 7, 10**12 + 39]
+    qr = 185371 * 185401  # two primes past 2^17 = 131072
+    far = [n for n in range(qr, qr + 1500) if is_prime(n)]
+    for ps, composites in [
+        (dense, (10**6 + 1, 10**7 + 2001)),
+        (lone, (10**7 + 2 * 10**5 + 1, 10**9 + 11, 10**12 + 37)),
+        (far, (qr,)),
+    ]:
+        assert all(map(is_prime, ps)) and not any(map(is_prime, composites))
+        scanner._refuse_composites("ok", array("q", ps))
+        for c in composites:
+            with pytest.raises(CheckpointCorrupt, match=f"record p={c} is not prime"):
+                scanner._refuse_composites("bad", array("q", sorted([*ps, c])))
+
+
 def test_checkpoint_records_its_threshold(tmp_path):
     ckpt = tmp_path / "wss.ckpt"
     wss_search(2000, near_threshold=0, checkpoint_path=str(ckpt))
@@ -604,6 +654,45 @@ def test_render_jsonl_rows_match_json_dumps():
     lines = render_jsonl(Report(request, rows, {"T1_1": {"pass": 0, "fail": 0, "skip": 1}}))
     body = lines.splitlines()[1:-1]
     assert body == [json.dumps({k: getattr(row, k) for k in Row._fields}) for row in rows]
+
+
+def _report_rows(n):
+    """n rows of every status, SKIPs with None fields among them; a check
+    id that needs JSON escapes first shows up in the second slice."""
+    odd = 'T"2\\_é'
+    rows = []
+    for i in range(n):
+        cid = odd if i == scanner._SLICE else ("T1_1", "T2_MAIN", "C1_2")[i % 3]
+        if i % 5 == 0:
+            rows.append(Row(cid, 3 + 2 * i, 1, None, None, None, None, None, "SKIP"))
+        else:
+            m = None if i % 3 else i - 7
+            rows.append(Row(cid, 3 + 2 * i, 1 + i % 2, m, 2, i * i, -i, i % 3, ("PASS", "FAIL")[i % 2]))
+    return rows
+
+
+@pytest.mark.parametrize("n", [0, 1, scanner._SLICE, scanner._SLICE + 1])
+def test_renderers_give_the_row_by_row_bytes(n):
+    # The bytes of a row at a time: csv_row per line, and json.dumps of a
+    # dict per line, around the same header and summary lines.
+    import json
+
+    request = ScanRequest(check_ids=("T1_1", "T2_MAIN"), p_min=3, p_max=7)
+    summary = {"T2_MAIN": {"pass": 1, "fail": 2, "skip": 3}, "T1_1": {"pass": 4, "fail": 0, "skip": 0}}
+    report = Report(request, _report_rows(n), summary)
+    lines = scanner._header_lines(report) + [CSV_COLUMNS]
+    lines += [",".join("" if v is None else str(v) for v in row) for row in report.rows]
+    lines += [f"# summary: {c} pass={s['pass']} fail={s['fail']} skip={s['skip']}" for c, s in sorted(summary.items())]
+    assert render_csv(report) == "\n".join(lines) + "\n"
+    head = {
+        "tool": "fibmod",
+        "version": fibmod.__version__,
+        "request": scanner._request_fields(request),
+        "sample_seed": "none",
+    }
+    lines = [json.dumps(head)] + [json.dumps(row._asdict()) for row in report.rows]
+    lines.append(json.dumps({"summary": {c: summary[c] for c in sorted(summary)}}))
+    assert render_jsonl(report) == "\n".join(lines) + "\n"
 
 
 def test_rows_are_immutable_tuples():

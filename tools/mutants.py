@@ -350,11 +350,11 @@ MUTANTS = (
         "a segment ends where the next begins, or a prime at the seam is searched twice",
     ),
     Mutant(
-        "wss_csv_drops_the_last_partial_slice",
+        "slices_drop_the_last_partial_one",
         _SC,
         "while flat := tuple(chain.from_iterable(islice(it, _SLICE))):",
-        "while len(flat := tuple(chain.from_iterable(islice(it, _SLICE)))) == 2 * _SLICE:",
-        "the records after the last whole slice are lines too",
+        "while len(flat := tuple(chain.from_iterable(islice(it, _SLICE)))) == width * _SLICE:",
+        "the rows or records after the last whole slice are lines too",
     ),
     Mutant(
         "wss_commit_counts_only_new_records",
@@ -369,6 +369,35 @@ MUTANTS = (
         "except OverflowError:",
         "except ValueError:",
         "a resumed record past int64 is a CheckpointCorrupt, not a traceback",
+    ),
+    Mutant(
+        "composites_sieved_past_the_base",
+        _SC,
+        "if root <= _SEGMENT and (j - i)",
+        "if (j - i)",
+        "the base primes stop at one segment, so a record past its square is tested",
+    ),
+    # The per-row path of run_check.
+    Mutant(
+        "request_key_without_a",
+        _C,
+        "key = (check_id, p, a, n, A, B, force, budget)",
+        "key = (check_id, p, n, A, B, force, budget)",
+        "the exponent, and so the Modulus, depends on a",
+    ),
+    Mutant(
+        "early_compare_without_equality",
+        _C,
+        "if type(lhs) is int and type(rhs) is int and (lhs - rhs) % pe == 0:",
+        "if type(lhs) is int and type(rhs) is int:",
+        "only two ints that agree mod p^e skip the loop",
+    ),
+    Mutant(
+        "modulus_built_before_evaluates",
+        _C,
+        "        spec = check_request(check_id, params)\n    else:",
+        "        spec = check_request(check_id, params)\n        md = Modulus(p, spec.exponent(params))\n    else:",
+        "a row past the modulus bound that does not evaluate is a SKIP, not a ValueError",
     ),
     # The pool's order.
     Mutant(
