@@ -202,9 +202,7 @@ def _conj11n_valuation(n: int) -> int:
 # Sums over the free parameter m, shared by several checks and closed forms.
 _m_half_sum = SumSide(_m, _half)
 _m_half_cat_sum = SumSide(_m, _half, WeightKind.CATALAN)
-_m_half_k_sum = SumSide(_m, _half, WeightKind.LINEAR_K)
 _m_full_sum = SumSide(_m, _full)
-_m_full_k_sum = SumSide(_m, _full, WeightKind.LINEAR_K)
 
 # sum (-1)^k C(2k,k) H_k^(2) and sum (-2)^k C(2k,k) H_k^(2) over k < p.
 _h2_alt_sum = SumSide(-1, _p_full, WeightKind.H2, signed=True)
@@ -249,8 +247,9 @@ def _t2_cat_rhs(pr, md, tables):
     return ((4 - m) * inv2 % pe * s + m * inv2 - delta) % pe
 
 
-def _c1_1_8_rhs(pr, md, tables):
-    return jacobi(2, pr.p) ** pr.a % md.m
+def _symbol_rhs(q: int) -> Side:
+    """The closed form (q/p^a) = (q/p)^a, a Jacobi symbol."""
+    return lambda pr, md, tables: jacobi(q, pr.p) ** pr.a % md.m
 
 
 def _c1_2_rhs(pr, md, tables):
@@ -363,10 +362,11 @@ def _l2_3a_rhs(pr, md, tables):
     return jacobi(pr.p, 5) * 5 % pe * pow(2, -1, pe) % pe * q % pe * q % pe
 
 
-def _l2_3b_rhs(pr, md, tables):
-    pe = md.m
-    q = fermat_quotient(2, pr.p, md.e)
-    return 2 * pow(3, -1, pe) % pe * q % pe * q % pe
+def _fermat_square_rhs(num: int, den: int) -> Side:
+    """The closed form (num/den) q_p(2)^2, q_p(2) the Fermat quotient of 2."""
+    return lambda pr, md, tables: (
+        num * pow(den, -1, md.m) * fermat_quotient(2, pr.p, md.e) ** 2 % md.m
+    )
 
 
 def _mt_26_rhs(pr, md, tables):
@@ -389,23 +389,9 @@ def _mt_27_rhs(pr, md, tables):
     return -4 * pow(3, -1, pe) * (s2 - s_half) % pe
 
 
-def _aux_granville_lhs(pr, md, tables):
-    return power_over_square_sum(2, 1, md, tables)
-
-
-def _aux_granville_rhs(pr, md, tables):
-    q = fermat_quotient(2, pr.p, md.e)
-    return -q * q % md.m
-
-
-def _aux_s08_lhs(pr, md, tables):
-    return power_over_square_sum(1, 2, md, tables)
-
-
-def _aux_s08_rhs(pr, md, tables):
-    pe = md.m
-    q = fermat_quotient(2, pr.p, md.e)
-    return -q * q % pe * pow(2, -1, pe) % pe
+def _over_squares(num: int, den: int) -> Side:
+    """The side sum_{0<k<p} (num/den)^k / k^2."""
+    return lambda pr, md, tables: power_over_square_sum(num, den, md, tables)
 
 
 def _aux_st_lhs(pr, md, tables):
@@ -459,10 +445,9 @@ def _l3_3_rhs(pr, md, tables):
     return ((m - 2) * inv2 % pe * s - m * inv2 + delta) % pe
 
 
-def _p4_1a_lhs(pr, md, tables):
-    pe = md.m
-    s = _m_half_k_sum(pr, md, tables)
-    return (pr.m - 4) * pow(2, -1, pe) % pe * s % pe
+def _p4_1_lhs(k_sum: SumSide) -> Side:
+    """The side (m - 4)/2 times the k-weighted sum ``k_sum``."""
+    return lambda pr, md, tables: (pr.m - 4) * pow(2, -1, md.m) * k_sum(pr, md, tables) % md.m
 
 
 def _p4_1a_rhs(pr, md, tables):
@@ -470,12 +455,6 @@ def _p4_1a_rhs(pr, md, tables):
         _m_half_sum(pr, md, tables)
         - pr.p**pr.a * jacobi(-pr.m, pr.p) ** pr.a
     ) % md.m
-
-
-def _p4_1b_lhs(pr, md, tables):
-    pe = md.m
-    s = _m_full_k_sum(pr, md, tables)
-    return (pr.m - 4) * pow(2, -1, pe) % pe * s % pe
 
 
 def _p4_1b_rhs(pr, md, tables):
@@ -515,14 +494,6 @@ def _conj11a_rhs(pr, md, tables):
     return 9**pr.a * ((-1) ** pr.a * 10) % md.m
 
 
-def _jac5_rhs(pr, md, tables):
-    return jacobi(5, pr.p) ** pr.a % md.m
-
-
-def _jac3_rhs(pr, md, tables):
-    return jacobi(3, pr.p) ** pr.a % md.m
-
-
 # ---------------------------------------------------------------------------
 # The registry.
 # ---------------------------------------------------------------------------
@@ -556,7 +527,7 @@ def _spec(
         domain_label=domain_label,
         lhs=lhs,
         rhs=rhs,
-        length=length or getattr(lhs, "upper", None) or getattr(rhs, "upper", _half),
+        length=length or getattr(lhs, "upper", None) or getattr(rhs, "upper", lambda pr: 0),
         index=index,
     )
 
@@ -569,6 +540,7 @@ _COPRIME_M = {
 }
 _P_GT_3_A1 = {"domain": lambda pr: pr.p > 3 and pr.a == 1, "domain_label": "p > 3, a = 1"}
 _P_GT_5_A1 = {"domain": lambda pr: pr.p > 5 and pr.a == 1, "domain_label": "p > 5, a = 1"}
+_P_NOT_5 = {"domain": lambda pr: pr.p != 5, "domain_label": "p not in {2, 5}"}
 _P_NOT_5_A1 = {
     "domain": lambda pr: pr.p != 5 and pr.a == 1,
     "domain_label": "p not in {2, 5}, a = 1",
@@ -583,8 +555,7 @@ _REGISTRY: tuple[CheckSpec, ...] = (
         SumSide(-16, _half),
         _t1_1_rhs,
         e=3,
-        domain=lambda pr: pr.p != 5,
-        domain_label="p != 5",
+        **_P_NOT_5,
     ),
     _spec(
         "T1_2",
@@ -619,7 +590,7 @@ _REGISTRY: tuple[CheckSpec, ...] = (
         CheckKind.THEOREM,
         "half-range sum of C(2k,k)/8^k equals the Jacobi symbol (2/p^a) mod p^2",
         SumSide(8, _half),
-        _c1_1_8_rhs,
+        _symbol_rhs(2),
         e=2,
     ),
     _spec(
@@ -627,7 +598,7 @@ _REGISTRY: tuple[CheckSpec, ...] = (
         CheckKind.THEOREM,
         "half-range sum of C(2k,k)/16^k equals the Jacobi symbol (3/p^a) mod p^2",
         SumSide(16, _half),
-        _jac3_rhs,
+        _symbol_rhs(3),
         e=2,
     ),
     _spec(
@@ -665,8 +636,7 @@ _REGISTRY: tuple[CheckSpec, ...] = (
         SumSide(-1, _full, signed=True),
         _pansun_rhs,
         e=3,
-        domain=lambda pr: pr.p != 5,
-        domain_label="p not in {2, 5}",
+        **_P_NOT_5,
     ),
     _spec(
         "ADAMCHUK",
@@ -687,6 +657,7 @@ _REGISTRY: tuple[CheckSpec, ...] = (
         _l2_1_lhs,
         _l2_1_rhs,
         e=3,
+        length=_half,
     ),
     _spec(
         "L2_2A",
@@ -698,7 +669,6 @@ _REGISTRY: tuple[CheckSpec, ...] = (
         e=3,
         domain=lambda pr: pr.p > 3,
         domain_label="p > 3",
-        length=lambda pr: 0,
     ),
     _spec(
         "L2_2B",
@@ -707,9 +677,7 @@ _REGISTRY: tuple[CheckSpec, ...] = (
         _l2_2b_lhs,
         _l2_2b_rhs,
         e=4,
-        domain=lambda pr: pr.p != 5,
-        domain_label="p not in {2, 5}",
-        length=lambda pr: 0,
+        **_P_NOT_5,
     ),
     _spec(
         "L2_3A",
@@ -727,7 +695,7 @@ _REGISTRY: tuple[CheckSpec, ...] = (
         CheckKind.LEMMA,
         "(-2)^k C(2k,k) H_k^(2) sum equals (2/3) q_p(2)^2 mod p",
         _h2_neg2_sum,
-        _l2_3b_rhs,
+        _fermat_square_rhs(2, 3),
         e=1,
         **_P_GT_3_A1,
     ),
@@ -753,8 +721,8 @@ _REGISTRY: tuple[CheckSpec, ...] = (
         "AUX_GRANVILLE",
         CheckKind.AUXILIARY,
         "sum 2^k/k^2 equals -q_p(2)^2 mod p",
-        _aux_granville_lhs,
-        _aux_granville_rhs,
+        _over_squares(2, 1),
+        _fermat_square_rhs(-1, 1),
         e=1,
         **_P_GT_3_A1,
         length=_p_full,
@@ -763,8 +731,8 @@ _REGISTRY: tuple[CheckSpec, ...] = (
         "AUX_S08",
         CheckKind.AUXILIARY,
         "sum 1/(k^2 2^k) equals -q_p(2)^2/2 mod p",
-        _aux_s08_lhs,
-        _aux_s08_rhs,
+        _over_squares(1, 2),
+        _fermat_square_rhs(-1, 2),
         e=1,
         **_P_GT_3_A1,
         length=_p_full,
@@ -777,7 +745,6 @@ _REGISTRY: tuple[CheckSpec, ...] = (
         _aux_st_rhs,
         e=2,
         **_P_NOT_5_A1,
-        length=lambda pr: 0,
     ),
     _spec(
         "AUX_SS",
@@ -787,7 +754,6 @@ _REGISTRY: tuple[CheckSpec, ...] = (
         _aux_ss_rhs,
         e=2,
         **_P_NOT_5_A1,
-        length=lambda pr: 0,
     ),
     _spec(
         "V_CONG_A",
@@ -798,7 +764,6 @@ _REGISTRY: tuple[CheckSpec, ...] = (
         e=1,
         domain=lambda pr: pr.a == 1,
         domain_label="odd p, a = 1; any (A, B)",
-        length=lambda pr: 0,
     ),
     _spec(
         "L3_2",
@@ -810,7 +775,6 @@ _REGISTRY: tuple[CheckSpec, ...] = (
         domain=lambda pr: pr.a == 1
         and (2 * _ab(pr).B * _ab(pr).delta) % pr.p != 0,
         domain_label="p does not divide 2 B delta, a = 1",
-        length=lambda pr: 0,
     ),
     _spec(
         "L3_3",
@@ -820,22 +784,24 @@ _REGISTRY: tuple[CheckSpec, ...] = (
         _l3_3_rhs,
         e=2,
         **_COPRIME_M,
+        length=_half,
     ),
     _spec(
         "P4_1A",
         CheckKind.THEOREM,
         "half-range k-weighted sum against the plain sum minus p^a (-m/p^a), mod p^(a+1)",
-        _p4_1a_lhs,
+        _p4_1_lhs(SumSide(_m, _half, WeightKind.LINEAR_K)),
         _p4_1a_rhs,
         exponent=lambda pr: pr.a + 1,
         exponent_label="a+1",
         **_COPRIME_M,
+        length=_half,
     ),
     _spec(
         "P4_1B",
         CheckKind.THEOREM,
         "full-range k-weighted sum against the plain sum minus p^a, mod p^(a+1)",
-        _p4_1b_lhs,
+        _p4_1_lhs(SumSide(_m, _full, WeightKind.LINEAR_K)),
         _p4_1b_rhs,
         exponent=lambda pr: pr.a + 1,
         exponent_label="a+1",
@@ -916,7 +882,7 @@ _REGISTRY: tuple[CheckSpec, ...] = (
         CheckKind.CONJECTURE,
         "sum to floor(5 p^a/6) of C(2k,k)/16^k equals (3/p^a) mod p^2",
         SumSide(16, _floor_of(5, 6)),
-        _jac3_rhs,
+        _symbol_rhs(3),
         e=2,
         domain=lambda pr: pr.p % 3 == 1 or pr.a > 1,
         domain_label="p = 1 (mod 3) or a > 1",
@@ -926,7 +892,7 @@ _REGISTRY: tuple[CheckSpec, ...] = (
         CheckKind.CONJECTURE,
         "alternating C(2k,k) sum to floor(4 p^a/5) equals (5/p^a) mod p^2",
         SumSide(-1, _floor_of(4, 5), signed=True),
-        _jac5_rhs,
+        _symbol_rhs(5),
         e=2,
         # p = 5 is excluded: there the Jacobi symbol vanishes and the sum
         # does not (already at a = 2), so the stated a > 1 branch cannot
@@ -940,7 +906,7 @@ _REGISTRY: tuple[CheckSpec, ...] = (
         CheckKind.CONJECTURE,
         "alternating C(2k,k) sum to floor(3 p^a/5) equals (5/p^a) mod p^2",
         SumSide(-1, _floor_of(3, 5), signed=True),
-        _jac5_rhs,
+        _symbol_rhs(5),
         e=2,
         domain=lambda pr: pr.p != 5
         and (pr.p**pr.a % 5 in (1, 3) or (pr.a > 1 and pr.p % 5 != 2)),
@@ -951,7 +917,7 @@ _REGISTRY: tuple[CheckSpec, ...] = (
         CheckKind.CONJECTURE,
         "sum to floor(7 p^a/10) of C(2k,k)/(-16)^k equals (5/p^a) mod p^2",
         SumSide(-16, _floor_of(7, 10)),
-        _jac5_rhs,
+        _symbol_rhs(5),
         e=2,
         domain=lambda pr: pr.p % 10 in (1, 7) or pr.a > 2,
         domain_label="p = 1,7 (mod 10) or a > 2",
@@ -961,7 +927,7 @@ _REGISTRY: tuple[CheckSpec, ...] = (
         CheckKind.CONJECTURE,
         "sum to floor(9 p^a/10) of C(2k,k)/(-16)^k equals (5/p^a) mod p^2",
         SumSide(-16, _floor_of(9, 10)),
-        _jac5_rhs,
+        _symbol_rhs(5),
         e=2,
         domain=lambda pr: pr.p % 10 in (1, 3) or pr.a > 2,
         domain_label="p = 1,3 (mod 10) or a > 2",
@@ -1029,16 +995,19 @@ def check_request(check_id: str, params: CheckParams) -> CheckSpec:
     """The spec of ``check_id`` once the request is well formed.
 
     Raises ``UnknownCheckId`` for an id not in the registry, and
-    ``DomainError`` when p is not an odd prime, a < 1, n < 0, or the
-    parameter the check is indexed by is missing: no check runs there,
-    forced or not.  It also raises ``DomainError`` when p^e reaches the
-    ``Modulus`` bound at a request that ``evaluates``; elsewhere the
-    request is a SKIP, and its sides are never evaluated.
+    ``DomainError`` when p is not an odd prime that ``is_prime`` decides,
+    a < 1, n < 0, or the parameter the check is indexed by is missing: no
+    check runs there, forced or not.  It also raises ``DomainError`` when
+    p^e reaches the ``Modulus`` bound at a request that ``evaluates``;
+    elsewhere the request is a SKIP, and its sides are never evaluated.
     """
     spec = get_check(check_id)
     p = params.p
-    if p < 3 or p % 2 == 0 or not is_prime(p):
-        raise DomainError(f"p must be an odd prime, got {p}")
+    try:
+        if p < 3 or p % 2 == 0 or not is_prime(p):
+            raise DomainError(f"p must be an odd prime, got {p}")
+    except ValueError as exc:  # p past the range where is_prime is exact
+        raise DomainError(str(exc)) from None
     if params.a < 1:
         raise DomainError(f"a must be >= 1, got {params.a}")
     if params.n is not None and params.n < 0:
@@ -1089,7 +1058,7 @@ def run_check(
     else:
         spec, md = request
         if m is None and spec.index == "m":
-            raise DomainError(f"check {check_id} requires parameter m")
+            check_request(check_id, params)  # raises its "requires parameter m"
     if not evaluates(spec, params):
         if not spec.domain(params):
             raise DomainError(

@@ -35,6 +35,7 @@ from .scanner import (
     ScanRequest,
     _policy_from_text,
     _wss_columns,
+    check_wss_request,
     csv_row,
     render_csv,
     render_jsonl,
@@ -127,8 +128,9 @@ def _build_parser() -> _Parser:
 def parse_args(argv: list[str]) -> Command:
     """Strict parse of an argv list into a Command.
 
-    ``check`` and ``scan`` map their flags onto ``CheckParams`` and
-    ``ScanRequest``, whose own refusals become usage errors.
+    ``check``, ``scan`` and ``wss`` map their flags onto ``CheckParams``,
+    ``ScanRequest`` and ``check_wss_request``, whose own refusals become
+    usage errors.
     """
     ns = _build_parser().parse_args(argv)
     try:
@@ -148,14 +150,11 @@ def parse_args(argv: list[str]) -> Command:
                 force=ns.force,
             )
             return ScanCommand(request, ns.out, ns.format)
+        if ns.command == "wss":
+            check_wss_request(ns.limit, ns.near)
+            return WssCommand(ns.limit, ns.near, ns.checkpoint, ns.out)
     except (UnknownCheckId, DomainError, ValueError) as exc:
         raise UsageError(str(exc)) from exc
-    if ns.command == "wss":
-        if ns.limit < 7:
-            raise UsageError(f"--limit must be >= 7, got {ns.limit}")
-        if ns.near is not None and ns.near < 0:
-            raise UsageError(f"--near must be >= 0, got {ns.near}")
-        return WssCommand(ns.limit, ns.near, ns.checkpoint, ns.out)
     return ListChecksCommand()
 
 

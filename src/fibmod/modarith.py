@@ -37,16 +37,22 @@ class NegativeValuation(ModArithError):
 # word; Python ints never overflow, so the bound is purely contractual.
 MODULUS_BOUND = 1 << 62
 
-# Deterministic Miller-Rabin witness set, exact for n < 3.3 * 10^24.
+# Deterministic Miller-Rabin witness set, exact for n < _MR_EXACT_BELOW:
+# psi_12 = 399165290221 * 798330580441 is the least strong pseudoprime to
+# all twelve witnesses (OEIS A014233).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_EXACT_BELOW = 318665857834031151167461
 
 
 @lru_cache(maxsize=1 << 16)
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for machine-scale integers."""
+    """Deterministic primality test for n below ``_MR_EXACT_BELOW`` (about
+    3.2 * 10^23); ``ValueError`` from there on, where it would not be exact."""
+    if n >= _MR_EXACT_BELOW:
+        raise ValueError(f"is_prime is exact only below {_MR_EXACT_BELOW}, got {n}")
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+    for q in _MR_BASES:
         if n % q == 0:
             return n == q
     d = n - 1
@@ -55,8 +61,6 @@ def is_prime(n: int) -> bool:
         d //= 2
         s += 1
     for b in _MR_BASES:
-        if b % n == 0:
-            continue
         x = pow(b, d, n)
         if x in (1, n - 1):
             continue

@@ -534,10 +534,6 @@ _RECORD = re.compile(r"[0-9]+,-?[0-9]+")
 _NO_DIGITS = str.maketrans("", "", "0123456789")
 
 
-def _near_text(near_threshold: int | None) -> str:
-    return "all" if near_threshold is None else str(near_threshold)
-
-
 def _write_checkpoint(
     path: str, end: int | None, near: str, ps: array, qs: array, committed: int, last_prime: int
 ) -> int:
@@ -736,6 +732,15 @@ def wss_search(
             gc.enable()
 
 
+def check_wss_request(limit: int, near_threshold: int | None) -> None:
+    """Refuse with ``ValueError`` a search that ``wss_search`` cannot run:
+    a limit below 7 or a negative near-miss threshold."""
+    if limit < 7:
+        raise ValueError("limit must be at least 7")
+    if near_threshold is not None and near_threshold < 0:
+        raise ValueError(f"near_threshold must be >= 0, got {near_threshold}")
+
+
 def _wss_columns(
     limit: int,
     near_threshold: int | None,
@@ -748,14 +753,11 @@ def _wss_columns(
     search holds 16 bytes per kept record plus one segment, however wide
     the range is.
     """
-    if limit < 7:
-        raise ValueError("limit must be at least 7")
-    if near_threshold is not None and near_threshold < 0:
-        raise ValueError(f"near_threshold must be >= 0, got {near_threshold}")
+    check_wss_request(limit, near_threshold)
     if checkpoint_every < 1:
         raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
     start = 7
-    near = _near_text(near_threshold)
+    near = "all" if near_threshold is None else str(near_threshold)
     ps, qs = array("q"), array("q")
     end = None  # length of the file up to its last commit; None: no file yet
     if checkpoint_path and os.path.exists(checkpoint_path):

@@ -1,14 +1,37 @@
 """Exact reference values that only the tests read.
 
 Each helper here is an independent oracle for the modular machinery in
-``fibmod``: exact arbitrary-precision sums, the split of an integer into
-p^v times a unit, the unit of the base-m family's Lucas term, and the
-uncorrected L2_2A closed form that the registry does not use.
+``fibmod``: exact arbitrary-precision sums, the weights of the central
+binomial sums as fractions, the residue of a fraction, the split of an
+integer into p^v times a unit, the unit of the base-m family's Lucas
+term, and the uncorrected L2_2A closed form that the registry does not
+use.
 """
 
+from fractions import Fraction
 from math import comb
 
+from fibmod.binomsums import WeightKind
 from fibmod.modarith import LucasParams, Modulus, NotInvertible, jacobi
+
+
+def residue(x, pe: int) -> int:
+    """An int or ``Fraction`` mod pe; its denominator must be a unit."""
+    x = Fraction(x)
+    return x.numerator * pow(x.denominator, -1, pe) % pe
+
+
+def weight_of(kind: WeightKind, k: int) -> Fraction:
+    """The factor ``kind`` puts on C(2k,k) in a sum, exactly."""
+    if kind is WeightKind.NONE:
+        return Fraction(1)
+    if kind is WeightKind.CATALAN:
+        return Fraction(1, k + 1)
+    if kind is WeightKind.LINEAR_K:
+        return Fraction(k)
+    if kind is WeightKind.INV_2KM1_SQ:
+        return Fraction(1, (2 * k - 1) ** 2)
+    return sum((Fraction(1, j * j) for j in range(1, k + 1)), Fraction(0))  # H_k^(2)
 
 
 def exact_lagrange(params: LucasParams, n: int) -> int:

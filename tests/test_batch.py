@@ -53,6 +53,7 @@ from fibmod.scanner import (
     verdict_row,
 )
 from fibmod.sequences import DomainError
+from oracles import residue
 from test_sum_oracle import oracle
 
 PRIMES = sieve_primes(3, 3000)
@@ -143,10 +144,6 @@ def test_alternating_harmonic_matches_the_walk():
     assert HarmonicSide(None, 1, 1).batch([(7, 0, 1), (7, 1, 1), (7, 7, 1)]) == [None] * 3
 
 
-def _fraction_mod(x, m):
-    return x.numerator * pow(x.denominator, -1, m) % m
-
-
 def test_tree_values_match_the_exact_oracle():
     primes = sieve_primes(3, 41)
     for e in (1, 2, 3):
@@ -154,7 +151,7 @@ def test_tree_values_match_the_exact_oracle():
         sums = HarmonicSide(None, 1, 1).batch([(p, b, e) for p in primes for b in range(2, p)])
         want_binomials = [comb(2 * k, k) % p**e for p in primes for k in range(1, p)]
         want_sums = [
-            _fraction_mod(sum(Fraction((-1) ** k, k) for k in range(1, b + 1)), p**e)
+            residue(sum(Fraction((-1) ** k, k) for k in range(1, b + 1)), p**e)
             for p in primes
             for b in range(2, p)
         ]

@@ -20,7 +20,7 @@ from fibmod.binomsums import (
 )
 from fibmod.checks import CheckParams, HarmonicSide, _floor_of
 from fibmod.modarith import LucasParams, Modulus, NegativeValuation, NotInvertible
-from oracles import exact_identity_41, exact_lagrange, padic_normalize
+from oracles import exact_identity_41, exact_lagrange, padic_normalize, weight_of
 
 
 def test_stream_examples():
@@ -221,13 +221,9 @@ def test_floor_of_is_exact_integer_division():
                 assert _floor_of(num, den)(CheckParams(p, a)) == (num * p**a) // den
 
 
-# Each walked term as an exact function of k, beside its ratio in _RATIOS.
-_WALKED_TERMS = {
-    WeightKind.NONE: lambda k: Fraction(comb(2 * k, k)),
-    WeightKind.CATALAN: lambda k: Fraction(comb(2 * k, k), k + 1),
-    WeightKind.LINEAR_K: lambda k: Fraction(k * comb(2 * k, k)),
-    WeightKind.INV_2KM1_SQ: lambda k: Fraction(comb(2 * k, k), (2 * k - 1) ** 2),
-}
+def _walked_term(kind: WeightKind):
+    """The term ``kind`` walks, as an exact function of k, beside its ratio in _RATIOS."""
+    return lambda k: weight_of(kind, k) * comb(2 * k, k)
 
 
 def _fraction_vu(t: Fraction, md: Modulus) -> tuple[int, int]:
@@ -257,7 +253,7 @@ def test_walk_matches_exact_terms(p, e):
     # Past 2p + 3 the runs cross multiples of p and the denominators pass p.
     md = Modulus(p, e)
     for weight, (head, ratio) in _RATIOS.items():
-        term = _WALKED_TERMS[weight]
+        term = _walked_term(weight)
         assert [term(k) for k in range(len(head))] == list(head)
         _assert_walk_is_exact(md, ratio, len(head), 2 * p + 3, (0, head[-1]), term)
     # L2_1's binom(n+k, 2k), n = (p^a-1)/2, to n >= 2p + 3.
@@ -276,8 +272,8 @@ def test_walk_resumed_from_a_stored_end_matches_exact_terms(p, e):
         upto = (p - 1) // 2 if weight is WeightKind.INV_2KM1_SQ else p + 1
         _residues_from_vu(md, upto, tables, weight)
         vu = tables.walk_ends[weight, md.m]
-        assert vu == _fraction_vu(_WALKED_TERMS[weight](upto), md)
-        _assert_walk_is_exact(md, ratio, upto + 1, 2 * p + 3, vu, _WALKED_TERMS[weight])
+        assert vu == _fraction_vu(_walked_term(weight)(upto), md)
+        _assert_walk_is_exact(md, ratio, upto + 1, 2 * p + 3, vu, _walked_term(weight))
 
 
 @pytest.mark.parametrize("weight", [WeightKind.NONE, WeightKind.INV_2KM1_SQ])

@@ -17,7 +17,7 @@ from fibmod.cli import (
     main,
     parse_args,
 )
-from fibmod.scanner import AllSmall, MList, Sample, ScanRequest, scan
+from fibmod.scanner import AllSmall, MList, Sample, ScanRequest, scan, wss_search
 from fibmod.sequences import DomainError
 
 
@@ -95,6 +95,8 @@ def test_usage_errors(argv):
 
 _T1_1_SCAN = ["scan", "--ids", "T1_1", "--pmin", "3", "--pmax", "13"]
 _T2_SCAN = ["scan", "--ids", "T2_MAIN", "--pmin", "3", "--pmax", "7"]
+# psi_12, the least strong pseudoprime to the first twelve primes (OEIS A014233).
+_PSI_12 = 318665857834031151167461
 
 
 @pytest.mark.parametrize(
@@ -139,12 +141,19 @@ _T2_SCAN = ["scan", "--ids", "T2_MAIN", "--pmin", "3", "--pmax", "7"]
             ValueError,
             ["scan", "--ids", "P4_1A", "--pmin", "46300", "--pmax", "46400", "--amax", "3", "--force"],
         ),
+        (
+            partial(run_check, "T1_1", CheckParams(p=_PSI_12)),
+            DomainError,
+            ["check", "--id", "T1_1", "--p", str(_PSI_12)],
+        ),
+        (partial(wss_search, 5), ValueError, ["wss", "--limit", "5"]),
+        (partial(wss_search, 100, -1), ValueError, ["wss", "--limit", "100", "--near", "-1"]),
     ],
     ids=[
         "budget=0", "a_max=0", "jobs=0", "pmin>pmax", "no-ids", "n<0",
         "sample-count<1", "empty-m-list", "no-m-policy",
         "check-modulus-bound", "check-modulus-bound-forced-over-budget", "scan-modulus-bound",
-        "scan-modulus-bound-forced-at-a-max",
+        "scan-modulus-bound-forced-at-a-max", "p-past-is-prime-range", "wss-limit<7", "wss-near<0",
     ],
 )
 def test_library_and_cli_refuse_the_same_requests(library_call, error, argv, capsys):

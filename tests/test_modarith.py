@@ -49,6 +49,16 @@ def test_is_prime_matches_trial_division():
         assert is_prime(n) == trial(n), n
 
 
+def test_is_prime_refuses_past_its_exact_range():
+    # psi_11 passes the first eleven witnesses and fails 37; psi_12 and
+    # psi_13 pass all twelve (OEIS A014233), so is_prime cannot decide them.
+    assert not is_prime(3825123056546413051)
+    assert not is_prime(318665857834031151167461 - 1)  # the last n it decides
+    for n in (318665857834031151167461, 3317044064679887385961981):
+        with pytest.raises(ValueError, match="exact only below"):
+            is_prime(n)
+
+
 def test_jacobi_examples():
     assert jacobi(2, 7) == 1  # 3^2 = 9 = 2 (mod 7)
     assert jacobi(3, 5) == -1  # squares mod 5 are {1, 4}

@@ -25,7 +25,7 @@ from fibmod.binomsums import PrimeTables
 from fibmod.checks import CheckParams, get_check, run_check, run_conj11n_range
 from fibmod.modarith import LucasParams, Modulus
 from fibmod.scanner import AllSmall, MList, ScanRequest, scan, sieve_primes
-from oracles import exact_lagrange
+from oracles import exact_lagrange, residue
 
 # (p, a) points: odd p <= 41 at a = 1, odd p <= 13 at a = 2, odd p <= 7
 # at a = 3 and odd p <= 5 at a = 4.
@@ -256,11 +256,6 @@ SIDES = {
         ),
     ),
 }
-
-
-def residue(x, pe: int) -> int:
-    x = Fraction(x)
-    return x.numerator * pow(x.denominator, -1, pe) % pe
 
 
 def oracle(cid: str, p: int, a: int) -> tuple[int, int, int]:

@@ -16,20 +16,9 @@ from hypothesis import strategies as st
 
 from fibmod.binomsums import PrimeTables, WeightKind, _residues_from_vu, _sum_with_power, central_sum
 from fibmod.modarith import Modulus, NotInvertible
+from oracles import residue, weight_of
 
 PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
-
-
-def _weight(kind: WeightKind, k: int) -> Fraction:
-    if kind is WeightKind.NONE:
-        return Fraction(1)
-    if kind is WeightKind.CATALAN:
-        return Fraction(1, k + 1)
-    if kind is WeightKind.LINEAR_K:
-        return Fraction(k)
-    if kind is WeightKind.INV_2KM1_SQ:
-        return Fraction(1, (2 * k - 1) ** 2)
-    return sum((Fraction(1, j * j) for j in range(1, k + 1)), Fraction(0))
 
 
 def _max_upper(kind: WeightKind, p: int) -> int:
@@ -43,11 +32,11 @@ def _max_upper(kind: WeightKind, p: int) -> int:
 
 def oracle(kind: WeightKind, x: Fraction, upper: int, md: Modulus) -> int:
     total = sum(
-        (_weight(kind, k) * comb(2 * k, k) * x**k for k in range(upper + 1)),
+        (weight_of(kind, k) * comb(2 * k, k) * x**k for k in range(upper + 1)),
         Fraction(0),
     )
     assert total.denominator % md.p, "oracle denominator must be a unit"
-    return total.numerator * pow(total.denominator, -1, md.m) % md.m
+    return residue(total, md.m)
 
 
 @st.composite
@@ -123,7 +112,7 @@ def test_sum_at_one_matches_horner_and_the_oracle():
             uppers = _uppers_at_one(kind, p)
             exact, total = {}, Fraction(0)
             for k in range(uppers[-1] + 1):
-                total += _weight(kind, k) * comb(2 * k, k)
+                total += weight_of(kind, k) * comb(2 * k, k)
                 if k in uppers:
                     exact[k] = total
             for e in (1, 2, 3):
@@ -132,7 +121,7 @@ def test_sum_at_one_matches_horner_and_the_oracle():
                 walked = PrimeTables()
                 _residues_from_vu(md, uppers[-1], walked, kind)
                 for upper in uppers:
-                    want = exact[upper].numerator * pow(exact[upper].denominator, -1, pe) % pe
+                    want = residue(exact[upper], pe)
                     terms = _residues_from_vu(md, upper, PrimeTables(), kind)[: upper + 1]
                     horner, x = 0, 1
                     for t in reversed(terms):

@@ -29,6 +29,7 @@ from fibmod.binomsums import (
 )
 from fibmod.checks import CheckParams, _l2_1_lhs
 from fibmod.modarith import Modulus
+from oracles import padic_normalize, residue, weight_of
 
 PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41]
 WALKED = (
@@ -37,12 +38,6 @@ WALKED = (
     WeightKind.LINEAR_K,
     WeightKind.INV_2KM1_SQ,
 )
-WEIGHTS = {
-    WeightKind.NONE: lambda k: 1,
-    WeightKind.CATALAN: lambda k: Fraction(1, k + 1),
-    WeightKind.LINEAR_K: lambda k: k,
-    WeightKind.INV_2KM1_SQ: lambda k: Fraction(1, (2 * k - 1) ** 2),
-}
 
 
 def _max_upper(p: int, weight: WeightKind = WeightKind.NONE) -> int:
@@ -51,30 +46,18 @@ def _max_upper(p: int, weight: WeightKind = WeightKind.NONE) -> int:
     return p**3 if p <= 7 else 4 * p
 
 
-def _mod(t: Fraction, pe: int) -> int:
-    return t.numerator * pow(t.denominator, -1, pe) % pe
-
-
 @cache
 def _exact(p: int, weight: WeightKind) -> tuple[Fraction, ...]:
     """weight(k) C(2k,k) for k up to the weight's bound at p."""
-    return tuple(WEIGHTS[weight](k) * comb(2 * k, k) for k in range(_max_upper(p, weight) + 1))
+    return tuple(weight_of(weight, k) * comb(2 * k, k) for k in range(_max_upper(p, weight) + 1))
 
 
 def _residues(p: int, pe: int, upper: int, weight: WeightKind) -> list[int]:
-    return [_mod(t, pe) for t in _exact(p, weight)[: min(upper, _max_upper(p, weight)) + 1]]
+    return [residue(t, pe) for t in _exact(p, weight)[: min(upper, _max_upper(p, weight)) + 1]]
 
 
-def _factored(p: int, pe: int, upper: int) -> list[tuple[int, int]]:
-    out = []
-    for t in _exact(p, WeightKind.NONE)[: upper + 1]:
-        t = int(t)
-        v = 0
-        while t % p == 0:
-            t //= p
-            v += 1
-        out.append((v, t % pe))
-    return out
+def _factored(md: Modulus, upper: int) -> list[tuple[int, int]]:
+    return [padic_normalize(int(t), md) for t in _exact(md.p, WeightKind.NONE)[: upper + 1]]
 
 
 @st.composite
@@ -94,7 +77,7 @@ def test_tables_in_one_call(case):
         # LINEAR_K's table starts with both head terms, even at bound 0.
         want = max(bound, len(_RATIOS[weight][0]) - 1)
         assert got == _residues(p, md.m, want, weight), (p, e, bound, weight)
-    want = _factored(p, md.m, upper)
+    want = _factored(md, upper)
     assert _cb_vu(md, upper) == want
     assert list(central_binomial_stream(md, upper)) == want
 
@@ -124,7 +107,7 @@ def test_tables_extended_through_one_prime_tables_store(case):
             bound = min(upper, _max_upper(p, weight))
             got = _residues_from_vu(md, bound, shared, weight)
             assert got[: bound + 1] == _residues(p, md.m, bound, weight), (p, pieces, weight)
-        assert _cb_vu(md, upper) == _factored(p, md.m, upper)
+        assert _cb_vu(md, upper) == _factored(md, upper)
     # After every extension the tables equal ones built in a single call.
     for e, upper in pieces:
         md = Modulus(p, e)
@@ -145,7 +128,7 @@ def test_alternating_harmonic(case):
     p, e, bound = case
     md = Modulus(p, e)
     exact = sum((Fraction((-1) ** k, k) for k in range(1, bound + 1)), Fraction(0))
-    want = exact.numerator * pow(exact.denominator, -1, md.m) % md.m
+    want = residue(exact, md.m)
     assert alternating_harmonic(bound, md) == want
 
 
@@ -155,6 +138,6 @@ def test_l2_1_lhs_walks_its_binomial(p, a):
     md = Modulus(p, 3)
     n = (p**a - 1) // 2
     want = [
-        _mod(comb(n + k, 2 * k) - Fraction(comb(2 * k, k), (-16) ** k), md.m) for k in range(n + 1)
+        residue(comb(n + k, 2 * k) - Fraction(comb(2 * k, k), (-16) ** k), md.m) for k in range(n + 1)
     ]
     assert _l2_1_lhs(CheckParams(p=p, a=a), md, PrimeTables()) == want

@@ -44,6 +44,7 @@ class Mutant(NamedTuple):
 
 _B = "src/fibmod/binomsums.py"
 _C = "src/fibmod/checks.py"
+_M = "src/fibmod/modarith.py"
 _S = "src/fibmod/sequences.py"
 _SC = "src/fibmod/scanner.py"
 
@@ -231,8 +232,8 @@ MUTANTS = (
     Mutant(
         "l2_3b_rhs_one_third",
         _C,
-        "return 2 * pow(3, -1, pe) % pe * q % pe * q % pe",
-        "return pow(3, -1, pe) % pe * q % pe * q % pe",
+        "_fermat_square_rhs(2, 3)",
+        "_fermat_square_rhs(1, 3)",
         "L2_3B's rhs is (2/3) q^2",
     ),
     Mutant(
@@ -245,16 +246,30 @@ MUTANTS = (
     Mutant(
         "aux_granville_unsigned",
         _C,
-        "return -q * q % md.m",
-        "return q * q % md.m",
+        "_fermat_square_rhs(-1, 1)",
+        "_fermat_square_rhs(1, 1)",
         "AUX_GRANVILLE's rhs is -q_p(2)^2",
     ),
     Mutant(
         "aux_s08_base_2",
         _C,
-        "return power_over_square_sum(1, 2, md, tables)",
-        "return power_over_square_sum(2, 1, md, tables)",
+        "_over_squares(1, 2)",
+        "_over_squares(2, 1)",
         "AUX_S08's sum is over 1/(k^2 2^k)",
+    ),
+    Mutant(
+        "symbol_rhs_not_powered",
+        _C,
+        "jacobi(q, pr.p) ** pr.a % md.m",
+        "jacobi(q, pr.p) % md.m",
+        "the closed form (q/p^a) is (q/p) to the power a",
+    ),
+    Mutant(
+        "p4_1_lhs_m_minus_2",
+        _C,
+        "(pr.m - 4) * pow(2, -1, md.m)",
+        "(pr.m - 2) * pow(2, -1, md.m)",
+        "P4_1's k-weighted sum is scaled by (m - 4)/2",
     ),
     Mutant(
         "williams_sign",
@@ -318,6 +333,14 @@ MUTANTS = (
         "return 2 * _v3(2 * n + 1) + carries",
         "return _v3(2 * n + 1) + carries",
         "CONJ1_1N's exponent counts v_3 of (2n+1)^2",
+    ),
+    # Primality.
+    Mutant(
+        "is_prime_past_its_exact_range",
+        _M,
+        "    if n >= _MR_EXACT_BELOW:\n        raise ValueError(",
+        "    if False:\n        raise ValueError(",
+        "from psi_12 on a strong pseudoprime to all twelve witnesses would pass as prime",
     ),
     # The Wall-Sun-Sun block step.
     Mutant(
