@@ -25,7 +25,6 @@ import ast
 import glob
 import os
 import sys
-import threading
 import types
 
 import pytest
@@ -80,12 +79,10 @@ def executable_lines(path: str) -> set[int]:
 
 def pytest_configure(config):
     sys.settrace(_trace)
-    threading.settrace(_trace)
 
 
 def pytest_sessionfinish(session, exitstatus):
     sys.settrace(None)
-    threading.settrace(None)
     expected = dict(EXPECTED)
     for path, ran in sorted(_ran.items()):
         with open(path, encoding="utf-8") as fh:
