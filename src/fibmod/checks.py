@@ -36,7 +36,7 @@ from .modarith import (
     Modulus,
     NegativeValuation,
     NotInvertible,
-    is_prime,
+    is_odd_prime,
     jacobi,
 )
 from .sequences import (
@@ -211,17 +211,25 @@ _h2_neg2_sum = SumSide(-2, _p_full, WeightKind.H2, signed=True)
 _adamchuk_sum = SumSide(1, lambda pr: 2 * pr.p // 3, signed=True)
 
 
-def _t1_1_rhs(pr, md, tables):
-    sign = _fib_sign(pr)
-    f = fibonacci_mod(pr.p**pr.a - sign, md.m)
-    return sign * (1 + f * pow(2, -1, md.m)) % md.m
+def _fib_entry_rhs(num: int, den: int) -> Side:
+    """The closed form (p^a/5)(1 + (num/den) F_{p^a - (p^a/5)})."""
+    def rhs(pr, md, tables):
+        sign = _fib_sign(pr)
+        f = fibonacci_mod(pr.p**pr.a - sign, md.m)
+        return sign * (1 + num * pow(den, -1, md.m) * f) % md.m
+
+    return rhs
 
 
-def _t1_2_rhs(pr, md, tables):
-    pe = md.m
-    t = (pow(2, pr.p**pr.a - 1, pe) - 1) % pe
-    s2 = jacobi(2, pr.p) ** pr.a
-    return s2 * (1 + t * pow(6, -1, pe) - t * t % pe * pow(8, -1, pe)) % pe
+def _fermat_poly(q: int, c: int) -> Side:
+    """The side (q/p^a)(1 + t/6 + t^2/c), t = 2^(p^a-1) - 1; no ``jacobi`` call at q = 1."""
+    def side(pr, md, tables):
+        pe = md.m
+        t = (pow(2, pr.p**pr.a - 1, pe) - 1) % pe
+        sign = jacobi(q, pr.p) ** pr.a if q != 1 else 1
+        return sign * (1 + t * pow(6, -1, pe) + t * t % pe * pow(c, -1, pe)) % pe
+
+    return side
 
 
 def _t2_main_rhs(pr, md, tables):
@@ -243,7 +251,8 @@ def _t2_cat_rhs(pr, md, tables):
     m, pe = pr.m, md.m
     s = _m_half_sum(pr, md, tables)
     inv2 = (pe + 1) // 2
-    delta = 2 * pr.p * (-1) ** (pr.p // 2) * jacobi(m, pr.p) if pr.a == 1 else 0
+    # (-1)^((p-1)/2) (m/p) = (-m/p).
+    delta = 2 * pr.p * jacobi(-m, pr.p) if pr.a == 1 else 0
     return ((4 - m) * inv2 % pe * s + m * inv2 - delta) % pe
 
 
@@ -269,12 +278,6 @@ def _basic_p_rhs(pr, md, tables):
 
 def _williams_lhs(pr, md, tables):
     return fibonacci_quotient(pr.p, md.e)
-
-
-def _pansun_rhs(pr, md, tables):
-    sign = _fib_sign(pr)
-    f = fibonacci_mod(pr.p**pr.a - sign, md.m)
-    return sign * (1 - 2 * f) % md.m
 
 
 def _adamchuk_lhs(pr, md, tables):
@@ -329,12 +332,6 @@ def _l2_1_rhs(pr, md, tables):
         val = sgn * rb % pe * t_acc % pe
         out[k] = val if k % 2 else (-val) % pe
     return out
-
-
-def _l2_2a_lhs(pr, md, tables):
-    pe = md.m
-    t = (pow(2, pr.p**pr.a - 1, pe) - 1) % pe
-    return (1 + t * pow(6, -1, pe) + t * t % pe * pow(24, -1, pe)) % pe
 
 
 def _l2_2a_rhs(pr, md, tables):
@@ -432,17 +429,10 @@ def _l3_2_rhs(pr, md, tables):
     return (ab.A * inv2 % pe * bpow % pe * un + jd * (pow(ab.B % pe, p - 1, pe) + 1) * inv2) % pe
 
 
-def _l3_3_lhs(pr, md, tables):
-    # C(2k, k+1) = C(2k,k) - C_k termwise.
-    return (_m_half_sum(pr, md, tables) - _m_half_cat_sum(pr, md, tables)) % md.m
-
-
-def _l3_3_rhs(pr, md, tables):
-    m, pe = pr.m, md.m
-    s = _m_half_sum(pr, md, tables)
-    inv2 = pow(2, -1, pe)
-    delta = 2 * pr.p * jacobi(-m, pr.p) if pr.a == 1 else 0
-    return ((m - 2) * inv2 % pe * s - m * inv2 + delta) % pe
+def _plain_minus(side: Side) -> Side:
+    """The half-range sum over m less ``side``.  C(2k, k+1) = C(2k,k) - C_k
+    termwise, so L3_3's sides are the plain sum less T2_CAT's."""
+    return lambda pr, md, tables: (_m_half_sum(pr, md, tables) - side(pr, md, tables)) % md.m
 
 
 def _p4_1_lhs(k_sum: SumSide) -> Side:
@@ -553,7 +543,7 @@ _REGISTRY: tuple[CheckSpec, ...] = (
         CheckKind.THEOREM,
         "half-range sum of C(2k,k)/(-16)^k determines the Fibonacci entry term mod p^3",
         SumSide(-16, _half),
-        _t1_1_rhs,
+        _fib_entry_rhs(1, 2),
         e=3,
         **_P_NOT_5,
     ),
@@ -562,7 +552,7 @@ _REGISTRY: tuple[CheckSpec, ...] = (
         CheckKind.THEOREM,
         "half-range sum of C(2k,k)/(-32)^k against a Fermat-quotient polynomial mod p^3",
         SumSide(-32, _half),
-        _t1_2_rhs,
+        _fermat_poly(2, -8),
         e=3,
         domain=lambda pr: pr.p != 3,
         domain_label="p != 3",
@@ -634,7 +624,7 @@ _REGISTRY: tuple[CheckSpec, ...] = (
         CheckKind.AUXILIARY,
         "full-range alternating sum of C(2k,k) determines the Fibonacci entry term mod p^3",
         SumSide(-1, _full, signed=True),
-        _pansun_rhs,
+        _fib_entry_rhs(-2, 1),
         e=3,
         **_P_NOT_5,
     ),
@@ -664,7 +654,7 @@ _REGISTRY: tuple[CheckSpec, ...] = (
         CheckKind.LEMMA,
         "quadratic in 2^(p^a-1)-1 equals (2/p^a)(2^(p^a)+1)/(3*2^((p^a-1)/2)) mod p^3 "
         "(corrected numerator: 2^(p^a+1) disagrees with direct computation)",
-        _l2_2a_lhs,
+        _fermat_poly(1, 24),
         _l2_2a_rhs,
         e=3,
         domain=lambda pr: pr.p > 3,
@@ -780,8 +770,8 @@ _REGISTRY: tuple[CheckSpec, ...] = (
         "L3_3",
         CheckKind.LEMMA,
         "sum of C(2k,k+1)/m^k reduced to the plain sum mod p^2",
-        _l3_3_lhs,
-        _l3_3_rhs,
+        _plain_minus(_m_half_cat_sum),
+        _plain_minus(_t2_cat_rhs),
         e=2,
         **_COPRIME_M,
         length=_half,
@@ -1004,7 +994,7 @@ def check_request(check_id: str, params: CheckParams) -> CheckSpec:
     spec = get_check(check_id)
     p = params.p
     try:
-        if p < 3 or p % 2 == 0 or not is_prime(p):
+        if not is_odd_prime(p):
             raise DomainError(f"p must be an odd prime, got {p}")
     except ValueError as exc:  # p past the range where is_prime is exact
         raise DomainError(str(exc)) from None

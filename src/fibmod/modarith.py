@@ -73,6 +73,11 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def is_odd_prime(n: int) -> bool:
+    """Whether n is an odd prime; ``is_prime``'s ``ValueError`` past its exact range."""
+    return n > 2 and n % 2 == 1 and is_prime(n)
+
+
 class Modulus:
     """An odd prime power p^e, the ambient ring of all residue arithmetic.
 
@@ -83,7 +88,7 @@ class Modulus:
     __slots__ = ("p", "e", "m")
 
     def __init__(self, p: int, e: int) -> None:
-        if p < 3 or p % 2 == 0 or not is_prime(p):
+        if not is_odd_prime(p):
             raise ValueError(f"modulus base must be an odd prime, got {p}")
         if e < 1:
             raise ValueError(f"modulus exponent must be >= 1, got {e}")

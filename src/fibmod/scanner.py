@@ -67,25 +67,20 @@ def sieve_primes(lo: int, hi: int) -> list[int]:
     Memory stays O(sqrt(hi) + segment) no matter how wide the range is.
     The base primes to sqrt(hi) come from the same sieve.
     """
+    return list(chain.from_iterable(_segments(lo, hi)))
+
+
+def _segments(lo: int, hi: int, down: bool = False) -> Iterator[list[int]]:
+    """The primes in [lo, hi] a ``_SEGMENT`` at a time, ascending, or with ``down``
+    descending; a caller that stops early sieves no further."""
     if hi < 2 or hi < lo:
-        return []
+        return
     base = sieve_primes(2, isqrt(hi))
-    out: list[int] = []
-    lo = max(lo, 2)
-    for low in range(lo, hi + 1, _SEGMENT):
+    lows = range(max(lo, 2), hi + 1, _SEGMENT)
+    for low in reversed(lows) if down else lows:
         high = min(low + _SEGMENT, hi + 1)
-        out.extend(compress(range(low, high), _segment_mask(low, high, base)))
-    return out
-
-
-def _primes_down(lo: int, hi: int):
-    """The primes in [lo, hi] for lo >= 2, descending, sieved one segment
-    at a time, so a caller that stops early sieves no further."""
-    base = sieve_primes(2, isqrt(hi)) if hi >= lo else []
-    while hi >= lo:
-        low = max(lo, hi + 1 - _SEGMENT)
-        yield from reversed(list(compress(range(low, hi + 1), _segment_mask(low, hi + 1, base))))
-        hi = low - 1
+        primes = list(compress(range(low, high), _segment_mask(low, high, base)))
+        yield primes[::-1] if down else primes
 
 
 def _segment_mask(low: int, high: int, base: list[int]) -> bytearray:
@@ -107,6 +102,12 @@ def _segment_mask(low: int, high: int, base: list[int]) -> bytearray:
 class AllSmall:
     """m runs over 1..p-1."""
 
+    def select(self, p: int) -> Iterable[int]:
+        return range(1, p)
+
+    def text(self) -> str:
+        return "all"
+
 
 @dataclass(frozen=True)
 class Sample:
@@ -119,6 +120,20 @@ class Sample:
         if self.count < 1:
             raise ValueError(f"a sample must draw at least one m, got count {self.count}")
 
+    def select(self, p: int) -> set[int]:
+        # Seeded per prime so draws do not depend on scan order or workers.
+        rng = random.Random(f"{self.seed}:{p}")
+        want = min(self.count, (p - 1) * (p - 1))
+        values: set[int] = set()
+        while len(values) < want:
+            v = rng.randrange(p, p * p)
+            if v % p:
+                values.add(v)
+        return values
+
+    def text(self) -> str:
+        return f"sample:{self.count}:{self.seed}"
+
 
 @dataclass(frozen=True)
 class MList:
@@ -129,6 +144,12 @@ class MList:
     def __post_init__(self) -> None:
         if not self.values:
             raise ValueError("an m list must hold at least one value")
+
+    def select(self, p: int) -> tuple[int, ...]:
+        return self.values
+
+    def text(self) -> str:
+        return "list:" + ",".join(map(str, self.values))
 
 
 MPolicy = AllSmall | Sample | MList
@@ -162,27 +183,19 @@ class ScanRequest:
         if not self.check_ids:
             raise ValueError("a scan must name at least one check")
         for cid in self.check_ids:
-            if get_check(cid).index == "n":
+            spec = get_check(cid)
+            if spec.index == "n":
                 raise ValueError(
                     f"{cid} is indexed by n, which a scan does not set; "
                     "use check --n or run_conj11n_range"
                 )
-        if self.p_min > self.p_max:
-            raise ValueError(f"p_min {self.p_min} exceeds p_max {self.p_max}")
-        if not self.m_policy:
-            raise ValueError("a scan must name at least one m policy")
-        for name in ("a_max", "jobs", "budget"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for cid in self.check_ids:
-            spec = get_check(cid)
             # m = 1 stands in for every m: that domain asks only gcd(m, p) = 1.
             m = 1 if spec.index == "m" else None
             for a in range(1, self.a_max + 1):
                 e = spec.exponent(CheckParams(p=self.p_max, a=a))
                 if self.p_max**e < MODULUS_BOUND:
                     continue
-                for p in _primes_down(max(self.p_min, 3), self.p_max):
+                for p in chain.from_iterable(_segments(max(self.p_min, 3), self.p_max, down=True)):
                     if p**e < MODULUS_BOUND:
                         break
                     if evaluates(spec, CheckParams(p, a, m, force=self.force, budget=self.budget)):
@@ -190,6 +203,13 @@ class ScanRequest:
                             f"{cid} needs p^e = {p}^{e} at a = {a}, past the 2^62 modulus bound"
                         )
 
+        if self.p_min > self.p_max:
+            raise ValueError(f"p_min {self.p_min} exceeds p_max {self.p_max}")
+        if not self.m_policy:
+            raise ValueError("a scan must name at least one m policy")
+        for name in ("a_max", "jobs", "budget"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 class Row(NamedTuple):
     """One report row.  A tuple, not a frozen dataclass, because a scan
@@ -213,28 +233,8 @@ class Report:
     summary: dict[str, dict[str, int]] = field(default_factory=dict)
 
 
-def _sample_values(pol: Sample, p: int) -> list[int]:
-    # Seeded per prime so draws do not depend on scan order or workers.
-    rng = random.Random(f"{pol.seed}:{p}")
-    want = min(pol.count, (p - 1) * (p - 1))
-    values: set[int] = set()
-    while len(values) < want:
-        v = rng.randrange(p, p * p)
-        if v % p:
-            values.add(v)
-    return sorted(values)
-
-
 def _m_values(p: int, policies: tuple[MPolicy, ...]) -> list[int]:
-    values: set[int] = set()
-    for pol in policies:
-        if isinstance(pol, AllSmall):
-            values.update(range(1, p))
-        elif isinstance(pol, Sample):
-            values.update(_sample_values(pol, p))
-        else:
-            values.update(pol.values)
-    return sorted(values)
+    return sorted(set().union(*(pol.select(p) for pol in policies)))
 
 
 def verdict_row(check_id: str, p: int, a: int, m: int | None, verdict: Verdict | None) -> Row:
@@ -408,20 +408,9 @@ def _lines(rows: Iterable[tuple], line: str, text: dict | None = None, quote=Non
         yield line * (len(flat) // width) % flat
 
 
-def _policy_text(policies: tuple[MPolicy, ...]) -> str:
-    parts = []
-    for pol in policies:
-        if isinstance(pol, AllSmall):
-            parts.append("all")
-        elif isinstance(pol, Sample):
-            parts.append(f"sample:{pol.count}:{pol.seed}")
-        else:
-            parts.append("list:" + ",".join(str(v) for v in pol.values))
-    return "+".join(parts)
-
-
 def _policy_from_text(text: str) -> tuple[MPolicy, ...]:
-    """The inverse of ``_policy_text``; ``ValueError`` for text it never renders."""
+    """The policies whose ``text`` joined by "+" is ``text``; ``ValueError``
+    for text no policy renders."""
     return tuple(_one_policy(part) for part in text.split("+"))
 
 
@@ -458,7 +447,7 @@ def _request_fields(r: ScanRequest) -> dict:
         "pmin": r.p_min,
         "pmax": r.p_max,
         "amax": r.a_max,
-        "m_policy": _policy_text(r.m_policy),
+        "m_policy": "+".join(pol.text() for pol in r.m_policy),
         "budget": r.budget,
         "force": r.force,
     }
@@ -582,7 +571,10 @@ def _read_checkpoint(path: str) -> tuple[int, str, array, array, int]:
     if header != CHECKPOINT_MAGIC:
         raise CheckpointCorrupt(f"{path}: header {header[:40]!r} is not {CHECKPOINT_MAGIC!r}")
     stop = text.find("\n", start)
-    near = _near_line(path, text[start:stop] if stop > 0 else "")
+    line = text[start:stop] if stop > 0 else ""
+    near = line.removeprefix("near=")
+    if near == line or not (near == "all" or near.isdigit()):
+        raise CheckpointCorrupt(f"{path}: missing or bad near line")
     end = start = stop + 1
     tail = text.rfind("\n") + 1  # after it: nothing, or a line cut short
     last_prime = floor = 6
@@ -613,13 +605,6 @@ def _read_checkpoint(path: str) -> tuple[int, str, array, array, int]:
     _refuse_composites(path, ps)
     del ps[committed:], qs[committed:]
     return last_prime, near, ps, qs, end
-
-
-def _near_line(path: str, line: str) -> str:
-    near = line.removeprefix("near=")
-    if near == line or not (near == "all" or near.isdigit()):
-        raise CheckpointCorrupt(f"{path}: missing or bad near line")
-    return near
 
 
 def _parse_records(

@@ -15,3 +15,11 @@ def test_every_old_text_occurs_exactly_once():
     for m in mutants.MUTANTS:
         assert m.old != m.new and m.reason, m.name
         assert mutants.occurrences(mutants.ROOT, m) == 1, m.name
+
+
+def test_every_recorded_test_exists():
+    for m in mutants.MUTANTS:
+        path, name = m.test.split("::")
+        assert path.startswith("tests/test_") and path != "tests/test_mutants.py", m.name
+        with open(os.path.join(mutants.ROOT, path), encoding="utf-8") as fh:
+            assert f"\ndef {name}(" in fh.read(), m.name

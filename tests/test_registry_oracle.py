@@ -21,11 +21,11 @@ from math import comb
 
 import pytest
 
-from fibmod.binomsums import PrimeTables
+from fibmod.binomsums import PrimeTables, WeightKind
 from fibmod.checks import CheckParams, get_check, run_check, run_conj11n_range
 from fibmod.modarith import LucasParams, Modulus
 from fibmod.scanner import AllSmall, MList, ScanRequest, scan, sieve_primes
-from oracles import exact_lagrange, residue
+from oracles import exact_lagrange, residue, weight_of
 
 # (p, a) points: odd p <= 41 at a = 1, odd p <= 13 at a = 2, odd p <= 7
 # at a = 3 and odd p <= 5 at a = 4.
@@ -69,14 +69,11 @@ def quotient(x: int, p: int) -> int:
     return x // p
 
 
-def central(base: int, upper: int, weight=lambda k: 1, signed: bool = False) -> Fraction:
+def central(base: int, upper: int, weight=WeightKind.NONE, signed: bool = False) -> Fraction:
     """sum_{k<=upper} weight(k) C(2k,k) x^k, x = base if signed else 1/base."""
     x = Fraction(base) if signed else Fraction(1, base)
-    return sum((weight(k) * comb(2 * k, k) * x**k for k in range(upper + 1)), Fraction(0))
-
-
-def _linear(k: int) -> int:
-    return k
+    terms = (weight_of(weight, k) * comb(2 * k, k) * x**k for k in range(upper + 1))
+    return sum(terms, Fraction(0))
 
 
 def _t1_1(p, a):
@@ -98,7 +95,7 @@ def _pansun(p, a):
 def _c1_2(p, a):
     # Both right sides must agree; a passing row shows the last pair, whose
     # rhs is the mod-12 case table's.
-    lhs = central(16, (p - 1) // 2, lambda k: Fraction(1, (2 * k - 1) ** 2))
+    lhs = central(16, (p - 1) // 2, WeightKind.INV_2KM1_SQ)
     closed = legendre(-1, p) * Fraction(3 * legendre(p, 3) + 1, 4)
     table = {1: 1, 5: Fraction(-1, 2), 7: -1, 11: Fraction(1, 2)}[p % 12]
     assert residue(closed, p * p) == residue(table, p * p), p
@@ -201,19 +198,19 @@ SIDES = {
     "C1_2": (2, _c1_2),
     "PANSUN": (3, _pansun),
     "ADAMCHUK": (2, _adamchuk),
-    "E4_4": (2, lambda p, a: (central(2, p - 1, _linear), p - legendre(-1, p))),
-    "E4_5": (2, lambda p, a: (central(3, p - 1, _linear), 2 * p - 2 * legendre(p, 3))),
+    "E4_4": (2, lambda p, a: (central(2, p - 1, WeightKind.LINEAR_K), p - legendre(-1, p))),
+    "E4_5": (2, lambda p, a: (central(3, p - 1, WeightKind.LINEAR_K), 2 * p - 2 * legendre(p, 3))),
     "E4_6": (
         2,
         lambda p, a: (
-            central(8, (p - 1) // 2, _linear),
+            central(8, (p - 1) // 2, WeightKind.LINEAR_K),
             legendre(2, p) * Fraction(1 - legendre(-1, p) * p, 2),
         ),
     ),
     "E4_7": (
         2,
         lambda p, a: (
-            central(16, (p - 1) // 2, _linear),
+            central(16, (p - 1) // 2, WeightKind.LINEAR_K),
             Fraction(legendre(3, p) - legendre(-1, p) * p, 6),
         ),
     ),
@@ -344,7 +341,7 @@ def _t2_cat(p, a, m):
     half = (p**a - 1) // 2
     delta = 2 * p * legendre(-m, p) if a == 1 else 0
     rhs = Fraction(4 - m, 2) * central(m, half) + Fraction(m, 2) - delta
-    return central(m, half, lambda k: Fraction(1, k + 1)), rhs
+    return central(m, half, WeightKind.CATALAN), rhs
 
 
 def _l3_3(p, a, m):
@@ -356,13 +353,13 @@ def _l3_3(p, a, m):
 
 def _p4_1a(p, a, m):
     half = (p**a - 1) // 2
-    lhs = Fraction(m - 4, 2) * central(m, half, _linear)
+    lhs = Fraction(m - 4, 2) * central(m, half, WeightKind.LINEAR_K)
     return lhs, central(m, half) - p**a * legendre(-m, p) ** a
 
 
 def _p4_1b(p, a, m):
     full = p**a - 1
-    return Fraction(m - 4, 2) * central(m, full, _linear), central(m, full) - p**a
+    return Fraction(m - 4, 2) * central(m, full, WeightKind.LINEAR_K), central(m, full) - p**a
 
 
 # id -> (exponent e at a, both sides at (p, a, m) as exact rationals).

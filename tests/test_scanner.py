@@ -18,7 +18,6 @@ from fibmod.scanner import (
     Sample,
     ScanRequest,
     _read_checkpoint,
-    _sample_values,
     render_csv,
     render_jsonl,
     render_wss_csv,
@@ -149,14 +148,14 @@ def test_scan_m_policies():
 
 
 def test_sample_values_deterministic():
-    a = _sample_values(Sample(50, 42), 101)
-    b = _sample_values(Sample(50, 42), 101)
+    a = sorted(Sample(50, 42).select(101))
+    b = sorted(Sample(50, 42).select(101))
     assert a == b
     assert len(a) == 50
     assert all(101 <= m < 101 * 101 and m % 101 for m in a)
-    assert _sample_values(Sample(50, 43), 101) != a
+    assert sorted(Sample(50, 43).select(101)) != a
     # small prime: the pool is only (p-1)^2 values
-    assert len(_sample_values(Sample(50, 42), 3)) == 4
+    assert len(Sample(50, 42).select(3)) == 4
 
 
 def test_scan_deterministic_across_jobs():
