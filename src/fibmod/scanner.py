@@ -182,6 +182,7 @@ class ScanRequest:
     def __post_init__(self) -> None:
         if not self.check_ids:
             raise ValueError("a scan must name at least one check")
+        # The ids come first, so that a bad id is named before any other fault.
         for cid in self.check_ids:
             spec = get_check(cid)
             if spec.index == "n":
@@ -202,7 +203,6 @@ class ScanRequest:
                         raise ValueError(
                             f"{cid} needs p^e = {p}^{e} at a = {a}, past the 2^62 modulus bound"
                         )
-
         if self.p_min > self.p_max:
             raise ValueError(f"p_min {self.p_min} exceeds p_max {self.p_max}")
         if not self.m_policy:
@@ -210,6 +210,7 @@ class ScanRequest:
         for name in ("a_max", "jobs", "budget"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+
 
 class Row(NamedTuple):
     """One report row.  A tuple, not a frozen dataclass, because a scan
@@ -409,7 +410,7 @@ def _lines(rows: Iterable[tuple], line: str, text: dict | None = None, quote=Non
 
 
 def _policy_from_text(text: str) -> tuple[MPolicy, ...]:
-    """The policies whose ``text`` joined by "+" is ``text``; ``ValueError``
+    """The inverse of joining the policies' ``text()`` by "+"; ``ValueError``
     for text no policy renders."""
     return tuple(_one_policy(part) for part in text.split("+"))
 
